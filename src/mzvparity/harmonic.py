@@ -5,7 +5,9 @@ stored left-to-right; the rightmost slot decides admissibility: the nested
 series ``zeta(k_1, ..., k_d) = sum_{0 < m_1 < ... < m_d} prod_j m_j^(-k_j)``
 converges exactly when ``k_d >= 2``.  :class:`WordCombo` is a finite
 Q-linear combination of compositions with exact rational coefficients; the
-stuffle product turns it into the harmonic algebra.
+stuffle product turns it into the harmonic algebra.  Its linear operations
+live in a private sparse-map base class that ``TPoly`` and ``PiGradedExpr``
+share.
 """
 
 from __future__ import annotations
@@ -86,7 +88,96 @@ def _format_word(c: Composition) -> str:
     return "zeta(" + ",".join(str(k) for k in c) + ")"
 
 
-class WordCombo:
+def _iadd(acc: dict, items, scale=None) -> None:
+    """In-place ``acc += scale * items`` over (key, value) pairs.
+
+    Values are Fractions or sparse maps; ``scale=None`` adds them unscaled.
+    A key whose value cancels to zero is removed, so ``acc`` never stores
+    a zero.
+    """
+    if scale is not None:
+        items = ((k, v * scale) for k, v in items)
+    for k, v in items:
+        old = acc.get(k)
+        if old is not None:
+            v = old + v
+        if v:
+            acc[k] = v
+        elif old is not None:
+            del acc[k]
+
+
+class _SparseMap:
+    """Immutable finite map from keys to nonzero values, a Q-vector space.
+
+    Shared core of :class:`WordCombo` (word -> Fraction), ``TPoly``
+    (T-exponent -> WordCombo) and ``PiGradedExpr`` (pi-exponent -> TPoly):
+    zero values are never stored, and every operation returns a fresh map.
+    Values of different subclasses are never equal.
+    """
+
+    __slots__ = ("_data",)
+
+    @classmethod
+    def _raw(cls, data: dict):
+        # internal constructor: data already validated and pruned
+        self = object.__new__(cls)
+        self._data = data
+        return self
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def items(self):
+        return self._data.items()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __bool__(self) -> bool:
+        return bool(self._data)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._data
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        data = dict(self._data)
+        _iadd(data, other._data.items())
+        return self._raw(data)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        data = dict(self._data)
+        _iadd(data, other._data.items(), -1)
+        return self._raw(data)
+
+    def __neg__(self):
+        return self._raw({k: -v for k, v in self._data.items()})
+
+    def __mul__(self, other):
+        q = other if isinstance(other, Fraction) else Fraction(other)
+        if not q:
+            return self.zero()
+        return self._raw({k: v * q for k, v in self._data.items()})
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._data == other._data
+
+    def __hash__(self):
+        return hash(frozenset(self._data.items()))
+
+
+class WordCombo(_SparseMap):
     """Finite formal Q-linear combination of compositions.
 
     Coefficients are exact :class:`fractions.Fraction` values; zero
@@ -94,34 +185,14 @@ class WordCombo:
     every operation returns a fresh combination.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
         data: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            for word, coeff in items:
-                word = as_composition(word)
-                q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if not q:
-                    continue
-                q2 = data.get(word, 0) + q
-                if q2:
-                    data[word] = q2
-                elif word in data:
-                    del data[word]
-        self._terms = data
-
-    @classmethod
-    def _raw(cls, data: dict) -> "WordCombo":
-        # internal constructor: data already validated/pruned
-        self = object.__new__(cls)
-        self._terms = data
-        return self
-
-    @classmethod
-    def zero(cls) -> "WordCombo":
-        return cls._raw({})
+            _iadd(data, ((as_composition(w), Fraction(q)) for w, q in items))
+        self._data = data
 
     @classmethod
     def word(cls, c: Iterable, coeff=1) -> "WordCombo":
@@ -130,91 +201,25 @@ class WordCombo:
             return cls.zero()
         return cls._raw({as_composition(c): q})
 
-    def items(self):
-        return self._terms.items()
-
     def words(self):
-        return self._terms.keys()
+        return self._data.keys()
 
     def __getitem__(self, word) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def max_depth(self) -> int:
-        """Largest depth among stored words (0 for the zero combination)."""
-        return max((len(w) for w in self._terms), default=0)
-
-    def __add__(self, other: "WordCombo") -> "WordCombo":
-        if not isinstance(other, WordCombo):
-            return NotImplemented
-        data = dict(self._terms)
-        _iadd_terms(data, other._terms.items(), 1)
-        return WordCombo._raw(data)
-
-    def __sub__(self, other: "WordCombo") -> "WordCombo":
-        if not isinstance(other, WordCombo):
-            return NotImplemented
-        data = dict(self._terms)
-        _iadd_terms(data, other._terms.items(), -1)
-        return WordCombo._raw(data)
-
-    def __neg__(self) -> "WordCombo":
-        return WordCombo._raw({w: -q for w, q in self._terms.items()})
+        return self._data.get(tuple(word), Fraction(0))
 
     def __mul__(self, other) -> "WordCombo":
         if isinstance(other, WordCombo):
             return stuffle(self, other)
-        q = other if isinstance(other, Fraction) else Fraction(other)
-        if not q:
-            return WordCombo.zero()
-        return WordCombo._raw({w: c * q for w, c in self._terms.items()})
-
-    def __rmul__(self, other) -> "WordCombo":
-        return self.__mul__(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WordCombo):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return super().__mul__(other)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._data:
             return "0"
         parts = []
-        for w in sorted(self._terms):
-            q = self._terms[w]
+        for w in sorted(self._data):
+            q = self._data[w]
             parts.append(f"({q})*{_format_word(w)}")
         return " + ".join(parts)
-
-
-def _iadd_terms(acc: dict, items, scale) -> None:
-    """In-place ``acc += scale * items`` over (word, coeff) pairs."""
-    if scale == 1:
-        for w, q in items:
-            q2 = acc.get(w, 0) + q
-            if q2:
-                acc[w] = q2
-            elif w in acc:
-                del acc[w]
-    else:
-        for w, q in items:
-            q2 = acc.get(w, 0) + q * scale
-            if q2:
-                acc[w] = q2
-            elif w in acc:
-                del acc[w]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -254,13 +259,7 @@ def stuffle(u, v) -> WordCombo:
     acc: dict = {}
     for wu, qu in cu.items():
         for wv, qv in cv.items():
-            q = qu * qv
-            for w, n in _stuffle_words(wu, wv):
-                q2 = acc.get(w, 0) + q * n
-                if q2:
-                    acc[w] = q2
-                elif w in acc:
-                    del acc[w]
+            _iadd(acc, _stuffle_words(wu, wv), qu * qv)
     return WordCombo._raw(acc)
 
 

@@ -18,11 +18,11 @@ import numpy as np
 from mpmath import mp
 
 from .errors import NonAdmissibleError
-from .harmonic import Composition, as_composition, is_admissible, weight
+from .harmonic import Composition, as_composition, is_admissible
 from .precision import Approx, PrecisionContext
 from .reduction import PiGradedExpr
 from .regularization import TPoly
-from .special import PiTerm
+from .special import PiTerm, bernoulli
 
 __all__ = [
     "eval_admissible_mzv",
@@ -237,8 +237,6 @@ def mzv_em_oracle(k: int, ctx: PrecisionContext, cutoff: int = 0) -> Approx:
     """
     if k < 2:
         raise NonAdmissibleError("depth-1 oracle needs k >= 2")
-    from .special import bernoulli  # local import to keep module deps one-way
-
     wp = ctx.working_dps + 10
     with mp.workdps(wp):
         N = cutoff if cutoff else max(80, ctx.working_dps)

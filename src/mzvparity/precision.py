@@ -18,18 +18,6 @@ class Approx(NamedTuple):
     bound: object
 
 
-_PI_CACHE: dict = {}
-
-
-def _pi_at(dps: int):
-    val = _PI_CACHE.get(dps)
-    if val is None:
-        with mp.workdps(dps + 5):
-            val = +mp.pi
-        _PI_CACHE[dps] = val
-    return val
-
-
 @dataclass(frozen=True)
 class PrecisionContext:
     """Precision and truncation policy shared by every numeric evaluator.
@@ -64,11 +52,6 @@ class PrecisionContext:
     @property
     def working_dps(self) -> int:
         return self.digits + self.guard_digits
-
-    @property
-    def pi_value(self):
-        """Pi at working precision (cached per precision)."""
-        return _pi_at(self.working_dps)
 
     def residual_bound(self):
         """Default residual tolerance 10^-(digits - 5) for identity checks."""

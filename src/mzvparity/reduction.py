@@ -1,7 +1,13 @@
 """Parity reduction: rewrite opposite-parity zeta indices in lower depth.
 
 The central objects are pi^2-graded combinations of T-polynomials
-(:class:`PiGradedExpr`).  :func:`reduce_main` produces, for an admissible
+(:class:`PiGradedExpr`, the outer level of the nested sparse maps:
+pi-exponent -> ``TPoly``, sharing its linear operations with ``TPoly`` and
+``WordCombo``).  Reductions accumulate their terms in one flat
+``{(pi_exp, t, word): coeff}`` dict and build the expression once at the
+end.
+
+:func:`reduce_main` produces, for an admissible
 index whose weight and depth have opposite parity, an exact expression in
 words of depth at most d-1 with coefficients in Q[pi^2] that evaluates to
 the same real number; :func:`reduce_main3` is the variant for regularized
@@ -22,6 +28,8 @@ from .errors import NonAdmissibleError, ParityError
 from .harmonic import (
     Composition,
     WordCombo,
+    _iadd,
+    _SparseMap,
     as_composition,
     depth,
     is_admissible,
@@ -44,10 +52,10 @@ __all__ = [
 ]
 
 
-class PiGradedExpr:
+class PiGradedExpr(_SparseMap):
     """Finite map from even pi-exponents to T-polynomials, exact and pruned."""
 
-    __slots__ = ("_grades",)
+    __slots__ = ()
 
     def __init__(self, grades=None):
         data: dict = {}
@@ -59,17 +67,7 @@ class PiGradedExpr:
                     tp = TPoly(tp)
                 if not tp.is_zero:
                     data[p] = tp
-        self._grades = data
-
-    @classmethod
-    def _raw(cls, data: dict) -> "PiGradedExpr":
-        self = object.__new__(cls)
-        self._grades = data
-        return self
-
-    @classmethod
-    def zero(cls) -> "PiGradedExpr":
-        return cls._raw({})
+        self._data = data
 
     @classmethod
     def _from_flat(cls, flat: dict) -> "PiGradedExpr":
@@ -88,72 +86,26 @@ class PiGradedExpr:
                 data[p] = tp
         return cls._raw(data)
 
-    def items(self):
-        return self._grades.items()
-
-    def grade(self, pi_exp: int) -> TPoly:
-        return self._grades.get(pi_exp, TPoly.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._grades
-
     @property
     def t_degree(self):
-        """Largest T-exponent appearing in any grade; None when T-free or zero."""
-        degs = [tp.t_degree for tp in self._grades.values() if tp.t_degree]
-        return max(degs) if degs else (0 if self._grades else None)
+        """Largest T-exponent in any grade: 0 when T-free, None when zero."""
+        degs = [tp.t_degree for tp in self._data.values() if tp.t_degree]
+        return max(degs) if degs else (0 if self._data else None)
 
     def pi_exponents(self):
-        return sorted(self._grades)
+        return sorted(self._data)
 
     def words(self) -> Iterator[Composition]:
-        for tp in self._grades.values():
+        for tp in self._data.values():
             yield from tp.words()
 
-    def max_word_depth(self) -> int:
-        return max((tp.max_word_depth() for tp in self._grades.values()), default=0)
-
-    def __add__(self, other: "PiGradedExpr") -> "PiGradedExpr":
-        if not isinstance(other, PiGradedExpr):
-            return NotImplemented
-        data = dict(self._grades)
-        for p, tp in other._grades.items():
-            s = data.get(p)
-            s = tp if s is None else s + tp
-            if s.is_zero:
-                data.pop(p, None)
-            else:
-                data[p] = s
-        return PiGradedExpr._raw(data)
-
-    def __sub__(self, other: "PiGradedExpr") -> "PiGradedExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "PiGradedExpr":
-        return PiGradedExpr._raw({p: -tp for p, tp in self._grades.items()})
-
-    def __mul__(self, other) -> "PiGradedExpr":
-        q = other if isinstance(other, Fraction) else Fraction(other)
-        if not q:
-            return PiGradedExpr.zero()
-        return PiGradedExpr._raw({p: tp * q for p, tp in self._grades.items()})
-
-    def __rmul__(self, other) -> "PiGradedExpr":
-        return self.__mul__(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PiGradedExpr):
-            return NotImplemented
-        return self._grades == other._grades
-
     def __repr__(self) -> str:
-        if not self._grades:
+        if not self._data:
             return "0"
         parts = []
-        for p in sorted(self._grades):
+        for p in sorted(self._data):
             head = "" if p == 0 else f"pi^{p}*"
-            parts.append(f"{head}({self._grades[p]!r})")
+            parts.append(f"{head}({self._data[p]!r})")
         return " + ".join(parts)
 
 
@@ -183,16 +135,12 @@ class ReductionResult:
 
 def _acc_tpoly(flat: dict, pi_exp: int, tpoly: TPoly, coeff: Fraction) -> None:
     """flat += coeff * pi^pi_exp * tpoly over (pi_exp, t, word) keys."""
-    if not coeff:
-        return
-    for t, combo in tpoly.items():
-        for w, q in combo.items():
-            key = (pi_exp, t, w)
-            q2 = flat.get(key, 0) + q * coeff
-            if q2:
-                flat[key] = q2
-            elif key in flat:
-                del flat[key]
+    if coeff:
+        _iadd(
+            flat,
+            (((pi_exp, t, w), q) for t, combo in tpoly.items() for w, q in combo.items()),
+            coeff,
+        )
 
 
 def _triple_terms(c: Composition):

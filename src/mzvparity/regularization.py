@@ -5,6 +5,11 @@ formal symbol T, the regularized value of the single part (1), by peeling
 trailing ones with the stuffle relation.  The map is the unique algebra
 homomorphism from the harmonic algebra to ``(admissible span)[T]`` that is
 the identity on admissible words and sends (1) to T.
+
+:class:`TPoly` is the middle level of the nested sparse maps (T-exponent ->
+:class:`~mzvparity.harmonic.WordCombo`); its linear operations come from the
+shared sparse-map base in :mod:`mzvparity.harmonic`, and it adds only the
+stuffle-based ``TPoly x TPoly`` product and T-specific accessors.
 """
 
 from __future__ import annotations
@@ -15,17 +20,19 @@ from typing import Mapping, Union
 from .harmonic import (
     Composition,
     WordCombo,
+    _iadd,
+    _SparseMap,
+    _stuffle_words,
     as_composition,
     is_admissible,
     star_expand,
     stuffle,
-    _stuffle_words,
 )
 
 __all__ = ["TPoly", "antipode_combo", "regularize"]
 
 
-class TPoly:
+class TPoly(_SparseMap):
     """Polynomial in the regularization symbol T with WordCombo coefficients.
 
     Every composition stored in any coefficient is admissible.  Ring
@@ -33,7 +40,7 @@ class TPoly:
     stuffle product.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Union[Mapping, None] = None):
         data: dict = {}
@@ -51,17 +58,7 @@ class TPoly:
                             f"non-admissible word {w!r} in TPoly coefficient"
                         )
                 data[t] = combo
-        self._coeffs = data
-
-    @classmethod
-    def _raw(cls, data: dict) -> "TPoly":
-        self = object.__new__(cls)
-        self._coeffs = data
-        return self
-
-    @classmethod
-    def zero(cls) -> "TPoly":
-        return cls._raw({})
+        self._data = data
 
     @classmethod
     def one(cls) -> "TPoly":
@@ -75,100 +72,53 @@ class TPoly:
         combo = WordCombo.word(w, coeff)
         return cls._raw({0: combo}) if combo else cls.zero()
 
-    @classmethod
-    def from_combo(cls, combo: WordCombo, t: int = 0) -> "TPoly":
-        return cls({t: combo})
-
     def coeff(self, t: int) -> WordCombo:
-        return self._coeffs.get(t, WordCombo.zero())
-
-    def items(self):
-        return self._coeffs.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return self._data.get(t, WordCombo.zero())
 
     @property
     def t_degree(self):
         """Largest T-exponent with nonzero coefficient; None when zero."""
-        return max(self._coeffs) if self._coeffs else None
-
-    def max_word_depth(self) -> int:
-        return max((c.max_depth() for c in self._coeffs.values()), default=0)
+        return max(self._data) if self._data else None
 
     def words(self):
-        for combo in self._coeffs.values():
+        for combo in self._data.values():
             yield from combo.words()
 
     def shift_t(self, n: int) -> "TPoly":
         """Multiply by T^n."""
         if n == 0:
             return self
-        return TPoly._raw({t + n: combo for t, combo in self._coeffs.items()})
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        data = dict(self._coeffs)
-        for t, combo in other._coeffs.items():
-            s = data.get(t)
-            s = combo if s is None else s + combo
-            if s.is_zero:
-                data.pop(t, None)
-            else:
-                data[t] = s
-        return TPoly._raw(data)
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "TPoly":
-        return TPoly._raw({t: -combo for t, combo in self._coeffs.items()})
+        return TPoly._raw({t + n: combo for t, combo in self._data.items()})
 
     def __mul__(self, other):
-        if isinstance(other, TPoly):
-            data: dict = {}
-            for s, cs in self._coeffs.items():
-                for t, ct in other._coeffs.items():
-                    prod = stuffle(cs, ct)
-                    if prod.is_zero:
-                        continue
-                    key = s + t
-                    acc = data.get(key)
-                    acc = prod if acc is None else acc + prod
-                    if acc.is_zero:
-                        data.pop(key, None)
-                    else:
-                        data[key] = acc
-            return TPoly._raw(data)
-        q = other if isinstance(other, Fraction) else Fraction(other)
-        if not q:
-            return TPoly.zero()
-        return TPoly._raw({t: combo * q for t, combo in self._coeffs.items()})
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset((t, c) for t, c in self._coeffs.items()))
+            return super().__mul__(other)
+        acc: dict = {}
+        for s, cs in self._data.items():
+            for t, ct in other._data.items():
+                _acc_t(acc, s + t, stuffle(cs, ct).items())
+        return _freeze(acc)
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._data:
             return "0"
         parts = []
-        for t in sorted(self._coeffs):
+        for t in sorted(self._data):
             head = "" if t == 0 else ("T*" if t == 1 else f"T^{t}*")
-            parts.append(f"{head}[{self._coeffs[t]!r}]")
+            parts.append(f"{head}[{self._data[t]!r}]")
         return " + ".join(parts)
+
+
+def _acc_t(acc: dict, t: int, items, scale=None) -> None:
+    """In-place ``acc[t] += scale * items`` on a {t: {word: coeff}} accumulator."""
+    terms = acc.setdefault(t, {})
+    _iadd(terms, items, scale)
+    if not terms:
+        del acc[t]
+
+
+def _freeze(acc: dict) -> TPoly:
+    return TPoly._raw({t: WordCombo._raw(terms) for t, terms in acc.items()})
 
 
 _REG_CACHE: dict = {}
@@ -187,9 +137,11 @@ def _regularize_word(w: Composition) -> TPoly:
         v = w[:-1]
         prod = dict(_stuffle_words(v, (1,)))
         mult = prod.pop(w)
-        res = _regularize_word(v).shift_t(1)
+        acc = {t + 1: dict(combo.items()) for t, combo in _regularize_word(v).items()}
         for word, n in prod.items():
-            res = res - _regularize_word(word) * Fraction(n)
+            for t, combo in _regularize_word(word).items():
+                _acc_t(acc, t, combo.items(), Fraction(-n))
+        res = _freeze(acc)
         if mult != 1:
             res = res * Fraction(1, mult)
     _REG_CACHE[w] = res
@@ -201,13 +153,15 @@ def regularize(x) -> TPoly:
 
     Admissible words map to themselves at T-degree 0; the single part (1)
     maps to T; the extension to arbitrary words is forced by requiring an
-    algebra homomorphism for the stuffle product.
+    algebra homomorphism for the stuffle product, and it is linear, so a
+    combination is regularized word by word into one flat accumulator.
     """
     if isinstance(x, WordCombo):
-        acc = TPoly.zero()
+        acc: dict = {}
         for w, q in x.items():
-            acc = acc + _regularize_word(w) * q
-        return acc
+            for t, combo in _regularize_word(w).items():
+                _acc_t(acc, t, combo.items(), q)
+        return _freeze(acc)
     return _regularize_word(as_composition(x))
 
 

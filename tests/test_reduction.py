@@ -1,5 +1,6 @@
 """Parity reductions: exact forms, structural guarantees, identity residuals."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,40 @@ def test_reduce_main_structural_guarantees():
         assert red.expanded.t_degree in (None, 0), c
         assert expand_depth_certificate(red.expanded, depth(c)), c
         assert all(p % 2 == 0 and p <= weight(c) for p in red.expanded.pi_exponents())
+
+
+def _pinned_rows(indices, build):
+    """Sorted (c, p, t, word, numerator, denominator) rows of every term."""
+    rows = []
+    for c in indices:
+        for p, tp in build(c).items():
+            for t, combo in tp.items():
+                for word, q in combo.items():
+                    rows.append((c, p, t, word, q.numerator, q.denominator))
+    rows.sort()
+    return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_exact_output_pinned():
+    """Every term of every reduction up to weight 8 (main2: weight 7) is pinned.
+
+    The digests were recorded from the original per-class ring
+    implementation; any change to the exact output of the symbolic layer,
+    not only to its value, shows up here.
+    """
+    opposite = [
+        c
+        for c in compositions_up_to(8)
+        if is_admissible(c) and weight(c) % 2 != depth(c) % 2
+    ]
+    assert _pinned_rows(opposite, lambda c: reduce_main(c).expanded) == (
+        980,
+        "15fbccd58dd95b7ab9a0d1df2b87ab89ce03c1daca8bfc41b7659a98703e1197",
+    )
+    assert _pinned_rows(compositions_up_to(7), build_main2_identity) == (
+        1963,
+        "f8b251349ac816dee1025fd3640fa4d8a692e1206a752690865c56f5eccb2e65",
+    )
 
 
 def test_depth_certificate_examples():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzvparity import (
+    PiGradedExpr,
     TPoly,
     WordCombo,
     antipode_combo,
@@ -45,6 +46,48 @@ def test_tpoly_ring_ops():
     assert z2.shift_t(2).t_degree == 2
     prod = z2 * z2
     assert prod == TPoly({0: WordCombo({(2, 2): 2, (4,): 1})})
+    assert -(-z2) == z2
+    assert 2 * z2 - z2 == z2
+    assert hash(z2 + z2) == hash(z2 * 2)
+    assert (one + z2.shift_t(1)) * z2 == z2 + (z2 * z2).shift_t(1)
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_admissible = compositions(5).map(lambda c: c if is_admissible(c) else c + (2,))
+_combos = st.dictionaries(compositions(5), _fractions, max_size=4).map(WordCombo)
+_tpolys = st.dictionaries(
+    st.integers(min_value=0, max_value=3),
+    st.dictionaries(_admissible, _fractions, max_size=3).map(WordCombo),
+    max_size=3,
+).map(TPoly)
+_pigradeds = st.dictionaries(st.sampled_from([0, 2, 4]), _tpolys, max_size=3).map(
+    PiGradedExpr
+)
+_same_class_pairs = st.one_of(*(st.tuples(s, s) for s in (_combos, _tpolys, _pigradeds)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_same_class_pairs, _fractions.filter(bool))
+def test_sparse_map_linear_laws(pair, q):
+    """WordCombo, TPoly and PiGradedExpr share one Q-vector-space core."""
+    x, y = pair
+    x2 = (x + y) - y
+    assert x2 == x
+    assert hash(x2) == hash(x)
+    assert not (x - x) and (x - x).is_zero
+    assert -(-x) == x
+    assert x + (-x) == x - x
+    assert (x * q) * (1 / q) == x
+    assert q * x == x * q
+    assert (x * 0).is_zero
+    assert len(x * q) == len(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_combos, _tpolys, _pigradeds)
+def test_sparse_maps_of_different_classes_never_equal(a, b, c):
+    assert a != b and b != c and a != c
+    assert WordCombo.zero() != TPoly.zero() != PiGradedExpr.zero()
 
 
 def test_regularize_admissible_is_identity():
