@@ -39,7 +39,7 @@ from .render import (
     render_expanded_text,
     table_entries,
 )
-from .verify import IDENTITIES, sweep
+from .verify import _dispatch, sweep
 
 __all__ = ["main"]
 
@@ -187,32 +187,33 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _parse_T_values(text: Optional[str]):
+    if text is None:
+        return None
+    try:
+        return tuple(mp.mpf(p) for p in text.split(","))
+    except ValueError:
+        raise UsageError(f"invalid T {text!r}: expected comma-separated decimals") from None
+
+
+def _nstr(x, digits: int):
+    return None if x is None else mp.nstr(mp.mpmathify(x), digits)
+
+
 def _cmd_verify(args) -> int:
     ctx = _context(args)
-    if args.identity not in IDENTITIES:
-        raise UsageError(
-            f"unknown identity {args.identity!r}; choose from {sorted(IDENTITIES)}"
-        )
-    z = _parse_z(args.z) if args.identity == "bouillot" else None
-    T = mp.mpf(args.T) if args.T is not None else 0
+    z = _parse_z(args.z) if args.z is not None else None
+    T_values = _parse_T_values(args.T)
     if args.k is None and args.max_weight is None:
         raise UsageError("verify needs --k or --max-weight")
-    if args.k is not None:
-        c = _parse_composition(args.k)
-        fn = IDENTITIES[args.identity]
-        if args.identity == "main":
-            reports = [fn(c, ctx)]
-        elif args.identity in ("main2", "main3"):
-            reports = [fn(c, ctx, T_values=(0, 1))]
-        elif args.identity == "fundeq2":
-            reports = [fn(c, ctx, T_value=T)]
+    try:
+        if args.k is not None:
+            c = _parse_composition(args.k)
+            reports = [_dispatch(args.identity)(c, ctx=ctx, z=z, T_values=T_values)]
         else:
-            reports = [fn(c, z, ctx, T_value=T)]
-    else:
-        try:
-            reports = sweep(args.max_weight, args.identity, ctx, z=z, T_value=T)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+            reports = sweep(args.max_weight, args.identity, ctx, z=z, T_values=T_values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     failed = [r for r in reports if r.status == "fail"]
     if args.format == "json":
         rows = [
@@ -223,6 +224,11 @@ def _cmd_verify(args) -> int:
                 "residual": mp.nstr(r.residual, 5),
                 "bound": mp.nstr(r.bound, 5),
                 "reason": r.reason,
+                "T": None if r.T is None else [_nstr(t, ctx.digits) for t in r.T],
+                "z": _nstr(r.z, ctx.digits),
+                "lhs": _nstr(r.lhs, ctx.digits),
+                "rhs": _nstr(r.rhs, ctx.digits),
+                "wall_time": r.wall_time,
             }
             for r in reports
         ]
@@ -287,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default=None, help="single composition to check")
     p.add_argument("--max-weight", type=int, default=None, help="sweep all compositions up to this weight")
     p.add_argument("--z", default=None, help="evaluation point for bouillot")
-    p.add_argument("--T", default=None, help="regularization value (default 0)")
+    p.add_argument("--T", default=None, help="comma-separated regularization values (default per identity)")
     common(p, fmt_choices=("text", "json"))
     p.set_defaults(func=_cmd_verify)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -28,9 +29,9 @@ __all__ = [
     "depth",
     "is_admissible",
     "shift_expand",
+    "splits",
     "star_expand",
     "stuffle",
-    "trailing_ones",
     "weight",
 ]
 
@@ -57,13 +58,19 @@ def is_admissible(c: Composition) -> bool:
     return not c or c[-1] >= 2
 
 
-def trailing_ones(c: Composition) -> int:
-    n = 0
-    for k in reversed(c):
-        if k != 1:
-            break
-        n += 1
-    return n
+def splits(c: Composition) -> Iterator[tuple]:
+    """Cuts and slots of the summation chain of ``c``, with parity signs.
+
+    Yields ``(rev_head, k, tail, sign)`` with ``sign = (-1)^weight(head)``:
+    first the d+1 cuts ``c = head + tail`` with ``k = 0``, then the d slots
+    ``c = head + (k_j,) + tail``.  The head is reversed, as the chain is
+    read outward from the split point.  A cut is a slot of weight 0.
+    """
+    prefix = list(accumulate(c, initial=0))
+    for i in range(len(c) + 1):
+        yield c[:i][::-1], 0, c[i:], -1 if prefix[i] % 2 else 1
+    for j, k in enumerate(c):
+        yield c[:j][::-1], k, c[j + 1 :], -1 if prefix[j] % 2 else 1
 
 
 def compositions_of(w: int) -> Iterator[Composition]:

@@ -18,7 +18,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import DomainError
-from .harmonic import as_composition
+from .harmonic import as_composition, splits
 from .hurwitz import eval_hurwitz_star, eval_shifted, _normalize_z
 from .precision import Approx, PrecisionContext
 
@@ -168,23 +168,13 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
             raise DomainError("z = 0 is a pole of the multitangent")
         if zabs > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
             raise DomainError("regularized multitangents are evaluated for 0 < |z| <= 1/2")
-        d = len(c)
-        prefix = [0] * (d + 1)
-        for i in range(d):
-            prefix[i + 1] = prefix[i] + c[i]
         total = mp.mpc(0)
         bound = mp.mpf(0)
-        for i in range(d + 1):
-            sign = -1 if prefix[i] % 2 else 1
-            left = eval_hurwitz_star(c[:i][::-1], -zv, T_value, ctx)
-            right = eval_hurwitz_star(c[i:], zv, T_value, ctx)
-            total += sign * left.value * right.value
-            bound += abs(left.value) * right.bound + abs(right.value) * left.bound
-        for j in range(1, d + 1):
-            sign = -1 if prefix[j - 1] % 2 else 1
-            left = eval_hurwitz_star(c[: j - 1][::-1], -zv, T_value, ctx)
-            right = eval_hurwitz_star(c[j:], zv, T_value, ctx)
-            gap = zv ** (-c[j - 1])
+        # a cut (k = 0) has the exact gap factor z^0 = 1
+        for rev_head, k, tail, sign in splits(c):
+            left = eval_hurwitz_star(rev_head, -zv, T_value, ctx)
+            right = eval_hurwitz_star(tail, zv, T_value, ctx)
+            gap = zv ** (-k)
             total += sign * left.value * right.value * gap
             bound += abs(gap) * (
                 abs(left.value) * right.bound + abs(right.value) * left.bound

@@ -24,7 +24,6 @@ class PrecisionContext:
 
     digits            target significant decimal digits for returned values
     guard_digits      extra working digits absorbing roundoff/cancellation
-    oracle_cutoff     term cutoff for the direct-truncation nested-sum oracle
     hurwitz_cutoff    index where nested Hurwitz sums switch to tail expansions
     em_terms          Bernoulli correction terms in tail expansions
     expansion_order   truncation order (powers of 1/(z+n)) of tail expansions
@@ -34,7 +33,6 @@ class PrecisionContext:
 
     digits: int = 30
     guard_digits: int = 15
-    oracle_cutoff: int = 1_000_000
     hurwitz_cutoff: int = 900
     em_terms: int = 12
     expansion_order: int = 28

@@ -34,6 +34,7 @@ from .harmonic import (
     depth,
     is_admissible,
     shift_expand,
+    splits,
     star_expand,
     stuffle,
     weight,
@@ -146,46 +147,43 @@ def _acc_tpoly(flat: dict, pi_exp: int, tpoly: TPoly, coeff: Fraction) -> None:
 def _triple_terms(c: Composition):
     """Yield the expanded product terms of the double-index correction sum.
 
-    For every 0 <= i < j <= d and every split a + 2m + b of k_j, yields
-    ``(i, j, a, m, b, coeff, tpoly)`` where ``coeff`` carries the sign
-    (-1)^(m+i+b+k_1+...+k_j) together with the rational part
+    For every 0 <= i < d, every slot ``c[i:] = rev(mid) + (k_j,) + tail``
+    and every split a + 2m + b of k_j, yields
+    ``(i, mid, tail, a, m, b, coeff, tpoly)`` where ``coeff`` carries the
+    sign (-1)^(m+i+b+k_1+...+k_j) together with the rational part
     2^(2m) B_{2m} / (2m)! of the (2 pi)^(2m) prefactor, and ``tpoly`` is the
     regularized stuffle expansion of
-    star(k_1..k_i) * shift_a(k_{j-1}..k_{i+1}) * shift_b(k_{j+1}..k_d).
+    star(k_1..k_i) * shift_a(mid) * shift_b(tail).
     """
-    d = len(c)
-    prefix = [0] * (d + 1)
-    for idx in range(d):
-        prefix[idx + 1] = prefix[idx] + c[idx]
-    for i in range(d):
+    for i in range(len(c)):
         head = star_expand(c[:i])
-        for j in range(i + 1, d + 1):
-            kj = c[j - 1]
-            midseg = c[i : j - 1][::-1]
-            tailseg = c[j:]
-            tails = {}
+        head_parity = i + weight(c[:i])
+        for mid, kj, tail, sign in splits(c[i:]):
+            if not kj:
+                continue  # a cut: only slots carry a part to split
+            shifted_tails = {}
             for b in range(kj + 1):
-                tl = shift_expand(b, tailseg)
+                tl = shift_expand(b, tail)
                 if not tl.is_zero:
-                    tails[b] = tl
+                    shifted_tails[b] = tl
             for a in range(kj + 1):
-                mid = shift_expand(a, midseg)
-                if mid.is_zero:
+                shifted_mid = shift_expand(a, mid)
+                if shifted_mid.is_zero:
                     continue
-                head_mid = stuffle(head, mid)
+                head_mid = stuffle(head, shifted_mid)
                 for b in range(kj - a + 1):
                     if (kj - a - b) % 2:
                         continue
-                    tail = tails.get(b)
-                    if tail is None:
+                    tl = shifted_tails.get(b)
+                    if tl is None:
                         continue
                     m = (kj - a - b) // 2
-                    tp = regularize(stuffle(head_mid, tail))
+                    tp = regularize(stuffle(head_mid, tl))
                     if tp.is_zero:
                         continue
-                    sign = -1 if (m + i + b + prefix[j]) % 2 else 1
-                    coeff = Fraction(sign * 4**m) * bernoulli(2 * m) / factorial(2 * m)
-                    yield i, j, a, m, b, coeff, tp
+                    term_sign = -sign if (head_parity + kj + m + b) % 2 else sign
+                    coeff = Fraction(term_sign * 4**m) * bernoulli(2 * m) / factorial(2 * m)
+                    yield i, mid, tail, a, m, b, coeff, tp
 
 
 def _require_opposite_parity(c: Composition) -> None:
@@ -220,15 +218,15 @@ def _reduce_expansion(c: Composition, with_all_ones: bool) -> ReductionResult:
             display.append(DisplayTerm(coeff, 0, (("star", c[:i]), ("delta", c[i:]))))
 
     # double-index correction sum, scaled by -1/2
-    for i, j, a, m, b, coeff, tp in _triple_terms(c):
+    for i, mid, tail, a, m, b, coeff, tp in _triple_terms(c):
         _acc_tpoly(flat, 2 * m, tp, Fraction(-1, 2) * coeff)
         factors = []
         if i > 0:
             factors.append(("star", c[:i]))
-        if j - 1 > i or a > 0:
-            factors.append(("shift", a, c[i : j - 1][::-1]))
-        if j < d or b > 0:
-            factors.append(("shift", b, c[j:]))
+        if mid or a > 0:
+            factors.append(("shift", a, mid))
+        if tail or b > 0:
+            factors.append(("shift", b, tail))
         display.append(DisplayTerm(Fraction(-1, 2) * coeff, 2 * m, tuple(factors)))
 
     return ReductionResult(c, PiGradedExpr._from_flat(flat), tuple(display))
@@ -294,7 +292,7 @@ def build_main2_identity(c) -> PiGradedExpr:
         _acc_tpoly(flat, dl.pi_exp, regularize(star_expand(c[:i])), sign_i * dl.coeff)
 
     # minus RHS double-index sum: RHS contains (-1)^w * sum of base terms
-    for i, j, a, m, b, coeff, tp in _triple_terms(c):
+    for *_, m, _, coeff, tp in _triple_terms(c):
         _acc_tpoly(flat, 2 * m, tp, Fraction(-sign_w) * coeff)
 
     return PiGradedExpr._from_flat(flat)

@@ -4,6 +4,15 @@ Each verifier evaluates both sides of one identity numerically at working
 precision and reports the residual against the tolerance
 10^-(digits - 5).  Precondition violations are reported as skipped
 entries, never silently dropped, so sweeps document their coverage.
+
+Every entry of :data:`IDENTITIES` is called as
+``fn(c, ctx=ctx, z=z, T_values=T_values)``.  ``z`` is the evaluation point,
+used by ``bouillot`` (which raises :class:`DomainError` without one) and
+ignored by the others.  ``T_values`` are the values substituted for the
+regularization variable T; the residual is the largest over them, and
+``None`` selects the identity's default: ``(0,)`` for ``main``,
+``fundeq2`` and ``bouillot``, ``(0, 1)`` for ``main2`` and ``main3``.
+Every report's ``T`` is the tuple of T values it used.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .harmonic import (
     compositions_up_to,
     depth,
     is_admissible,
+    splits,
     stuffle,
     weight,
 )
@@ -55,6 +65,9 @@ __all__ = [
     "verify_main3",
 ]
 
+# sweeps check 2^(w-1) compositions per weight w
+WEIGHT_CAP = 12
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -68,7 +81,7 @@ class ResidualReport:
     status: str  # "pass" | "fail" | "skip"
     reason: Optional[str] = None
     z: object = None
-    T: object = None
+    T: object = None  # tuple of the T values used; None for skipped entries
     lhs: object = None
     rhs: object = None
     wall_time: float = 0.0
@@ -93,7 +106,7 @@ class ResidualReport:
         if self.z is not None:
             extra += f" z={mp.nstr(mp.mpmathify(self.z), 8)}"
         if self.T is not None:
-            extra += f" T={self.T}"
+            extra += " T=" + ",".join(mp.nstr(mp.mpmathify(t), 8) for t in self.T)
         return f"{tag} {head}{extra}: residual {res} (bound {bnd}, {self.wall_time:.2f}s)"
 
 
@@ -135,7 +148,7 @@ def _finish(
         T=T,
         lhs=lhs,
         rhs=rhs,
-        wall_time=time.time() - t0,
+        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -151,66 +164,63 @@ def _skip(identity: str, c: Composition, ctx: PrecisionContext, reason: str) -> 
     )
 
 
-def verify_fund_eq2(c, ctx: PrecisionContext, T_value=0) -> ResidualReport:
+def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the reflection identity for the z^0 coefficient.
 
-    LHS: sum_j (-1)^(k_{j+1}+...+k_d) (reversed head) * (tail), regularized.
-    RHS: the all-ones correction plus the Bernoulli-weighted shifted-value
-    sum over splits a + 2m + b = k_j.
+    LHS: sum over cuts of (-1)^(weight of tail) (reversed head) * (tail),
+    regularized.  RHS: the all-ones correction plus the Bernoulli-weighted
+    shifted-value sum over slots and splits a + 2m + b = k_j.
     """
     c = as_composition(c)
     if not c:
         raise ValueError("the identity needs a nonempty composition")
-    t0 = time.time()
-    d = len(c)
-    w = weight(c)
-    prefix = [0] * (d + 1)
-    for i in range(d):
-        prefix[i + 1] = prefix[i] + c[i]
+    T_values = (0,) if T_values is None else tuple(T_values)
+    t0 = time.perf_counter()
+    sign_w = -1 if weight(c) % 2 else 1
     with mp.workdps(ctx.working_dps + 5):
         pi = +mp.pi
-        lhs = mp.mpf(0)
-        for j in range(d + 1):
-            sign = -1 if (w - prefix[j]) % 2 else 1
-            prod = stuffle(WordCombo.word(c[:j][::-1]), WordCombo.word(c[j:]))
-            lhs += sign * eval_tpoly(regularize(prod), T_value, ctx).value
         dl = delta(c)
-        rhs = mp.mpf(0)
+        rhs0 = mp.mpf(0)
         if not dl.is_zero:
-            rhs += mp.mpf(dl.coeff.numerator) / dl.coeff.denominator * pi**dl.pi_exp
-        for j in range(1, d + 1):
-            kj = c[j - 1]
-            rev_head = c[: j - 1][::-1]
-            tail = c[j:]
-            tail_sign = -1 if (w - prefix[j]) % 2 else 1
-            for a in range(kj + 1):
-                va = eval_shifted(rev_head, a, T_value, ctx)
-                if va.value == 0:
+            rhs0 += mp.mpf(dl.coeff.numerator) / dl.coeff.denominator * pi**dl.pi_exp
+        residual = mp.mpf(0)
+        for T in T_values:
+            lhs, rhs = mp.mpf(0), rhs0
+            for rev_head, kj, tail, sign in splits(c):
+                sign *= sign_w
+                if not kj:  # a cut
+                    prod = stuffle(WordCombo.word(rev_head), WordCombo.word(tail))
+                    lhs += sign * eval_tpoly(regularize(prod), T, ctx).value
                     continue
-                for b in range(kj - a + 1):
-                    if (kj - a - b) % 2:
+                for a in range(kj + 1):
+                    va = eval_shifted(rev_head, a, T, ctx)
+                    if va.value == 0:
                         continue
-                    m = (kj - a - b) // 2
-                    vb = eval_shifted(tail, b, T_value, ctx)
-                    if vb.value == 0:
-                        continue
-                    sign = tail_sign * (-1 if (b + m + 1) % 2 else 1)
-                    bm = bernoulli(2 * m) / factorial(2 * m)
-                    coeff = (
-                        sign
-                        * mp.mpf(bm.numerator)
-                        / bm.denominator
-                        * (2 * pi) ** (2 * m)
-                    )
-                    rhs += coeff * va.value * vb.value
-        residual = abs(lhs - rhs)
-    return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, T=T_value)
+                    for b in range(kj - a + 1):
+                        if (kj - a - b) % 2:
+                            continue
+                        m = (kj - a - b) // 2
+                        vb = eval_shifted(tail, b, T, ctx)
+                        if vb.value == 0:
+                            continue
+                        term_sign = sign * (-1 if (kj + b + m + 1) % 2 else 1)
+                        bm = bernoulli(2 * m) / factorial(2 * m)
+                        coeff = (
+                            term_sign
+                            * mp.mpf(bm.numerator)
+                            / bm.denominator
+                            * (2 * pi) ** (2 * m)
+                        )
+                        rhs += coeff * va.value * vb.value
+            residual = max(residual, abs(lhs - rhs))
+    return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, T=T_values)
 
 
-def verify_main2(c, ctx: PrecisionContext, T_values=(0, 1)) -> ResidualReport:
+def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the star/plain alternating identity at each T value."""
     c = as_composition(c)
-    t0 = time.time()
+    T_values = (0, 1) if T_values is None else tuple(T_values)
+    t0 = time.perf_counter()
     expr = build_main2_identity(c)
     residual = mp.mpf(0)
     vals = []
@@ -218,17 +228,16 @@ def verify_main2(c, ctx: PrecisionContext, T_values=(0, 1)) -> ResidualReport:
         v = eval_pigraded(expr, T, ctx)
         vals.append(v.value)
         residual = max(residual, abs(v.value))
-    return _finish(
-        "main2", c, ctx, residual, vals[0], mp.mpf(0), t0, T=tuple(T_values)
-    )
+    return _finish("main2", c, ctx, residual, vals[0], mp.mpf(0), t0, T=T_values)
 
 
-def verify_main3(c, ctx: PrecisionContext, T_values=(0, 1)) -> ResidualReport:
+def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the regularized reduction against the direct value."""
     c = as_composition(c)
+    T_values = (0, 1) if T_values is None else tuple(T_values)
     if weight(c) % 2 == depth(c) % 2:
         return _skip("main3", c, ctx, "weight and depth have the same parity")
-    t0 = time.time()
+    t0 = time.perf_counter()
     red = reduce_main3(c)
     tp = regularize(c)
     residual = mp.mpf(0)
@@ -237,77 +246,79 @@ def verify_main3(c, ctx: PrecisionContext, T_values=(0, 1)) -> ResidualReport:
         lhs = eval_tpoly(tp, T, ctx).value
         rhs = eval_pigraded(red.expanded, T, ctx).value
         residual = max(residual, abs(lhs - rhs))
-    return _finish("main3", c, ctx, residual, lhs, rhs, t0, T=tuple(T_values))
+    return _finish("main3", c, ctx, residual, lhs, rhs, t0, T=T_values)
 
 
-def verify_main(c, ctx: PrecisionContext) -> ResidualReport:
+def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the depth reduction for an admissible index.
 
     Also asserts the structural guarantees: the reduction is T-free and
     every expanded word has depth at most d-1.
     """
     c = as_composition(c)
+    T_values = (0,) if T_values is None else tuple(T_values)
     if not is_admissible(c):
         return _skip("main", c, ctx, "not admissible (last part must be >= 2)")
     if weight(c) % 2 == depth(c) % 2:
         return _skip("main", c, ctx, "weight and depth have the same parity")
-    t0 = time.time()
+    t0 = time.perf_counter()
     red = reduce_main(c)
     t_free = red.expanded.t_degree in (None, 0)
     cert = expand_depth_certificate(red.expanded, depth(c))
     lhs = eval_admissible_mzv(c, ctx).value
-    rhs = eval_pigraded(red.expanded, 0, ctx).value
-    residual = abs(lhs - rhs)
+    residual = mp.mpf(0)
+    for T in T_values:
+        rhs = eval_pigraded(red.expanded, T, ctx).value
+        residual = max(residual, abs(lhs - rhs))
     reason = None
     if not t_free:
         reason = f"reduction has T-degree {red.expanded.t_degree}"
     elif not cert:
         reason = "depth certificate failed"
     return _finish(
-        "main", c, ctx, residual, lhs, rhs, t0, extra_ok=t_free and cert, reason=reason
+        "main", c, ctx, residual, lhs, rhs, t0,
+        T=T_values, extra_ok=t_free and cert, reason=reason,
     )
 
 
-def verify_bouillot(c, z, ctx: PrecisionContext, T_value=0) -> ResidualReport:
+def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualReport:
     """Residual of the monotangent reduction of the multitangent.
 
     LHS: the regularized multitangent.  RHS: the all-ones correction plus
-    monotangents weighted by shifted values over splits a + s + b = k_j.
-    For indices with first and last part >= 2 the LHS is additionally
-    cross-checked against the truncated doubly infinite sum within its
-    stated tail estimate.
+    monotangents weighted by shifted values over slots and splits
+    a + s + b = k_j.  For indices with first and last part >= 2 the
+    reported LHS is additionally cross-checked against the truncated doubly
+    infinite sum within its stated tail estimate.
     """
+    if z is None:
+        raise DomainError("the multitangent identity needs an evaluation point z")
     c = as_composition(c)
-    t0 = time.time()
-    d = len(c)
-    prefix = [0] * (d + 1)
-    for i in range(d):
-        prefix[i + 1] = prefix[i] + c[i]
+    T_values = (0,) if T_values is None else tuple(T_values)
+    t0 = time.perf_counter()
     with mp.workdps(ctx.working_dps + 5):
         pi = +mp.pi
-        lhs = eval_multitangent_regularized(c, z, T_value, ctx).value
         dl = delta(c)
-        rhs = mp.mpf(0)
+        rhs0 = mp.mpf(0)
         if not dl.is_zero:
-            rhs += mp.mpf(dl.coeff.numerator) / dl.coeff.denominator * pi**dl.pi_exp
-        for j in range(1, d + 1):
-            kj = c[j - 1]
-            rev_head = c[: j - 1][::-1]
-            tail = c[j:]
-            head_sign = -1 if prefix[j - 1] % 2 else 1
-            for a in range(kj):
-                va = eval_shifted(rev_head, a, T_value, ctx)
-                if va.value == 0:
-                    continue
-                sign = head_sign if a % 2 == 0 else -head_sign
-                for s in range(1, kj - a + 1):
-                    b = kj - a - s
-                    vb = eval_shifted(tail, b, T_value, ctx)
-                    if vb.value == 0:
+            rhs0 += mp.mpf(dl.coeff.numerator) / dl.coeff.denominator * pi**dl.pi_exp
+        residual = mp.mpf(0)
+        for T in T_values:
+            lhs = eval_multitangent_regularized(c, z, T, ctx).value
+            rhs = rhs0
+            # a cut (kj = 0) has no split a + s + b with s >= 1
+            for rev_head, kj, tail, sign in splits(c):
+                for a in range(kj):
+                    va = eval_shifted(rev_head, a, T, ctx)
+                    if va.value == 0:
                         continue
-                    mono = eval_monotangent(s, z, ctx)
-                    rhs += sign * va.value * vb.value * mono.value
-        residual = abs(lhs - rhs)
+                    sign_a = sign if a % 2 == 0 else -sign
+                    for s in range(1, kj - a + 1):
+                        vb = eval_shifted(tail, kj - a - s, T, ctx)
+                        if vb.value == 0:
+                            continue
+                        mono = eval_monotangent(s, z, ctx)
+                        rhs += sign_a * va.value * vb.value * mono.value
+            residual = max(residual, abs(lhs - rhs))
         extra_ok = True
         reason = None
         if c[0] >= 2 and c[-1] >= 2:
@@ -321,7 +332,7 @@ def verify_bouillot(c, z, ctx: PrecisionContext, T_value=0) -> ResidualReport:
                 )
     return _finish(
         "bouillot", c, ctx, residual, lhs, rhs, t0,
-        z=z, T=T_value, extra_ok=extra_ok, reason=reason,
+        z=z, T=T_values, extra_ok=extra_ok, reason=reason,
     )
 
 
@@ -348,38 +359,25 @@ def sweep(
     identity: str,
     ctx: PrecisionContext,
     z=None,
-    T_value=0,
-    T_values=(0, 1),
+    T_values=None,
     fail_fast: bool = False,
     include_skipped: bool = True,
-    weight_cap: int = 12,
 ) -> list:
     """Run one identity over all compositions of weight 1..max_weight.
 
     Enumeration is deterministic (weight-major, then lexicographic).
-    Skipped (precondition-violating) cases are reported as first-class
-    entries unless ``include_skipped`` is false.  With ``fail_fast`` a
-    failing report raises :class:`VerificationFailure` immediately.
-    ``weight_cap`` guards against runaway sweeps (2^(w-1) cases per weight);
-    raise it deliberately for bigger runs.
+    ``z`` and ``T_values`` are passed to every verifier call.  Skipped
+    (precondition-violating) cases are reported as first-class entries
+    unless ``include_skipped`` is false.  With ``fail_fast`` a failing
+    report raises :class:`VerificationFailure` immediately.  Weights above
+    :data:`WEIGHT_CAP` are refused, as a guard against runaway sweeps.
     """
-    if max_weight > weight_cap:
-        raise ValueError(
-            f"max_weight {max_weight} exceeds the configured cap {weight_cap}"
-        )
+    if max_weight > WEIGHT_CAP:
+        raise ValueError(f"max_weight {max_weight} exceeds the sweep cap {WEIGHT_CAP}")
     verifier = _dispatch(identity)
     reports = []
     for c in compositions_up_to(max_weight):
-        if identity == "main":
-            rep = verifier(c, ctx)
-        elif identity in ("main2", "main3"):
-            rep = verifier(c, ctx, T_values=T_values)
-        elif identity == "fundeq2":
-            rep = verifier(c, ctx, T_value=T_value)
-        else:  # bouillot
-            if z is None:
-                raise DomainError("the multitangent identity needs an evaluation point z")
-            rep = verifier(c, z, ctx, T_value=T_value)
+        rep = verifier(c, ctx=ctx, z=z, T_values=T_values)
         if rep.skipped and not include_skipped:
             continue
         reports.append(rep)

@@ -245,7 +245,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
     assert cli_main(["reduce", "1,1,1"]) == 2
     assert cli_main(["eval", "mzv", "5,3,1"]) == 2
 
-    def always_fail(c, ctx, T_values=(0, 1)):
+    def always_fail(c, ctx, *, z=None, T_values=None):
         return ResidualReport(
             identity="main2",
             composition=c,

@@ -106,8 +106,30 @@ def test_verify_needs_target(capsys):
     capsys.readouterr()
 
 
+def test_verify_T_list_and_json_fields(capsys):
+    assert main(["verify", "main2", "--k", "2,1", "--T", "5", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["T"] == ["5.0"]
+    assert row["z"] is None
+    assert isinstance(row["lhs"], str) and isinstance(row["rhs"], str)
+    assert row["wall_time"] > 0
+    args = ["verify", "bouillot", "--k", "1,2", "--z", "0.3", "--T", "0,1", "--format", "json"]
+    assert main(args) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["T"] == ["0.0", "1.0"] and abs(float(row["z"]) - 0.3) < 1e-15
+    assert main(["verify", "main", "--k", "2,2", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"] == "skip" and row["T"] is None and row["lhs"] is None
+
+
+def test_verify_bouillot_needs_z(capsys):
+    assert main(["verify", "bouillot", "--k", "2"]) == 2
+    assert main(["verify", "bouillot", "--max-weight", "2"]) == 2
+    assert "evaluation point" in capsys.readouterr().err
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    def always_fail(c, ctx, T_values=(0, 1)):
+    def always_fail(c, ctx, *, z=None, T_values=None):
         return ResidualReport(
             identity="main2",
             composition=c,

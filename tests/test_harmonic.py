@@ -22,6 +22,7 @@ from mzvparity import (
     stuffle,
     weight,
 )
+from mzvparity.harmonic import splits
 
 
 @st.composite
@@ -127,6 +128,21 @@ def test_stuffle_weight_graded(u, v):
     prod = stuffle(u, v)
     assert all(weight(w) == total for w in prod.words())
     assert all(depth(w) <= depth(u) + depth(v) for w in prod.words())
+
+
+@settings(max_examples=60, deadline=None)
+@given(compositions())
+def test_splits_cuts_then_slots(c):
+    d = len(c)
+    entries = list(splits(c))
+    assert len(entries) == 2 * d + 1
+    cuts, slots = entries[: d + 1], entries[d + 1 :]
+    assert [(len(h), k) for h, k, _, _ in cuts] == [(i, 0) for i in range(d + 1)]
+    assert [(len(h), k) for h, k, _, _ in slots] == [(j, c[j]) for j in range(d)]
+    for rev_head, k, tail, sign in entries:
+        head = rev_head[::-1]
+        assert head + ((k,) if k else ()) + tail == c
+        assert sign == (-1) ** weight(head)
 
 
 def test_star_expand_depth_three():

@@ -20,10 +20,10 @@ from mzvparity import (
 
 def test_fund_eq2_cases(ctx30):
     assert verify_fund_eq2((2,), ctx30).passed
-    assert verify_fund_eq2((1,), ctx30, T_value=0).passed
-    assert verify_fund_eq2((1,), ctx30, T_value=1).passed
+    assert verify_fund_eq2((1,), ctx30, T_values=(0,)).passed
+    assert verify_fund_eq2((1,), ctx30, T_values=(1,)).passed
     assert verify_fund_eq2((1, 1), ctx30).passed
-    assert verify_fund_eq2((2, 3), ctx30, T_value=1).passed
+    assert verify_fund_eq2((2, 3), ctx30, T_values=(1,)).passed
 
 
 def test_main_euler_cases(ctx30):
@@ -73,7 +73,18 @@ def test_bouillot_cases(ctx30):
     rep33 = verify_bouillot((3, 3), z, ctx30)
     assert rep33.passed
     for T in (0, 1):
-        assert verify_bouillot((1, 2), z, ctx30, T_value=T).passed
+        assert verify_bouillot((1, 2), z, ctx30, T_values=(T,)).passed
+
+
+def test_residual_is_max_over_T_values(ctx30):
+    z = mp.mpf("0.3")
+    for check in (
+        lambda T: verify_fund_eq2((2, 3), ctx30, T_values=T),
+        lambda T: verify_bouillot((1, 2), z, ctx30, T_values=T),
+    ):
+        both = check((0, 1))
+        assert both.T == (0, 1)
+        assert both.residual == max(check((0,)).residual, check((1,)).residual)
 
 
 def test_sweep_empty_and_order(ctx30):
@@ -114,7 +125,7 @@ def test_pass_iff_residual_below_bound(ctx30):
 
 
 def test_fail_fast_raises(ctx30, monkeypatch):
-    def always_fail(c, ctx, T_values=(0, 1)):
+    def always_fail(c, ctx, *, z=None, T_values=None):
         return ResidualReport(
             identity="main2",
             composition=c,
