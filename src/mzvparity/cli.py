@@ -56,16 +56,36 @@ def _parse_composition(text: str):
         raise UsageError(f"invalid composition {text!r}: {exc}") from None
 
 
-def _parse_z(text: Optional[str]):
+def _parse_z(text: Optional[str], ctx: PrecisionContext):
     if text is None:
         raise UsageError("this command needs an evaluation point --z re[,im]")
+    # At mpmath's global 15 digits a decimal such as 0.3 would become the
+    # nearest double, so z is read (and made complex) at the working precision.
     try:
-        parts = text.split(",")
-        re = mp.mpf(parts[0])
-        im = mp.mpf(parts[1]) if len(parts) > 1 else mp.mpf(0)
-    except Exception:
+        with mp.workdps(ctx.working_dps):
+            parts = text.split(",")
+            re = mp.mpf(parts[0])
+            im = mp.mpf(parts[1]) if len(parts) > 1 else mp.mpf(0)
+            return re if im == 0 else mp.mpc(re, im)
+    except ValueError:
         raise UsageError(f"invalid z {text!r}: expected decimals 're' or 're,im'") from None
-    return re if im == 0 else mp.mpc(re, im)
+
+
+def _parse_T(text: Optional[str], ctx: PrecisionContext):
+    """One T decimal read at the working precision (as z is), or None."""
+    if text is None:
+        return None
+    try:
+        with mp.workdps(ctx.working_dps):
+            return mp.mpf(text)
+    except ValueError:
+        raise UsageError(f"invalid T {text!r}: expected a decimal") from None
+
+
+def _parse_T_values(text: Optional[str], ctx: PrecisionContext):
+    if text is None:
+        return None
+    return tuple(_parse_T(p, ctx) for p in text.split(","))
 
 
 def _default_digits() -> int:
@@ -101,8 +121,8 @@ def _cmd_reduce(args) -> int:
         result = reduce_main3(c) if args.allow_nonadmissible else reduce_main(c)
     except MzvError as exc:
         raise UsageError(str(exc)) from None
-    T = mp.mpf(args.T) if args.T is not None else 0
-    val = eval_pigraded(result.expanded, T, ctx)
+    T = _parse_T(args.T, ctx)
+    val = eval_pigraded(result.expanded, T if T is not None else 0, ctx)
     if args.format == "json":
         _emit(json.dumps(reduction_to_json(result, ctx, value=val.value), indent=2), args.output)
     elif args.format == "latex":
@@ -127,7 +147,7 @@ def _require_T_if_divergent(tpoly, T) -> None:
 
 def _cmd_eval(args) -> int:
     ctx = _context(args)
-    T = mp.mpf(args.T) if args.T is not None else None
+    T = _parse_T(args.T, ctx)
     symbol = args.symbol
     out_value = None
     out_bound = None
@@ -136,7 +156,7 @@ def _cmd_eval(args) -> int:
             order = int(args.index)
         except ValueError:
             raise UsageError("monotangent needs an integer order") from None
-        v = eval_monotangent(order, _parse_z(args.z), ctx)
+        v = eval_monotangent(order, _parse_z(args.z, ctx), ctx)
         out_value, out_bound = v.value, v.bound
     else:
         c = _parse_composition(args.index)
@@ -153,7 +173,7 @@ def _cmd_eval(args) -> int:
             _require_T_if_divergent(tp, T)
             v = eval_shifted(c, args.a, T if T is not None else 0, ctx)
         elif symbol == "hurwitz":
-            z = _parse_z(args.z)
+            z = _parse_z(args.z, ctx)
             if is_admissible(c) and T is None:
                 v = eval_hurwitz_direct(c, z, ctx)
             else:
@@ -161,7 +181,7 @@ def _cmd_eval(args) -> int:
                 _require_T_if_divergent(tp, T)
                 v = eval_hurwitz_star(c, z, T if T is not None else 0, ctx)
         elif symbol == "multitangent":
-            z = _parse_z(args.z)
+            z = _parse_z(args.z, ctx)
             v = eval_multitangent_regularized(c, z, T if T is not None else 0, ctx)
         else:  # pragma: no cover - argparse restricts choices
             raise UsageError(f"unknown symbol {symbol!r}")
@@ -187,23 +207,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_T_values(text: Optional[str]):
-    if text is None:
-        return None
-    try:
-        return tuple(mp.mpf(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"invalid T {text!r}: expected comma-separated decimals") from None
-
-
 def _nstr(x, digits: int):
     return None if x is None else mp.nstr(mp.mpmathify(x), digits)
 
 
 def _cmd_verify(args) -> int:
     ctx = _context(args)
-    z = _parse_z(args.z) if args.z is not None else None
-    T_values = _parse_T_values(args.T)
+    z = _parse_z(args.z, ctx) if args.z is not None else None
+    T_values = _parse_T_values(args.T, ctx)
     if args.k is None and args.max_weight is None:
         raise UsageError("verify needs --k or --max-weight")
     try:

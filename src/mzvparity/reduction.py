@@ -3,9 +3,15 @@
 The central objects are pi^2-graded combinations of T-polynomials
 (:class:`PiGradedExpr`, the outer level of the nested sparse maps:
 pi-exponent -> ``TPoly``, sharing its linear operations with ``TPoly`` and
-``WordCombo``).  Reductions accumulate their terms in one flat
-``{(pi_exp, t, word): coeff}`` dict and build the expression once at the
-end.
+``WordCombo``).  Within one pi-grade 2m every term of the double-index
+correction sum has the same rational weight 4^m B_{2m} / (2m)!, up to
+sign, and star, shift and stuffle expansions have integer coefficients.
+So reductions add the unregularized stuffle words of each grade to an
+integer accumulator ``{m: {word: int}}``, regularize each grade once
+(regularization is linear) and scale the result once by the grade's
+rational weight.  Regularized grades land in one flat
+``{(pi_exp, t, word): coeff}`` dict, from which the expression is built
+once at the end.
 
 :func:`reduce_main` produces, for an admissible
 index whose weight and depth have opposite parity, an exact expression in
@@ -30,13 +36,13 @@ from .harmonic import (
     WordCombo,
     _iadd,
     _SparseMap,
+    _stuffle_words,
     as_composition,
     depth,
     is_admissible,
     shift_expand,
     splits,
     star_expand,
-    stuffle,
     weight,
 )
 from .regularization import TPoly, regularize
@@ -144,20 +150,42 @@ def _acc_tpoly(flat: dict, pi_exp: int, tpoly: TPoly, coeff: Fraction) -> None:
         )
 
 
-def _triple_terms(c: Composition):
-    """Yield the expanded product terms of the double-index correction sum.
+def _ints(combo: WordCombo) -> dict:
+    """{word: int} copy of a combination whose coefficients are integers."""
+    return {w: q.numerator for w, q in combo.items()}
+
+
+def _add_stuffle(acc: dict, u: dict, v: dict, n: int = 1) -> None:
+    """In-place ``acc += n * (u stuffle v)`` over {word: int} dicts."""
+    for wu, nu in u.items():
+        for wv, nv in v.items():
+            s = n * nu * nv
+            if s:
+                for w, k in _stuffle_words(wu, wv):
+                    acc[w] = acc.get(w, 0) + s * k
+
+
+def _bernoulli_weight(m: int) -> Fraction:
+    """C_m = 4^m B_{2m} / (2m)!, the rational part of (2 pi)^(2m) B_{2m} / (2m)!."""
+    return Fraction(4**m) * bernoulli(2 * m) / factorial(2 * m)
+
+
+def _triple_terms(c: Composition, grades: dict) -> list:
+    """Add the double-index correction sum to ``grades``; return its terms.
 
     For every 0 <= i < d, every slot ``c[i:] = rev(mid) + (k_j,) + tail``
-    and every split a + 2m + b of k_j, yields
-    ``(i, mid, tail, a, m, b, coeff, tpoly)`` where ``coeff`` carries the
-    sign (-1)^(m+i+b+k_1+...+k_j) together with the rational part
-    2^(2m) B_{2m} / (2m)! of the (2 pi)^(2m) prefactor, and ``tpoly`` is the
-    regularized stuffle expansion of
-    star(k_1..k_i) * shift_a(mid) * shift_b(tail).
+    and every split a + 2m + b of k_j, the term is
+    ``sign * C_m * pi^(2m) * star(k_1..k_i) * shift_a(mid) * shift_b(tail)``
+    with sign = (-1)^(m+i+b+k_1+...+k_j).  Its unregularized stuffle
+    expansion, times ``sign``, is added to the integer accumulator
+    ``grades[m]`` ({word: int}); the star head is multiplied in once per
+    (i, m), after the shifted factors of all slots are summed.  Returns
+    ``(i, mid, tail, a, m, b, sign)`` for every term, in expansion order.
     """
+    terms = []
     for i in range(len(c)):
-        head = star_expand(c[:i])
         head_parity = i + weight(c[:i])
+        by_m: dict = {}
         for mid, kj, tail, sign in splits(c[i:]):
             if not kj:
                 continue  # a cut: only slots carry a part to split
@@ -165,25 +193,36 @@ def _triple_terms(c: Composition):
             for b in range(kj + 1):
                 tl = shift_expand(b, tail)
                 if not tl.is_zero:
-                    shifted_tails[b] = tl
+                    shifted_tails[b] = _ints(tl)
             for a in range(kj + 1):
                 shifted_mid = shift_expand(a, mid)
                 if shifted_mid.is_zero:
                     continue
-                head_mid = stuffle(head, shifted_mid)
-                for b in range(kj - a + 1):
-                    if (kj - a - b) % 2:
-                        continue
+                shifted_mid = _ints(shifted_mid)
+                for b in range((kj - a) % 2, kj - a + 1, 2):
                     tl = shifted_tails.get(b)
                     if tl is None:
                         continue
                     m = (kj - a - b) // 2
-                    tp = regularize(stuffle(head_mid, tl))
-                    if tp.is_zero:
-                        continue
                     term_sign = -sign if (head_parity + kj + m + b) % 2 else sign
-                    coeff = Fraction(term_sign * 4**m) * bernoulli(2 * m) / factorial(2 * m)
-                    yield i, mid, tail, a, m, b, coeff, tp
+                    _add_stuffle(by_m.setdefault(m, {}), shifted_mid, tl, term_sign)
+                    terms.append((i, mid, tail, a, m, b, term_sign))
+        head = _ints(star_expand(c[:i]))
+        for m, words in by_m.items():
+            _add_stuffle(grades.setdefault(m, {}), head, words)
+    return terms
+
+
+def _regularize_grades(flat: dict, grades: dict, scale: Fraction) -> None:
+    """flat += scale * sum_m C_m pi^(2m) regularize(grades[m]).
+
+    Regularization is linear, so each grade's integer combination is
+    regularized once and its rational factor applied to the result once.
+    """
+    for m, words in grades.items():
+        combo = WordCombo._raw({w: Fraction(n) for w, n in words.items() if n})
+        if combo:
+            _acc_tpoly(flat, 2 * m, regularize(combo), scale * _bernoulli_weight(m))
 
 
 def _require_opposite_parity(c: Composition) -> None:
@@ -195,31 +234,31 @@ def _require_opposite_parity(c: Composition) -> None:
 
 def _reduce_expansion(c: Composition, with_all_ones: bool) -> ReductionResult:
     d = len(c)
+    scale = Fraction(-1, 2)
     flat: dict = {}
     display = []
 
     # (plain - star)/2: the depth-d words cancel, leaving the proper
-    # contractions with coefficient -1/2.
-    contractions = star_expand(c) - WordCombo.word(c)
-    _acc_tpoly(flat, 0, regularize(contractions), Fraction(-1, 2))
-    display.append(DisplayTerm(Fraction(1, 2), 0, (("word", c),)))
-    display.append(DisplayTerm(Fraction(-1, 2), 0, (("star", c),)))
+    # contractions, which join grade 0 of the correction sum (C_0 = 1)
+    # under the common scale -1/2.
+    grades = {0: _ints(star_expand(c) - WordCombo.word(c))}
+    display.append(DisplayTerm(-scale, 0, (("word", c),)))
+    display.append(DisplayTerm(scale, 0, (("star", c),)))
 
     if with_all_ones:
+        # delta(c[i:]) has pi-exponent d - i, so each grade has one term
         for i in range(d):
             dl = delta(c[i:])
             if dl.is_zero:
                 continue
-            sign = -1 if (d - i) % 2 else 1
-            coeff = Fraction(-1, 2) * sign
+            coeff = -scale if (d - i) % 2 else scale
             _acc_tpoly(
                 flat, dl.pi_exp, regularize(star_expand(c[:i])), coeff * dl.coeff
             )
             display.append(DisplayTerm(coeff, 0, (("star", c[:i]), ("delta", c[i:]))))
 
     # double-index correction sum, scaled by -1/2
-    for i, mid, tail, a, m, b, coeff, tp in _triple_terms(c):
-        _acc_tpoly(flat, 2 * m, tp, Fraction(-1, 2) * coeff)
+    for i, mid, tail, a, m, b, sign in _triple_terms(c, grades):
         factors = []
         if i > 0:
             factors.append(("star", c[:i]))
@@ -227,7 +266,9 @@ def _reduce_expansion(c: Composition, with_all_ones: bool) -> ReductionResult:
             factors.append(("shift", a, mid))
         if tail or b > 0:
             factors.append(("shift", b, tail))
-        display.append(DisplayTerm(Fraction(-1, 2) * coeff, 2 * m, tuple(factors)))
+        coeff = scale * sign * _bernoulli_weight(m)
+        display.append(DisplayTerm(coeff, 2 * m, tuple(factors)))
+    _regularize_grades(flat, grades, scale)
 
     return ReductionResult(c, PiGradedExpr._from_flat(flat), tuple(display))
 
@@ -279,21 +320,22 @@ def build_main2_identity(c) -> PiGradedExpr:
     sign_w = -1 if w % 2 else 1
     flat: dict = {}
 
-    # LHS: (-1)^d star(c) - (-1)^w plain(c)
-    lhs = star_expand(c) * Fraction(sign_d) - WordCombo.word(c, Fraction(sign_w))
-    _acc_tpoly(flat, 0, regularize(lhs), Fraction(1))
+    # The RHS contains (-1)^w times the double-index sum, so every grade of
+    # LHS - RHS carries the scale -(-1)^w.  The LHS
+    # (-1)^d star(c) - (-1)^w plain(c) joins grade 0 divided by that scale.
+    lhs = star_expand(c) * Fraction(-sign_w * sign_d) + WordCombo.word(c)
+    grades = {0: _ints(lhs)}
+    _triple_terms(c, grades)
+    _regularize_grades(flat, grades, Fraction(-sign_w))
 
-    # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail)
+    # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail);
+    # delta(c[i:]) has pi-exponent d - i, so each grade has one term
     for i in range(d):
         dl = delta(c[i:])
         if dl.is_zero:
             continue
         sign_i = -1 if i % 2 else 1
         _acc_tpoly(flat, dl.pi_exp, regularize(star_expand(c[:i])), sign_i * dl.coeff)
-
-    # minus RHS double-index sum: RHS contains (-1)^w * sum of base terms
-    for *_, m, _, coeff, tp in _triple_terms(c):
-        _acc_tpoly(flat, 2 * m, tp, Fraction(-sign_w) * coeff)
 
     return PiGradedExpr._from_flat(flat)
 

@@ -11,8 +11,9 @@ used by ``bouillot`` (which raises :class:`DomainError` without one) and
 ignored by the others.  ``T_values`` are the values substituted for the
 regularization variable T; the residual is the largest over them, and
 ``None`` selects the identity's default: ``(0,)`` for ``main``,
-``fundeq2`` and ``bouillot``, ``(0, 1)`` for ``main2`` and ``main3``.
-Every report's ``T`` is the tuple of T values it used.
+``fundeq2`` and ``bouillot``, ``(0, 1)`` for ``main2`` and ``main3``; an
+empty ``T_values`` raises :class:`ValueError`.  Every report's ``T`` is the
+tuple of T values it used.
 """
 
 from __future__ import annotations
@@ -164,6 +165,19 @@ def _skip(identity: str, c: Composition, ctx: PrecisionContext, reason: str) -> 
     )
 
 
+def _T_values(T_values, default: tuple) -> tuple:
+    """The T values to check: ``default`` for None, and never an empty tuple.
+
+    A check over no T values would pass vacuously with residual 0.
+    """
+    if T_values is None:
+        return default
+    T_values = tuple(T_values)
+    if not T_values:
+        raise ValueError("T_values is empty: the identity needs at least one T value")
+    return T_values
+
+
 def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the reflection identity for the z^0 coefficient.
 
@@ -174,7 +188,7 @@ def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Resid
     c = as_composition(c)
     if not c:
         raise ValueError("the identity needs a nonempty composition")
-    T_values = (0,) if T_values is None else tuple(T_values)
+    T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
     sign_w = -1 if weight(c) % 2 else 1
     with mp.workdps(ctx.working_dps + 5):
@@ -219,7 +233,7 @@ def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Resid
 def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the star/plain alternating identity at each T value."""
     c = as_composition(c)
-    T_values = (0, 1) if T_values is None else tuple(T_values)
+    T_values = _T_values(T_values, (0, 1))
     t0 = time.perf_counter()
     expr = build_main2_identity(c)
     residual = mp.mpf(0)
@@ -234,7 +248,7 @@ def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
 def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the regularized reduction against the direct value."""
     c = as_composition(c)
-    T_values = (0, 1) if T_values is None else tuple(T_values)
+    T_values = _T_values(T_values, (0, 1))
     if weight(c) % 2 == depth(c) % 2:
         return _skip("main3", c, ctx, "weight and depth have the same parity")
     t0 = time.perf_counter()
@@ -256,7 +270,7 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
     every expanded word has depth at most d-1.
     """
     c = as_composition(c)
-    T_values = (0,) if T_values is None else tuple(T_values)
+    T_values = _T_values(T_values, (0,))
     if not is_admissible(c):
         return _skip("main", c, ctx, "not admissible (last part must be >= 2)")
     if weight(c) % 2 == depth(c) % 2:
@@ -293,7 +307,7 @@ def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualRe
     if z is None:
         raise DomainError("the multitangent identity needs an evaluation point z")
     c = as_composition(c)
-    T_values = (0,) if T_values is None else tuple(T_values)
+    T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
     with mp.workdps(ctx.working_dps + 5):
         pi = +mp.pi

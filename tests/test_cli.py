@@ -122,6 +122,20 @@ def test_verify_T_list_and_json_fields(capsys):
     assert row["status"] == "skip" and row["T"] is None and row["lhs"] is None
 
 
+def test_eval_reads_decimal_z_at_working_precision(capsys):
+    # At mpmath's global 15 digits, 0.3 would become the nearest double and
+    # the printed value would miss pi^2/sin^2(pi z) by ~1e-15.
+    for text, z in (("0.3", "0.3"), ("0.3,0.2", "(0.3+0.2j)")):
+        assert main(["eval", "monotangent", "2", "--z", text, "--digits", "30"]) == 0
+        value, bound = capsys.readouterr().out.split("(error bound")
+        with mp.workdps(40):
+            exact = mp.pi**2 / mp.sin(mp.mpmathify(z) * mp.pi) ** 2
+            printed = mp.mpmathify(value.strip().strip("()").replace(" ", ""))
+            # the bound plus one unit in the 30th digit of a value near 10
+            tol = mp.mpf(bound.strip(" )\n")) + mp.mpf(10) ** -28
+            assert abs(printed - exact) <= tol, text
+
+
 def test_verify_bouillot_needs_z(capsys):
     assert main(["verify", "bouillot", "--k", "2"]) == 2
     assert main(["verify", "bouillot", "--max-weight", "2"]) == 2

@@ -21,9 +21,13 @@ from mzvparity import (
     is_admissible,
     reduce_main,
     reduce_main3,
+    regularize,
+    shift_expand,
+    star_expand,
     weight,
 )
 from mzvparity.render import render_display_text, render_expanded_text
+from mzvparity.special import delta
 
 
 def test_reduce_single_two_is_pi_squared_over_six():
@@ -108,6 +112,44 @@ def test_exact_output_pinned():
         1963,
         "f8b251349ac816dee1025fd3640fa4d8a692e1206a752690865c56f5eccb2e65",
     )
+
+
+def _display_sum(display) -> PiGradedExpr:
+    """Sum of the display terms, each regularized factor by factor.
+
+    This is the per-term path (regularize every factor, multiply the
+    T-polynomials, scale by the term's coefficient), kept here as an oracle
+    for the per-grade accumulation in the reduction module.
+    """
+    total = PiGradedExpr.zero()
+    for term in display:
+        tp, coeff, pi_exp = TPoly.one(), term.coeff, term.pi_exp
+        for kind, *args in term.factors:
+            if kind == "word":
+                tp = tp * regularize(args[0])
+            elif kind == "star":
+                tp = tp * regularize(star_expand(args[0]))
+            elif kind == "shift":
+                tp = tp * regularize(shift_expand(*args))
+            else:
+                dl = delta(args[0])
+                coeff, pi_exp = coeff * dl.coeff, pi_exp + dl.pi_exp
+        total = total + PiGradedExpr({pi_exp: tp * coeff})
+    return total
+
+
+def test_expansion_equals_sum_of_display_terms():
+    cases = [(reduce_main, c) for c in compositions_up_to(7) if is_admissible(c)]
+    cases += [(reduce_main3, c) for c in compositions_up_to(6)]
+    for reduce, c in cases:
+        if weight(c) % 2 == depth(c) % 2:
+            continue
+        red = reduce(c)
+        assert red.expanded == _display_sum(red.display), (reduce.__name__, c)
+        # no int coefficient leaks out of the integer accumulator
+        for _, tp in red.expanded.items():
+            for _, combo in tp.items():
+                assert all(type(q) is Fraction for _, q in combo.items()), c
 
 
 def test_depth_certificate_examples():

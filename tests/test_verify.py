@@ -87,6 +87,16 @@ def test_residual_is_max_over_T_values(ctx30):
         assert both.residual == max(check((0,)).residual, check((1,)).residual)
 
 
+def test_empty_T_values_is_refused(ctx30):
+    # a check over no T values would pass vacuously with residual 0
+    z = mp.mpf("0.3")
+    for fn in IDENTITIES.values():
+        with pytest.raises(ValueError, match="T_values"):
+            fn((2,), ctx=ctx30, z=z, T_values=())
+    with pytest.raises(ValueError, match="T_values"):
+        sweep(2, "main3", ctx30, T_values=())
+
+
 def test_sweep_empty_and_order(ctx30):
     assert sweep(0, "main", ctx30) == []
     reps = sweep(3, "main", ctx30)
