@@ -61,9 +61,11 @@ def _parse_z(text: Optional[str], ctx: PrecisionContext):
         raise UsageError("this command needs an evaluation point --z re[,im]")
     # At mpmath's global 15 digits a decimal such as 0.3 would become the
     # nearest double, so z is read (and made complex) at the working precision.
+    parts = text.split(",")
     try:
+        if len(parts) > 2:
+            raise ValueError("more than two parts")
         with mp.workdps(ctx.working_dps):
-            parts = text.split(",")
             re = mp.mpf(parts[0])
             im = mp.mpf(parts[1]) if len(parts) > 1 else mp.mpf(0)
             return re if im == 0 else mp.mpc(re, im)

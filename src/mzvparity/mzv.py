@@ -3,19 +3,45 @@
 The production evaluator rewrites an admissible index as an iterated
 integral over words in two letters and splits the integration path at 1/2;
 both halves become nested power series at 1/2 whose terms shrink like
-2^(-n), so a few hundred terms give dozens of digits for any weight.  Two
-independent oracles accompany it: a direct-truncation nested sum with an
-explicit tail bound, and an Euler-Maclaurin corrected depth-1 sum.
+2^(-n), so a few hundred terms give dozens of digits for any weight
+(Borwein, Bradley, Broadhurst and Lisonek, Trans. AMS 353, 2001).
+
+The series are summed by one kernel in Python-int fixed point with P
+fraction bits, at every precision: each level of nested prefix sums adds
+``prev[m-1] // m^e``, and the 2^(-n) weight of the last level is a shift
+``>> n``.  Every floor rounds down by under one unit 2^-P.  A level
+inherits the error of the level below divided by m^e >= m, which cancels
+that error's growth in the index m, so the errors of the levels add up
+instead of multiplying: the guard bits of P above dps + 8 digits grow only
+with log2 M (M terms) and log2 of the length of the word, as
+:func:`_fraction_bits` derives.  Up to weight 12, P does not depend on the
+word.
+
+The kernel walks each word once from the left and its dual once from the
+right: every cut of the path needs the series of one prefix on each side,
+and the nested sums of the completed blocks are built once per walk and
+reused for all of them.  Prefix values are cached by ``(blocks, M, P)``,
+so words share them.  A value is returned as an mpf that carries the guard
+bits, and the expression evaluators sum at the kernel's precision so that
+they do not round those bits away.
+
+Two independent oracles accompany the kernel: a direct-truncation nested
+sum with an explicit tail bound, and an Euler-Maclaurin corrected depth-1
+sum.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from operator import floordiv, mul, rshift
 from typing import Optional
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from .errors import NonAdmissibleError
 from .harmonic import Composition, as_composition, is_admissible
@@ -38,7 +64,13 @@ _LOG2_10 = math.log(10.0) / math.log(2.0)
 
 # best value computed so far per composition: comp -> (dps, mpf)
 _MZV_CACHE: dict = {}
-_FLOAT_DPS = 14
+# (e, M) -> [n^e for n = 1..M]
+_POW_CACHE: dict = {}
+# (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M)
+_PREFIX_CACHE: dict = {}
+# Requests below this many digits are computed at it, so that a falling
+# request (the Taylor route's per-order dps) keeps hitting the cache.
+_MIN_DPS = 14
 
 
 def _word_bits(c: Composition) -> tuple:
@@ -50,122 +82,90 @@ def _word_bits(c: Composition) -> tuple:
     return tuple(bits)
 
 
-def _bits_to_blocks(bits: tuple) -> Composition:
-    """Parse a word (starting with letter 1) into a nested-series index."""
-    parts = []
-    for b in bits:
-        if b:
-            parts.append(1)
-        else:
-            parts[-1] += 1
-    return tuple(parts)
+def _terms(dps: int) -> int:
+    """Terms M of every series: the tail after them is near 2^-M, about
+    10^-(dps+6)."""
+    return int((dps + 6) * _LOG2_10) + 8
 
 
-_POLYLOG_MP_CACHE: dict = {}
-_POW_TABLE_CACHE: dict = {}
+@lru_cache(maxsize=1024)
+def _fraction_bits(dps: int, v: int) -> int:
+    """Fraction bits P of the series of a word of v letters at dps digits.
+
+    P is dps + 8 digits (``prec`` bits) plus guard bits for the floors.  In
+    units of 2^-P every ``//`` and ``>>`` is short by under one unit, and
+    all values are nonnegative.  At index n, level j of the prefix sums is
+    then short by under n j units: each term adds one unit of its own and
+    the error of level j - 1 divided by m^e >= m, which cancels that
+    error's growth in m.  So a series of r <= v blocks is short by under
+    M + v units (M floors of the last level), and by under M + v + 1 units
+    of its own P once it is floored to the bits of its length v.  The guard
+    bits make that at most 2^-prec / (2 v (v + 1)).  A word has one prefix
+    of each length on each side, and each cut is a product of two series
+    below ln 2 < 1, so its value is short by under 2^-prec in all.  v is
+    taken as at least 12, so that P is the same for every prefix of every
+    word up to weight 12.
+    """
+    M = _terms(dps)
+    v = max(v, 12)
+    guard = (2 * v * (v + 1) * (M + v + 1)).bit_length()
+    return dps_to_prec(dps + 8) + guard
 
 
-def _pow_table(expo: int, M: int, prec: int):
-    key = (expo, M, prec)
-    tab = _POW_TABLE_CACHE.get(key)
+def _powers(e: int, M: int) -> list:
+    key = (e, M)
+    tab = _POW_CACHE.get(key)
     if tab is None:
-        tab = [mp.mpf(0)] * (M + 1)
-        for n in range(1, M + 1):
-            tab[n] = mp.mpf(n) ** (-expo)
-        _POW_TABLE_CACHE[key] = tab
+        tab = [n**e for n in range(1, M + 1)]
+        _POW_CACHE[key] = tab
     return tab
 
 
-def _polylog_half_mp(blocks: Composition, M: int):
-    """sum over m_1 < ... < m_r <= M of 2^(-m_r) prod m_i^(-c_i)."""
-    key = (blocks, M, mp.prec)
-    val = _POLYLOG_MP_CACHE.get(key)
-    if val is not None:
-        return val
-    r = len(blocks)
-    prev = [mp.mpf(1)] * (M + 1)
-    for ci in blocks[:-1]:
-        pw = _pow_table(ci, M, mp.prec)
-        cur = [mp.mpf(0)] * (M + 1)
-        acc = mp.mpf(0)
-        for n in range(1, M + 1):
-            acc += pw[n] * prev[n - 1]
-            cur[n] = acc
-        prev = cur
-    pw = _pow_table(blocks[-1], M, mp.prec)
-    half = mp.mpf(1) / 2
-    x = mp.mpf(1)
-    total = mp.mpf(0)
-    for n in range(1, M + 1):
-        x *= half
-        total += x * pw[n] * prev[n - 1]
-    _POLYLOG_MP_CACHE[key] = total
-    return total
+def _prefix_values(bits: tuple, dps: int) -> list:
+    """Fixed-point values of the series of every prefix of a word, scaled
+    by 2^P with P the fraction bits of the whole word.
+
+    A word starting with letter 1 is read as blocks (c_1, ..., c_r), and
+    its series at 1/2 is the sum over m_1 < ... < m_r <= M of
+    2^(-m_r) prod m_i^(-c_i).  Entry k of the result belongs to the first
+    k letters (entry 0, the empty word, is 1).  Each new letter either opens
+    a block or raises the last one, so the nested sums of the completed
+    blocks only ever gain a level: they are built when a value is missing
+    from the cache, and kept for the rest of the word.  A value is cached
+    at the fraction bits of its own length, so that every word shares it.
+    """
+    M = _terms(dps)
+    P = _fraction_bits(dps, len(bits))
+    values = [1 << P]
+    blocks: tuple = ()
+    chain = [[1 << P] * (M + 1)]  # chain[j][n]: sum over m_1<...<m_j<=n
+    for v, b in enumerate(bits, 1):
+        blocks = blocks + (1,) if b else blocks[:-1] + (blocks[-1] + 1,)
+        Pv = _fraction_bits(dps, v)
+        key = (blocks, M, Pv)
+        x = _PREFIX_CACHE.get(key)
+        if x is None:
+            while len(chain) < len(blocks):
+                powers = _powers(blocks[len(chain) - 1], M)
+                chain.append(list(accumulate(map(floordiv, chain[-1], powers), initial=0)))
+            terms = map(floordiv, chain[-1], _powers(blocks[-1], M))
+            x = sum(map(rshift, terms, range(1, M + 1))) >> (P - Pv)
+            _PREFIX_CACHE[key] = x
+        values.append(x << (P - Pv))
+    return values
 
 
-def _holder_mp(c: Composition, dps: int):
-    """Path-splitting evaluation at working precision dps."""
-    with mp.workdps(dps + 8):
-        bits = _word_bits(c)
-        n = len(bits)
-        M = int((dps + 6) * _LOG2_10) + 8
-        total = mp.mpf(0)
-        for k in range(n + 1):
-            left = bits[:k]
-            right = tuple(1 - b for b in reversed(bits[k:]))
-            lval = _polylog_half_mp(_bits_to_blocks(left), M) if left else mp.mpf(1)
-            rval = _polylog_half_mp(_bits_to_blocks(right), M) if right else mp.mpf(1)
-            total += lval * rval
-        return +total
-
-
-_POLYLOG_F_CACHE: dict = {}
-_POW_F_CACHE: dict = {}
-
-
-def _pow_table_float(expo: int, M: int) -> list:
-    key = (expo, M)
-    tab = _POW_F_CACHE.get(key)
-    if tab is None:
-        tab = [0.0] + [float(n) ** (-expo) for n in range(1, M + 1)]
-        _POW_F_CACHE[key] = tab
-    return tab
-
-
-def _polylog_half_float(blocks: Composition, M: int = 56) -> float:
-    key = (blocks, M)
-    val = _POLYLOG_F_CACHE.get(key)
-    if val is not None:
-        return val
-    prev = [1.0] * (M + 1)
-    for ci in blocks[:-1]:
-        pw = _pow_table_float(ci, M)
-        cur = [0.0] * (M + 1)
-        acc = 0.0
-        for n in range(1, M + 1):
-            acc += pw[n] * prev[n - 1]
-            cur[n] = acc
-        prev = cur
-    pw = _pow_table_float(blocks[-1], M)
-    x = 1.0
-    total = 0.0
-    for n in range(1, M + 1):
-        x *= 0.5
-        total += x * pw[n] * prev[n - 1]
-    _POLYLOG_F_CACHE[key] = total
-    return total
-
-
-def _holder_float(c: Composition) -> float:
+def _holder(c: Composition, dps: int):
+    """Path-splitting evaluation: sum over the cuts k of the word of the
+    series of its first k letters times the series of the dual of the rest,
+    read from the right."""
     bits = _word_bits(c)
-    total = 0.0
-    for k in range(len(bits) + 1):
-        left = bits[:k]
-        right = tuple(1 - b for b in reversed(bits[k:]))
-        lval = _polylog_half_float(_bits_to_blocks(left)) if left else 1.0
-        rval = _polylog_half_float(_bits_to_blocks(right)) if right else 1.0
-        total += lval * rval
-    return total
+    P = _fraction_bits(dps, len(bits))
+    left = _prefix_values(bits, dps)
+    right = _prefix_values(tuple(1 - b for b in reversed(bits)), dps)
+    total = sum(map(mul, left, reversed(right)))
+    with mp.workprec(P):
+        return mp.mpf((total, -2 * P))
 
 
 def eval_admissible_mzv(c, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
@@ -182,15 +182,9 @@ def eval_admissible_mzv(c, ctx: PrecisionContext, dps: Optional[int] = None) -> 
     dps_req = dps if dps is not None else ctx.working_dps
     cached = _MZV_CACHE.get(c)
     if cached is None or cached[0] < dps_req:
-        if dps_req <= _FLOAT_DPS:
-            value = mp.mpf(_holder_float(c))
-            cached = (_FLOAT_DPS, value)
-        else:
-            value = _holder_mp(c, dps_req)
-            cached = (dps_req, value)
-        prev = _MZV_CACHE.get(c)
-        if prev is None or prev[0] < cached[0]:
-            _MZV_CACHE[c] = cached
+        dps_run = max(dps_req, _MIN_DPS)
+        cached = (dps_run, _holder(c, dps_run))
+        _MZV_CACHE[c] = cached
     bound = mp.mpf(10) ** (-(min(cached[0], dps_req) - 2))
     return Approx(cached[1], bound)
 
@@ -269,10 +263,16 @@ def _fraction_to_mp(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
+def _sum_prec(dps: int) -> int:
+    """Working precision of sums of MZV values requested at dps digits: the
+    kernel's own, so that the guard bits the values carry are kept."""
+    return _fraction_bits(max(dps, _MIN_DPS), 0)
+
+
 def eval_word_combo(combo, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Evaluate a Q-combination of admissible words (empty word = 1)."""
     dps_eff = dps if dps is not None else ctx.working_dps
-    with mp.workdps(dps_eff + 8):
+    with mp.workprec(_sum_prec(dps_eff)):
         total = mp.mpf(0)
         bound = mp.mpf(0)
         for w, q in combo.items():
@@ -289,7 +289,7 @@ def eval_word_combo(combo, ctx: PrecisionContext, dps: Optional[int] = None) -> 
 def eval_tpoly(p: TPoly, T_value, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Substitute a numeric T into a T-polynomial and evaluate all words."""
     dps_eff = dps if dps is not None else ctx.working_dps
-    with mp.workdps(dps_eff + 8):
+    with mp.workprec(_sum_prec(dps_eff)):
         T = mp.mpmathify(T_value)
         total = mp.mpf(0)
         bound = mp.mpf(0)
@@ -303,7 +303,7 @@ def eval_tpoly(p: TPoly, T_value, ctx: PrecisionContext, dps: Optional[int] = No
 
 def eval_pigraded(e: PiGradedExpr, T_value, ctx: PrecisionContext) -> Approx:
     """Substitute numeric pi and T into a pi-graded expression."""
-    with mp.workdps(ctx.working_dps + 8):
+    with mp.workprec(_sum_prec(ctx.working_dps)):
         pi = +mp.pi
         total = mp.mpf(0)
         bound = mp.mpf(0)

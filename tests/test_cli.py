@@ -136,6 +136,12 @@ def test_eval_reads_decimal_z_at_working_precision(capsys):
             assert abs(printed - exact) <= tol, text
 
 
+def test_z_with_more_than_two_parts_is_refused(capsys):
+    assert main(["eval", "monotangent", "2", "--z", "0.3,0.2,7"]) == 2
+    assert "invalid z" in capsys.readouterr().err
+    assert main(["verify", "bouillot", "--k", "1,2", "--z", "0.3,,"]) == 2
+
+
 def test_verify_bouillot_needs_z(capsys):
     assert main(["verify", "bouillot", "--k", "2"]) == 2
     assert main(["verify", "bouillot", "--max-weight", "2"]) == 2

@@ -121,3 +121,44 @@ def test_cache_upgrades_precision():
     v_hi = eval_admissible_mzv((3, 2), hi)
     assert abs(v_lo.value - v_hi.value) < mp.mpf(10) ** -15
     assert v_hi.bound < mp.mpf(10) ** -40
+
+
+@pytest.mark.parametrize("dps", [8, 12, 14, 15, 30, 100])
+def test_kernel_accuracy_across_precisions(ctx30, dps):
+    # Requests below 14 digits are computed at 14, so every value must be
+    # good to 4 digits beyond max(dps, 14), and within its own bound.
+    tol = mp.mpf(10) ** (-(max(dps, 14) + 4))
+    words = [c for c in compositions_up_to(8) if is_admissible(c)]
+    values = {c: eval_admissible_mzv(c, ctx30, dps=dps) for c in words}
+    with mp.workdps(dps + 20):
+        for k in range(2, 11):
+            v = eval_admissible_mzv((k,), ctx30, dps=dps)
+            err = abs(v.value - mp.zeta(k))
+            assert err <= v.bound and err <= tol, (k, err)
+        # sum theorem: the admissible words of one weight and depth add up
+        # to zeta(weight)
+        for w in range(3, 9):
+            for d in range(2, w):
+                group = [c for c in words if weight(c) == w and len(c) == d]
+                err = abs(mp.fsum(values[c].value for c in group) - mp.zeta(w))
+                assert err <= mp.fsum(values[c].bound for c in group), (w, d, err)
+                assert err <= tol, (w, d, err)
+    # the expression evaluators keep the kernel's digits
+    for c in words:
+        combo = eval_word_combo(WordCombo.word(c), ctx30, dps=dps).value
+        assert abs(combo - values[c].value) <= mp.mpf(10) ** (-(dps + 4)), c
+
+
+def test_words_above_weight_twelve_share_prefix_values(ctx30):
+    # Above weight 12 the fixed-point bits grow with the prefix length, and
+    # each prefix value is cached at the bits of its own length: the values
+    # that heavy words leave behind must serve lighter words.  33 digits is
+    # a precision no other test asks for, so the heavy words come first.
+    dps = 33
+    with mp.workdps(dps + 20):
+        for w, d in ((16, 2), (13, 3), (9, 3)):
+            group = [c for c in compositions_up_to(w) if len(c) == d and weight(c) == w]
+            total = mp.fsum(
+                eval_admissible_mzv(c, ctx30, dps=dps).value for c in group if is_admissible(c)
+            )
+            assert abs(total - mp.zeta(w)) <= mp.mpf(10) ** (-(dps + 4)), (w, d)
