@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (including skipped verifications), 1 when a
 verification fails, 2 on usage errors (bad index, parity violation,
-missing T for a divergent index, unknown identity, bad z).
+missing T for a divergent index, unknown identity, bad z, out-of-range order).
 """
 
 from __future__ import annotations
@@ -147,55 +147,51 @@ def _require_T_if_divergent(tpoly, T) -> None:
         raise UsageError("non-admissible index: supply a regularization value with --T")
 
 
-def _cmd_eval(args) -> int:
-    ctx = _context(args)
-    T = _parse_T(args.T, ctx)
+def _eval_symbol(args, ctx: PrecisionContext, T):
     symbol = args.symbol
-    out_value = None
-    out_bound = None
     if symbol == "monotangent":
         try:
             order = int(args.index)
         except ValueError:
             raise UsageError("monotangent needs an integer order") from None
-        v = eval_monotangent(order, _parse_z(args.z, ctx), ctx)
-        out_value, out_bound = v.value, v.bound
-    else:
-        c = _parse_composition(args.index)
-        if symbol == "mzv":
-            tp = regularize(c)
-            _require_T_if_divergent(tp, T)
-            v = eval_tpoly(tp, T if T is not None else 0, ctx)
-        elif symbol == "star":
-            tp = regularize(star_expand(c))
-            _require_T_if_divergent(tp, T)
-            v = eval_tpoly(tp, T if T is not None else 0, ctx)
-        elif symbol == "shifted":
-            tp = shifted_tpoly(c, args.a)
-            _require_T_if_divergent(tp, T)
-            v = eval_shifted(c, args.a, T if T is not None else 0, ctx)
-        elif symbol == "hurwitz":
-            z = _parse_z(args.z, ctx)
-            if is_admissible(c) and T is None:
-                v = eval_hurwitz_direct(c, z, ctx)
-            else:
-                tp = regularize(c)
-                _require_T_if_divergent(tp, T)
-                v = eval_hurwitz_star(c, z, T if T is not None else 0, ctx)
-        elif symbol == "multitangent":
-            z = _parse_z(args.z, ctx)
-            v = eval_multitangent_regularized(c, z, T if T is not None else 0, ctx)
-        else:  # pragma: no cover - argparse restricts choices
-            raise UsageError(f"unknown symbol {symbol!r}")
-        out_value, out_bound = v.value, v.bound
+        return eval_monotangent(order, _parse_z(args.z, ctx), ctx)
+    c = _parse_composition(args.index)
+    if symbol in ("mzv", "star"):
+        tp = regularize(c if symbol == "mzv" else star_expand(c))
+        _require_T_if_divergent(tp, T)
+        return eval_tpoly(tp, T if T is not None else 0, ctx)
+    if symbol == "shifted":
+        tp = shifted_tpoly(c, args.a)
+        _require_T_if_divergent(tp, T)
+        return eval_shifted(c, args.a, T if T is not None else 0, ctx)
+    if symbol == "hurwitz":
+        z = _parse_z(args.z, ctx)
+        if is_admissible(c) and T is None:
+            return eval_hurwitz_direct(c, z, ctx)
+        tp = regularize(c)
+        _require_T_if_divergent(tp, T)
+        return eval_hurwitz_star(c, z, T if T is not None else 0, ctx)
+    if symbol == "multitangent":
+        z = _parse_z(args.z, ctx)
+        return eval_multitangent_regularized(c, z, T if T is not None else 0, ctx)
+    raise UsageError(f"unknown symbol {symbol!r}")  # pragma: no cover - argparse restricts choices
+
+
+def _cmd_eval(args) -> int:
+    ctx = _context(args)
+    T = _parse_T(args.T, ctx)
+    try:
+        v = _eval_symbol(args, ctx, T)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         _emit(
             json.dumps(
                 {
-                    "symbol": symbol,
+                    "symbol": args.symbol,
                     "index": args.index,
-                    "value": mp.nstr(out_value, ctx.digits),
-                    "error_bound": mp.nstr(out_bound, 5),
+                    "value": mp.nstr(v.value, ctx.digits),
+                    "error_bound": mp.nstr(v.bound, 5),
                     "digits": ctx.digits,
                 }
             ),
@@ -203,7 +199,7 @@ def _cmd_eval(args) -> int:
         )
     else:
         _emit(
-            f"{mp.nstr(out_value, ctx.digits)}  (error bound {mp.nstr(out_bound, 3)})",
+            f"{mp.nstr(v.value, ctx.digits)}  (error bound {mp.nstr(v.bound, 3)})",
             args.output,
         )
     return 0
@@ -217,8 +213,8 @@ def _cmd_verify(args) -> int:
     ctx = _context(args)
     z = _parse_z(args.z, ctx) if args.z is not None else None
     T_values = _parse_T_values(args.T, ctx)
-    if args.k is None and args.max_weight is None:
-        raise UsageError("verify needs --k or --max-weight")
+    if (args.k is None) == (args.max_weight is None):
+        raise UsageError("verify needs exactly one of --k and --max-weight")
     try:
         if args.k is not None:
             c = _parse_composition(args.k)

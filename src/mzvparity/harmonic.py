@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -29,6 +29,7 @@ __all__ = [
     "depth",
     "is_admissible",
     "shift_expand",
+    "slot_splits",
     "splits",
     "star_expand",
     "stuffle",
@@ -71,6 +72,20 @@ def splits(c: Composition) -> Iterator[tuple]:
         yield c[:i][::-1], 0, c[i:], -1 if prefix[i] % 2 else 1
     for j, k in enumerate(c):
         yield c[:j][::-1], k, c[j + 1 :], -1 if prefix[j] % 2 else 1
+
+
+def slot_splits(c: Composition) -> Iterator[tuple]:
+    """Every slot ``c = head + (k_j,) + tail`` with every split a + s + b = k_j.
+
+    Yields ``(rev_head, a, s, b, tail, sign)`` with
+    ``sign = (-1)^(weight(head) + a)``: the slots of :func:`splits`, which
+    come after its d+1 cuts, then ``a`` outermost and ``b`` ascending.
+    """
+    for rev_head, k, tail, sign in islice(splits(c), len(c) + 1, None):
+        for a in range(k + 1):
+            sign_a = -sign if a % 2 else sign
+            for b in range(k - a + 1):
+                yield rev_head, a, k - a - b, b, tail, sign_a
 
 
 def compositions_of(w: int) -> Iterator[Composition]:

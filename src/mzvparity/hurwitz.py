@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import ceil, comb, factorial
 from typing import Optional
 
 from mpmath import mp
@@ -210,6 +210,12 @@ def _check_no_pole(z, label: str = "z") -> None:
                 raise DomainError(f"{label} = {zr} hits a pole at a negative integer")
 
 
+# direct evaluation: exact partial sums up to _CUTOFF, then tail expansions
+# with _EM_TERMS Bernoulli corrections, truncated at order _EXPANSION_ORDER
+_CUTOFF = 900
+_EM_TERMS = 12
+_EXPANSION_ORDER = 28
+
 _HURWITZ_CACHE: dict = {}
 
 
@@ -218,7 +224,7 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
 
     Requires an admissible index and z away from the poles {-1, -2, ...};
     valid for any such z (no radius restriction).  Cutoff and tail-expansion
-    parameters come from the context.
+    parameters are the module constants above.
     """
     c = as_composition(c)
     if not c:
@@ -228,14 +234,12 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     wp = (dps if dps is not None else ctx.working_dps) + 10
     zv = _normalize_z(z, wp)
     _check_no_pole(zv)
-    key = (c, zv, wp, ctx.hurwitz_cutoff, ctx.em_terms, ctx.expansion_order)
+    key = (c, zv, wp)
     cached = _HURWITZ_CACHE.get(key)
     if cached is not None:
         return cached
 
-    N = ctx.hurwitz_cutoff
-    J = ctx.em_terms
-    P = ctx.expansion_order
+    N, J, P = _CUTOFF, _EM_TERMS, _EXPANSION_ORDER
     with mp.workdps(wp):
         one = mp.mpf(1)
         # exact partial sums S_i(n) for n <= N
@@ -348,6 +352,7 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
 # ---------------------------------------------------------------------------
 
 _SHIFT_TPOLY_CACHE: dict = {}
+_TAYLOR_SLACK = 10  # extra digits asked of the Taylor route's truncation order
 
 
 def shifted_tpoly(c, a: int) -> TPoly:
@@ -390,8 +395,8 @@ def eval_hurwitz_taylor(c, z, ctx: PrecisionContext, T_value=None) -> Approx:
             raise DomainError("the Taylor route is restricted to |z| <= 1/2")
         if zabs == 0:
             return eval_shifted(c, 0, T, ctx)
-        A = ctx.taylor_cutoff(float(zabs))
         log10_inv = float(-mp.log10(zabs))
+        A = ceil((ctx.digits + _TAYLOR_SLACK) / log10_inv)
         target = mp.mpf(10) ** (-(ctx.digits + 2))
         total = mp.mpf(0) if isinstance(zv, mp.mpf) else mp.mpc(0)
         coeff_bound_acc = mp.mpf(0)

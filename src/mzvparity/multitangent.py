@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import log
-from typing import Optional
 
 import numpy as np
 from mpmath import mp
@@ -101,8 +100,11 @@ def monotangent_symmetric_oracle(s: int, z, cutoff: int = 100_000) -> Approx:
     return Approx(mp.mpmathify(total), mp.mpf(err))
 
 
+_DIRECT_CUTOFF = 100_000  # symmetric cutoff M of the direct sums
+
+
 def eval_multitangent_direct(
-    c, z, ctx: PrecisionContext, cutoff: Optional[int] = None
+    c, z, ctx: PrecisionContext, cutoff: int = _DIRECT_CUTOFF
 ) -> Approx:
     """Truncated doubly infinite nested sum over -M <= m_1 < ... < m_d <= M.
 
@@ -118,7 +120,7 @@ def eval_multitangent_direct(
     zc = complex(z)
     if abs(zc.imag) == 0 and abs(zc.real - round(zc.real)) < 1e-12:
         raise DomainError("multitangent functions have poles at integer z")
-    M = cutoff if cutoff is not None else ctx.multitangent_cutoff
+    M = cutoff
     d = len(c)
     m = np.arange(-M, M + 1, dtype=np.float64)
     prev = np.ones(m.shape, dtype=np.complex128)

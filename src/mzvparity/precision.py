@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,32 +19,24 @@ class Approx(NamedTuple):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Precision and truncation policy shared by every numeric evaluator.
+    """Precision policy shared by every numeric evaluator.
 
     digits            target significant decimal digits for returned values
     guard_digits      extra working digits absorbing roundoff/cancellation
-    hurwitz_cutoff    index where nested Hurwitz sums switch to tail expansions
-    em_terms          Bernoulli correction terms in tail expansions
-    expansion_order   truncation order (powers of 1/(z+n)) of tail expansions
-    taylor_slack      extra digits requested from the Taylor-coefficient route
-    multitangent_cutoff  symmetric cutoff for direct multitangent sums
+
+    Truncation parameters are fixed constants of the evaluator that uses
+    them (the Hurwitz cutoff and tail expansion in ``hurwitz``, the direct
+    multitangent cutoff in ``multitangent``).
     """
 
     digits: int = 30
     guard_digits: int = 15
-    hurwitz_cutoff: int = 900
-    em_terms: int = 12
-    expansion_order: int = 28
-    taylor_slack: int = 10
-    multitangent_cutoff: int = 100_000
 
     def __post_init__(self):
         if self.digits < 10:
             raise ValueError("digits must be >= 10")
         if self.guard_digits < 10:
             raise ValueError("guard_digits must be >= 10")
-        if self.hurwitz_cutoff < 50:
-            raise ValueError("hurwitz_cutoff must be >= 50")
 
     @property
     def working_dps(self) -> int:
@@ -55,12 +46,3 @@ class PrecisionContext:
         """Default residual tolerance 10^-(digits - 5) for identity checks."""
         with mp.workdps(self.working_dps):
             return mp.mpf(10) ** (-(self.digits - 5))
-
-    def taylor_cutoff(self, z_abs: float) -> int:
-        """Default Taylor truncation order for a point of modulus ``z_abs``."""
-        z_abs = float(z_abs)
-        if z_abs <= 0:
-            return 0
-        if z_abs > 0.5:
-            raise ValueError("Taylor evaluation requires |z| <= 1/2")
-        return int(math.ceil((self.digits + self.taylor_slack) / math.log10(1.0 / z_abs)))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterator
 
@@ -41,7 +42,7 @@ from .harmonic import (
     depth,
     is_admissible,
     shift_expand,
-    splits,
+    slot_splits,
     star_expand,
     weight,
 )
@@ -174,39 +175,36 @@ def _triple_terms(c: Composition, grades: dict) -> list:
     """Add the double-index correction sum to ``grades``; return its terms.
 
     For every 0 <= i < d, every slot ``c[i:] = rev(mid) + (k_j,) + tail``
-    and every split a + 2m + b of k_j, the term is
+    and every split a + 2m + b of k_j (the even-s entries of
+    :func:`slot_splits`), the term is
     ``sign * C_m * pi^(2m) * star(k_1..k_i) * shift_a(mid) * shift_b(tail)``
-    with sign = (-1)^(m+i+b+k_1+...+k_j).  Its unregularized stuffle
+    with sign = (-1)^(m+i+a+k_1+...+k_j).  Its unregularized stuffle
     expansion, times ``sign``, is added to the integer accumulator
     ``grades[m]`` ({word: int}); the star head is multiplied in once per
     (i, m), after the shifted factors of all slots are summed.  Returns
     ``(i, mid, tail, a, m, b, sign)`` for every term, in expansion order.
     """
+    @cache  # mids and tails recur across i
+    def shift_ints(a: int, word: Composition) -> dict:
+        return _ints(shift_expand(a, word))
+
     terms = []
     for i in range(len(c)):
         head_parity = i + weight(c[:i])
         by_m: dict = {}
-        for mid, kj, tail, sign in splits(c[i:]):
-            if not kj:
-                continue  # a cut: only slots carry a part to split
-            shifted_tails = {}
-            for b in range(kj + 1):
-                tl = shift_expand(b, tail)
-                if not tl.is_zero:
-                    shifted_tails[b] = _ints(tl)
-            for a in range(kj + 1):
-                shifted_mid = shift_expand(a, mid)
-                if shifted_mid.is_zero:
-                    continue
-                shifted_mid = _ints(shifted_mid)
-                for b in range((kj - a) % 2, kj - a + 1, 2):
-                    tl = shifted_tails.get(b)
-                    if tl is None:
-                        continue
-                    m = (kj - a - b) // 2
-                    term_sign = -sign if (head_parity + kj + m + b) % 2 else sign
-                    _add_stuffle(by_m.setdefault(m, {}), shifted_mid, tl, term_sign)
-                    terms.append((i, mid, tail, a, m, b, term_sign))
+        for mid, a, s, b, tail, sign in slot_splits(c[i:]):
+            if s % 2:
+                continue
+            u = shift_ints(a, mid)
+            if not u:
+                continue
+            v = shift_ints(b, tail)
+            if not v:
+                continue
+            m = s // 2
+            term_sign = -sign if (head_parity + m) % 2 else sign
+            _add_stuffle(by_m.setdefault(m, {}), u, v, term_sign)
+            terms.append((i, mid, tail, a, m, b, term_sign))
         head = _ints(star_expand(c[:i]))
         for m, words in by_m.items():
             _add_stuffle(grades.setdefault(m, {}), head, words)
@@ -225,6 +223,21 @@ def _regularize_grades(flat: dict, grades: dict, scale: Fraction) -> None:
             _acc_tpoly(flat, 2 * m, regularize(combo), scale * _bernoulli_weight(m))
 
 
+def _add_all_ones(flat: dict, c: Composition, coeff) -> list:
+    """flat += coeff * sum_i star(c[:i]) delta(c[i:]); return the i of nonzero terms.
+
+    delta(c[i:]) is zero unless c[i:] is an even number d - i of ones, and
+    its pi-exponent d - i gives each term a grade of its own.
+    """
+    cuts = []
+    for i in range(len(c)):
+        dl = delta(c[i:])
+        if not dl.is_zero:
+            _acc_tpoly(flat, dl.pi_exp, regularize(star_expand(c[:i])), coeff * dl.coeff)
+            cuts.append(i)
+    return cuts
+
+
 def _require_opposite_parity(c: Composition) -> None:
     if weight(c) % 2 == depth(c) % 2:
         raise ParityError(
@@ -233,7 +246,6 @@ def _require_opposite_parity(c: Composition) -> None:
 
 
 def _reduce_expansion(c: Composition, with_all_ones: bool) -> ReductionResult:
-    d = len(c)
     scale = Fraction(-1, 2)
     flat: dict = {}
     display = []
@@ -246,16 +258,8 @@ def _reduce_expansion(c: Composition, with_all_ones: bool) -> ReductionResult:
     display.append(DisplayTerm(scale, 0, (("star", c),)))
 
     if with_all_ones:
-        # delta(c[i:]) has pi-exponent d - i, so each grade has one term
-        for i in range(d):
-            dl = delta(c[i:])
-            if dl.is_zero:
-                continue
-            coeff = -scale if (d - i) % 2 else scale
-            _acc_tpoly(
-                flat, dl.pi_exp, regularize(star_expand(c[:i])), coeff * dl.coeff
-            )
-            display.append(DisplayTerm(coeff, 0, (("star", c[:i]), ("delta", c[i:]))))
+        for i in _add_all_ones(flat, c, scale):
+            display.append(DisplayTerm(scale, 0, (("star", c[:i]), ("delta", c[i:]))))
 
     # double-index correction sum, scaled by -1/2
     for i, mid, tail, a, m, b, sign in _triple_terms(c, grades):
@@ -328,14 +332,9 @@ def build_main2_identity(c) -> PiGradedExpr:
     _triple_terms(c, grades)
     _regularize_grades(flat, grades, Fraction(-sign_w))
 
-    # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail);
-    # delta(c[i:]) has pi-exponent d - i, so each grade has one term
-    for i in range(d):
-        dl = delta(c[i:])
-        if dl.is_zero:
-            continue
-        sign_i = -1 if i % 2 else 1
-        _acc_tpoly(flat, dl.pi_exp, regularize(star_expand(c[:i])), sign_i * dl.coeff)
+    # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail),
+    # and (-1)^i = (-1)^d on every nonzero term
+    _add_all_ones(flat, c, sign_d)
 
     return PiGradedExpr._from_flat(flat)
 

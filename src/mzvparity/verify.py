@@ -14,13 +14,19 @@ regularization variable T; the residual is the largest over them, and
 ``fundeq2`` and ``bouillot``, ``(0, 1)`` for ``main2`` and ``main3``; an
 empty ``T_values`` raises :class:`ValueError`.  Every report's ``T`` is the
 tuple of T values it used.
+
+``bouillot`` and ``fundeq2`` share one right-hand side, a sum over the
+entries of :func:`harmonic.slot_splits` with Psi_s(z) in the middle; the
+middle of ``fundeq2`` is its z^0 coefficient, so ``fundeq2`` is the z^0
+case of ``bouillot``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import factorial
+from functools import cache
+from itertools import islice
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -33,6 +39,7 @@ from .harmonic import (
     compositions_up_to,
     depth,
     is_admissible,
+    slot_splits,
     splits,
     stuffle,
     weight,
@@ -46,13 +53,14 @@ from .multitangent import (
 from .mzv import eval_admissible_mzv, eval_pigraded, eval_tpoly
 from .precision import PrecisionContext
 from .reduction import (
+    _bernoulli_weight,
     build_main2_identity,
     expand_depth_certificate,
     reduce_main,
     reduce_main3,
 )
 from .regularization import regularize
-from .special import bernoulli, delta
+from .special import delta
 
 __all__ = [
     "IDENTITIES",
@@ -178,54 +186,59 @@ def _T_values(T_values, default: tuple) -> tuple:
     return T_values
 
 
+def _slot_sum(c: Composition, T, ctx: PrecisionContext, middle: Callable):
+    """delta(c) + sum of sign * zeta_a(rev_head) * zeta_b(tail) * middle(s).
+
+    The sum runs over the entries ``(rev_head, a, s, b, tail, sign)`` of
+    :func:`slot_splits`, with shifted values at ``T``, each evaluated once.
+    A zero ``middle(s)`` skips the term before its shifted values are
+    evaluated.  Runs at the caller's working precision.
+    """
+    dl = delta(c)
+    total = mp.mpf(dl.coeff.numerator) / dl.coeff.denominator * mp.pi**dl.pi_exp
+    middles = [middle(s) for s in range(max(c) + 1)]
+
+    @cache
+    def shifted(word: Composition, order: int):
+        return eval_shifted(word, order, T, ctx).value
+
+    for rev_head, a, s, b, tail, sign in slot_splits(c):
+        if middles[s]:
+            va = shifted(rev_head, a)
+            if va:
+                total += sign * va * shifted(tail, b) * middles[s]
+    return total
+
+
+def _twice_zeta(s: int):
+    """2 zeta(s) = (-1)^(m+1) C_m pi^s for even s = 2m, so 2 zeta(0) = -1,
+    and 0 for odd s: for s >= 1, the z^0 coefficient of Psi_s(z)."""
+    if s % 2:
+        return 0
+    q = _bernoulli_weight(s // 2) * (1 if s % 4 else -1)
+    return mp.mpf(q.numerator) / q.denominator * mp.pi**s
+
+
 def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the reflection identity for the z^0 coefficient.
 
-    LHS: sum over cuts of (-1)^(weight of tail) (reversed head) * (tail),
-    regularized.  RHS: the all-ones correction plus the Bernoulli-weighted
-    shifted-value sum over slots and splits a + 2m + b = k_j.
+    LHS: sum over cuts of (-1)^(weight of head) (reversed head) * (tail),
+    regularized.  RHS: the z^0 coefficient of the ``bouillot`` RHS, that
+    is :func:`_slot_sum` with the middle 2 zeta(s) of even s.
     """
     c = as_composition(c)
     if not c:
         raise ValueError("the identity needs a nonempty composition")
     T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
-    sign_w = -1 if weight(c) % 2 else 1
     with mp.workdps(ctx.working_dps + 5):
-        pi = +mp.pi
-        dl = delta(c)
-        rhs0 = mp.mpf(0)
-        if not dl.is_zero:
-            rhs0 += mp.mpf(dl.coeff.numerator) / dl.coeff.denominator * pi**dl.pi_exp
         residual = mp.mpf(0)
         for T in T_values:
-            lhs, rhs = mp.mpf(0), rhs0
-            for rev_head, kj, tail, sign in splits(c):
-                sign *= sign_w
-                if not kj:  # a cut
-                    prod = stuffle(WordCombo.word(rev_head), WordCombo.word(tail))
-                    lhs += sign * eval_tpoly(regularize(prod), T, ctx).value
-                    continue
-                for a in range(kj + 1):
-                    va = eval_shifted(rev_head, a, T, ctx)
-                    if va.value == 0:
-                        continue
-                    for b in range(kj - a + 1):
-                        if (kj - a - b) % 2:
-                            continue
-                        m = (kj - a - b) // 2
-                        vb = eval_shifted(tail, b, T, ctx)
-                        if vb.value == 0:
-                            continue
-                        term_sign = sign * (-1 if (kj + b + m + 1) % 2 else 1)
-                        bm = bernoulli(2 * m) / factorial(2 * m)
-                        coeff = (
-                            term_sign
-                            * mp.mpf(bm.numerator)
-                            / bm.denominator
-                            * (2 * pi) ** (2 * m)
-                        )
-                        rhs += coeff * va.value * vb.value
+            lhs = mp.mpf(0)
+            for rev_head, _, tail, sign in islice(splits(c), len(c) + 1):  # the cuts
+                prod = stuffle(WordCombo.word(rev_head), WordCombo.word(tail))
+                lhs += sign * eval_tpoly(regularize(prod), T, ctx).value
+            rhs = _slot_sum(c, T, ctx, _twice_zeta)
             residual = max(residual, abs(lhs - rhs))
     return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, T=T_values)
 
@@ -298,40 +311,25 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
 def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualReport:
     """Residual of the monotangent reduction of the multitangent.
 
-    LHS: the regularized multitangent.  RHS: the all-ones correction plus
-    monotangents weighted by shifted values over slots and splits
-    a + s + b = k_j.  For indices with first and last part >= 2 the
-    reported LHS is additionally cross-checked against the truncated doubly
-    infinite sum within its stated tail estimate.
+    LHS: the regularized multitangent.  RHS: :func:`_slot_sum` with the
+    monotangent Psi_s(z) in the middle.  For indices with first and last
+    part >= 2 the reported LHS is also cross-checked against the truncated
+    doubly infinite sum within its stated tail estimate.
     """
     if z is None:
         raise DomainError("the multitangent identity needs an evaluation point z")
     c = as_composition(c)
     T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
+
+    def monotangent(s: int):
+        return eval_monotangent(s, z, ctx).value if s else 0
+
     with mp.workdps(ctx.working_dps + 5):
-        pi = +mp.pi
-        dl = delta(c)
-        rhs0 = mp.mpf(0)
-        if not dl.is_zero:
-            rhs0 += mp.mpf(dl.coeff.numerator) / dl.coeff.denominator * pi**dl.pi_exp
         residual = mp.mpf(0)
         for T in T_values:
             lhs = eval_multitangent_regularized(c, z, T, ctx).value
-            rhs = rhs0
-            # a cut (kj = 0) has no split a + s + b with s >= 1
-            for rev_head, kj, tail, sign in splits(c):
-                for a in range(kj):
-                    va = eval_shifted(rev_head, a, T, ctx)
-                    if va.value == 0:
-                        continue
-                    sign_a = sign if a % 2 == 0 else -sign
-                    for s in range(1, kj - a + 1):
-                        vb = eval_shifted(tail, kj - a - s, T, ctx)
-                        if vb.value == 0:
-                            continue
-                        mono = eval_monotangent(s, z, ctx)
-                        rhs += sign_a * va.value * vb.value * mono.value
+            rhs = _slot_sum(c, T, ctx, monotangent)
             residual = max(residual, abs(lhs - rhs))
         extra_ok = True
         reason = None

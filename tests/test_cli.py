@@ -106,6 +106,18 @@ def test_verify_needs_target(capsys):
     capsys.readouterr()
 
 
+def test_eval_value_error_is_usage_error(capsys):
+    assert main(["eval", "shifted", "2", "--a", "-1"]) == 2
+    assert "shift order" in capsys.readouterr().err
+    assert main(["eval", "monotangent", "0", "--z", "0.3"]) == 2
+    assert "monotangent order" in capsys.readouterr().err
+
+
+def test_verify_k_and_max_weight_together_is_refused(capsys):
+    assert main(["verify", "main", "--k", "3", "--max-weight", "3"]) == 2
+    assert "exactly one of --k and --max-weight" in capsys.readouterr().err
+
+
 def test_verify_T_list_and_json_fields(capsys):
     assert main(["verify", "main2", "--k", "2,1", "--T", "5", "--format", "json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)

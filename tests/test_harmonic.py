@@ -22,7 +22,7 @@ from mzvparity import (
     stuffle,
     weight,
 )
-from mzvparity.harmonic import splits
+from mzvparity.harmonic import slot_splits, splits
 
 
 @st.composite
@@ -143,6 +143,27 @@ def test_splits_cuts_then_slots(c):
         head = rev_head[::-1]
         assert head + ((k,) if k else ()) + tail == c
         assert sign == (-1) ** weight(head)
+
+
+@settings(max_examples=60, deadline=None)
+@given(compositions())
+def test_slot_splits_every_split_of_every_slot(c):
+    entries = list(slot_splits(c))
+    assert len(entries) == sum((k + 1) * (k + 2) // 2 for k in c)
+    for rev_head, a, s, b, tail, sign in entries:
+        head = rev_head[::-1]
+        k = a + s + b
+        assert min(a, s, b) >= 0
+        assert head + (k,) + tail == c
+        assert sign == (-1) ** (weight(head) + a)
+    # slots in order, then a outermost and b ascending
+    expected = [
+        (j, a, b)
+        for j, k in enumerate(c)
+        for a in range(k + 1)
+        for b in range(k - a + 1)
+    ]
+    assert [(len(h), a, b) for h, a, _, b, _, _ in entries] == expected
 
 
 def test_star_expand_depth_three():

@@ -7,6 +7,7 @@ from mzvparity import (
     IDENTITIES,
     ResidualReport,
     VerificationFailure,
+    compositions_up_to,
     eval_admissible_mzv,
     sweep,
     verify_bouillot,
@@ -24,6 +25,9 @@ def test_fund_eq2_cases(ctx30):
     assert verify_fund_eq2((1,), ctx30, T_values=(1,)).passed
     assert verify_fund_eq2((1, 1), ctx30).passed
     assert verify_fund_eq2((2, 3), ctx30, T_values=(1,)).passed
+    for c in compositions_up_to(7):
+        rep = verify_fund_eq2(c, ctx30, T_values=(0, 1))
+        assert rep.passed, rep.describe()
 
 
 def test_main_euler_cases(ctx30):
