@@ -209,6 +209,16 @@ def _nstr(x, digits: int):
     return None if x is None else mp.nstr(mp.mpmathify(x), digits)
 
 
+def _margin_digits(r, ctx: PrecisionContext) -> Optional[float]:
+    """log10(bound / residual), capped at the working digits for a zero
+    residual (as perfbench computes it); None for a skipped row."""
+    if r.skipped:
+        return None
+    if r.residual == 0:
+        return float(ctx.working_dps)
+    return float(mp.log10(r.bound / r.residual))
+
+
 def _cmd_verify(args) -> int:
     ctx = _context(args)
     z = _parse_z(args.z, ctx) if args.z is not None else None
@@ -232,6 +242,7 @@ def _cmd_verify(args) -> int:
                 "status": r.status,
                 "residual": mp.nstr(r.residual, 5),
                 "bound": mp.nstr(r.bound, 5),
+                "margin_digits": _margin_digits(r, ctx),
                 "reason": r.reason,
                 "T": None if r.T is None else [_nstr(t, ctx.digits) for t in r.T],
                 "z": _nstr(r.z, ctx.digits),

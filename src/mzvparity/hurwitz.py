@@ -1,11 +1,49 @@
 """Hurwitz multiple zeta values and their regularized generating values.
 
-``eval_hurwitz_direct`` sums the nested series exactly up to a cutoff N and
+``eval_hurwitz_direct`` sums the nested series
+sum_{0<n_1<...<n_r} prod (z+n_i)^(-k_i) exactly up to a cutoff N and
 handles everything beyond N with Euler-Maclaurin summation applied level by
-level: the partial sum of each nesting level is carried as an asymptotic
-expansion in monomials ``(z+n)^(-p) * log(z+n)^q`` whose transformation
-rules (argument shift, antiderivative, derivatives, Bernoulli corrections)
-are exact rational linear maps, cached once and applied per evaluation.
+level.  Beyond N, the partial sum of each nesting level is an asymptotic
+expansion in monomials u^(-p) log(u)^q, u = z + n, and the rules that carry
+one level's expansion to the next (argument shift, antiderivative,
+derivatives, Bernoulli corrections) are exact rational linear maps that do
+not depend on z.  So the expansion of level j is the sum over i < j of the
+constant K_i of level i times the exact expansion of the segment
+(k_{i+1}, ..., k_j), which is built once per segment, with integer
+coefficients over one denominator.  The constants satisfy
+
+    K_0 = 1,   K_j = S_j(N) + sum_{i<j} K_i d_ij,
+
+with S_j(N) the exact partial sum of level j and d_ij the segment's
+expansion of g - EM(g) (its summand minus its Euler-Maclaurin sum) at
+u_A = z + N + 1.  The value is K_r.
+
+The numbers are Python ints in fixed point with P fraction bits, a pair of
+ints (re, im) for complex z:
+
+* the partial sums are ``accumulate`` loops over the products of the level
+  below with a table of floor(2^P (z+n)^(-k)).  The entries are exact
+  floors, since z is an mpf and so z + n a dyadic rational;
+* each d_ij is a dot product of the segment's integer coefficients with a
+  table of u_A^(-p) log(u_A)^q.  Row p of the table carries p lam extra
+  bits, with 2^lam <= |u_A|, so that a unit of error in an entry weighs
+  |u_A|^(-p) units however large its coefficient is.
+
+Guard bits.  Every floor, product and table entry is off by under 2 units
+2^-P, and :func:`_rounding_units` carries these errors through the partial
+sums, the dot products and the K_j recursion, from bounds on the sizes of
+the sums (like ``mzv._fraction_bits``, before any sum is computed).  P is
+the bits of dps + 10 digits plus the bits of that bound, rounded up to a
+multiple of 32 so that words of similar size share P and the tables.
+
+Bound.  The returned bound is that rounding bound plus an estimate of the
+truncation: for every segment, the first omitted Euler-Maclaurin term (the
+Bernoulli term J + 1) and the first omitted expansion order (the shift
+re-expansion's order P_ord + 1), both at u_A, carried to K_r through the
+same recursion with the computed |K_i|, and doubled.  It is an estimate,
+not a proof: the Euler-Maclaurin remainder is below its first omitted term
+for real summands whose derivatives keep one sign, and for a depth-1 word
+at real z the undoubled estimate is within a few percent of the error.
 
 ``eval_hurwitz_star`` extends the evaluation to divergent (non-admissible)
 indices: regularization expresses any index as a T-polynomial in admissible
@@ -14,16 +52,23 @@ depth-1 generating value) together with direct values of the admissible
 words yields the generating value of the shifted-index Taylor series.
 ``eval_hurwitz_taylor`` is the literal term-by-term Taylor route used to
 cross-check it.
+
+Every cache of the module is a bounded ``lru_cache``; :func:`clear_caches`
+empties them all.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial
-from typing import Optional
+from itertools import accumulate, repeat
+from math import ceil, comb, factorial, gcd, hypot, lcm, log2
+from operator import add, mul, rshift, sub
+from typing import NamedTuple, Optional
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
 from .harmonic import as_composition, is_admissible, shift_expand
@@ -33,6 +78,7 @@ from .regularization import TPoly, regularize
 from .special import bernoulli
 
 __all__ = [
+    "clear_caches",
     "eval_hurwitz_direct",
     "eval_hurwitz_star",
     "eval_hurwitz_taylor",
@@ -47,12 +93,23 @@ __all__ = [
 # exact monomial maps for the tail machinery
 # ---------------------------------------------------------------------------
 
+# Entries of the per-monomial map caches; monomials (p, q) stay below
+# p ~ 60 and q ~ 12 for words up to weight 12.
+_MAP_CACHE_SIZE = 4096
+
 
 def _frac_items(d: dict) -> tuple:
     return tuple(sorted(d.items()))
 
 
-@lru_cache(maxsize=None)
+def _over_common_den(d: dict) -> tuple:
+    """A map of Fractions as (den, ((key, numerator), ...)) over one
+    denominator."""
+    den = lcm(*(c.denominator for c in d.values()))
+    return den, tuple(sorted((k, c.numerator * (den // c.denominator)) for k, c in d.items()))
+
+
+@lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _antider_monomial(p: int, q: int) -> tuple:
     """Antiderivative of u^(-p) log(u)^q as monomials; requires p >= 1."""
     if p < 1:
@@ -67,37 +124,38 @@ def _antider_monomial(p: int, q: int) -> tuple:
     return _frac_items(acc)
 
 
-def _derivative_frac(e: dict) -> dict:
+def _derivative(e: dict) -> dict:
+    """d/du of an expansion; integer coefficients stay integers."""
     out: dict = {}
     for (p, q), c in e.items():
         if p:
             key = (p + 1, q)
-            out[key] = out.get(key, Fraction(0)) - c * p
+            out[key] = out.get(key, 0) - c * p
         if q:
             key = (p + 1, q - 1)
-            out[key] = out.get(key, Fraction(0)) + c * q
+            out[key] = out.get(key, 0) + c * q
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _em_monomial_map(p: int, q: int, J: int) -> tuple:
     """n-dependent part of sum_{m=N+1..n} of the monomial u^(-p) log(u)^q.
 
     Euler-Maclaurin: antiderivative + half the monomial + Bernoulli times
-    odd derivatives.  The matching constant part is recovered at run time
-    as g(u_A) - n_part(u_A) with u_A = z + N + 1.
+    odd derivatives, as (den, ((key, numerator), ...)).  The matching
+    constant part is recovered as g(u_A) - n_part(u_A), u_A = z + N + 1.
     """
     acc: dict = {}
     for key, c in _antider_monomial(p, q):
         acc[key] = acc.get(key, Fraction(0)) + c
     acc[(p, q)] = acc.get((p, q), Fraction(0)) + Fraction(1, 2)
-    der = {(p, q): Fraction(1)}
+    der = {(p, q): 1}
     for j in range(1, J + 1):
-        der = _derivative_frac(der) if j == 1 else _derivative_frac(_derivative_frac(der))
+        der = _derivative(der) if j == 1 else _derivative(_derivative(der))
         coeff = bernoulli(2 * j) / factorial(2 * j)
         for key, c in der.items():
             acc[key] = acc.get(key, Fraction(0)) + c * coeff
-    return _frac_items({k: v for k, v in acc.items() if v})
+    return _over_common_den({k: v for k, v in acc.items() if v})
 
 
 def _mul_frac(e1: dict, e2: dict, P: int) -> dict:
@@ -112,7 +170,7 @@ def _mul_frac(e1: dict, e2: dict, P: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _log_shift_pow(i: int, P: int) -> tuple:
     """(log(u-1) - log u)^i = (-sum_{t>=1} u^(-t)/t)^i truncated at order P."""
     if i == 0:
@@ -122,70 +180,238 @@ def _log_shift_pow(i: int, P: int) -> tuple:
     return _frac_items(_mul_frac(acc, base, P))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _shift_monomial_map(p: int, q: int, P: int) -> tuple:
-    """(u-1)^(-p) log(u-1)^q re-expanded around u, truncated at order P."""
-    if p:
-        base = {(p + t, 0): Fraction(comb(p - 1 + t, t)) for t in range(P - p + 1)}
-    else:
-        base = {(0, 0): Fraction(1)}
-    if not q:
-        return _frac_items(base)
-    acc: dict = {}
-    for i in range(q + 1):
-        part = _mul_frac(base, dict(_log_shift_pow(q - i, P)), P)
-        binq = comb(q, i)
-        for (pp, qq), c in part.items():
-            key = (pp, qq + i)
-            acc[key] = acc.get(key, Fraction(0)) + c * binq
-    return _frac_items({k: v for k, v in acc.items() if v})
+    """(u-1)^(-p) log(u-1)^q re-expanded around u, truncated at order P, as
+    (den, ((key, numerator), ...)).
+
+    log(u-1)^q = sum_i C(q, i) log(u)^i (log(u-1) - log u)^(q-i), and each
+    factor (u-1)^(-1) = sum_{t>=1} u^(-t) turns the coefficients of every
+    log power into their prefix sums over p, shifted by one.
+    """
+    if not p:
+        acc: dict = {}
+        for i in range(q + 1):
+            for (pp, qq), c in _log_shift_pow(q - i, P):
+                key = (pp, qq + i)
+                acc[key] = acc.get(key, Fraction(0)) + c * comb(q, i)
+        return _over_common_den({k: v for k, v in acc.items() if v})
+    den, items = _shift_monomial_map(p - 1, q, P)
+    rows: dict = {}
+    for (pp, qq), c in items:
+        rows.setdefault(qq, {})[pp] = c
+    out = {}
+    for qq, row in rows.items():
+        run = 0
+        for pp in range(P + 1):
+            if run:
+                out[(pp, qq)] = run
+            run += row.get(pp, 0)
+    return den, tuple(sorted(out.items()))
 
 
-_MAP_MP_CACHE: dict = {}
+def _reduced(den: int, nums: dict) -> tuple:
+    nums = {k: v for k, v in nums.items() if v}
+    g = gcd(den, *nums.values())
+    return den // g, {k: v // g for k, v in nums.items()}
 
 
-def _map_as_mp(kind: str, key: tuple, prec: int):
-    """Convert a cached Fraction monomial map to mpf at the current precision."""
-    ck = (kind, key, prec)
-    val = _MAP_MP_CACHE.get(ck)
-    if val is None:
-        if kind == "em":
-            raw = _em_monomial_map(*key)
+def _apply(e: tuple, monomial_map) -> tuple:
+    """Push an expansion (den, {(p, q): numerator}) through a linear map
+    given per monomial as (den, ((key, numerator), ...))."""
+    den, nums = e
+    parts = [(c, monomial_map(p, q)) for (p, q), c in nums.items()]
+    common = lcm(*(m[0] for _, m in parts))
+    out: dict = {}
+    for c, (mden, items) in parts:
+        c *= common // mden
+        for key, m in items:
+            out[key] = out.get(key, 0) + c * m
+    return _reduced(den * common, out)
+
+
+class _Segment(NamedTuple):
+    """The exact tail data of a segment (k_{i+1}, ..., k_j) of a word."""
+
+    level: tuple  # (den, {(p, q): numerator}): level j beyond N, in u = z + n
+    den: int  # denominator of ``rows``
+    rows: tuple  # ((p, (numerator at q = 0, 1, ...)), ...) of g - EM(g)
+    sizes: tuple  # ((p, q, |coefficient|), ...) of g - EM(g), floats
+    omitted: tuple  # ((p, q, |coefficient|), ...): the truncation estimate
+
+
+@lru_cache(maxsize=1024)
+def _segment(s: tuple, J: int, order: int) -> _Segment:
+    """Tail data of the segment s, from that of s[:-1].
+
+    g = u^(-k) F(u - 1) is the summand of the segment's last level, with F
+    the expansion of the level below re-expanded around u up to ``order``;
+    the level's expansion beyond N is EM(g), its Euler-Maclaurin sum with J
+    Bernoulli terms.  ``omitted`` holds the sizes of what that leaves out,
+    as monomials whose sum is the estimate at u_A: the Bernoulli term J + 1
+    of g, and the first term of F(u - 1) beyond ``order`` of every
+    monomial of F, summed over n > N (its antiderivative, u^(1-p) / (p-1)).
+    """
+    prev = _segment(s[:-1], J, order).level if len(s) > 1 else (1, {(0, 0): 1})
+    k = s[-1]
+    gden, shifted = _apply(prev, lambda p, q: _shift_monomial_map(p, q, order))
+    g = {(p + k, q): c for (p, q), c in shifted.items()}
+    level = _apply((gden, g), lambda p, q: _em_monomial_map(p, q, J))
+
+    den = lcm(gden, level[0])
+    d = {key: c * (den // gden) for key, c in g.items()}
+    for key, c in level[1].items():
+        d[key] = d.get(key, 0) - c * (den // level[0])
+    by_p: dict = {}
+    for (p, q), c in d.items():
+        if c:
+            by_p.setdefault(p, {})[q] = c
+    rows = tuple((p, tuple(by_p[p].get(q, 0) for q in range(max(by_p[p]) + 1))) for p in sorted(by_p))
+    sizes = tuple((p, q, abs(c) / den) for p, row in by_p.items() for q, c in row.items())
+
+    der = g
+    for _ in range(2 * J + 1):
+        der = _derivative(der)
+    scale = abs(bernoulli(2 * J + 2)) / factorial(2 * J + 2) / gden
+    omitted = [(p, q, float(abs(c) * scale)) for (p, q), c in der.items()]
+    pden, pnums = prev
+    for (p, q), c in pnums.items():
+        if (p, q) == (0, 0):
+            continue
+        t = max(order + 1 - p, 0)
+        first = comb(p - 1 + t, t) * (q + 1) if p else q + 1
+        pg = p + t + k  # order of the omitted term of g
+        omitted.append((pg - 1, q, abs(c) * first / (pden * (pg - 1))))
+    return _Segment(level, den, rows, sizes, tuple(omitted))
+
+
+# ---------------------------------------------------------------------------
+# fixed-point tables
+# ---------------------------------------------------------------------------
+
+# Entries of the per-point table caches.
+_TABLE_CACHE_SIZE = 128
+
+
+def _dyadic(zv) -> tuple:
+    """z as integers (a, b, e) with z = (a + b i) / 2^e and e >= 0."""
+    re, im = (zv.real, zv.imag) if isinstance(zv, mp.mpc) else (zv, mp.zero)
+    (ma, ea), (mb, eb) = ((x.man if x >= 0 else -x.man, x.exp) for x in (re, im))
+    e = max(0, -ea, -eb)
+    return ma << (ea + e), mb << (eb + e), e
+
+
+def _gauss_pow(x: int, y: int, k: int) -> tuple:
+    rx, ry = x, y
+    for _ in range(k - 1):
+        rx, ry = rx * x - ry * y, rx * y + ry * x
+    return rx, ry
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _inverse_powers(zkey: tuple, k: int, P: int, N: int):
+    """floor(2^P (z+n)^(-k)) for n = 1..N: a tuple for real z, a pair of
+    tuples (re, im) for complex z.  Exact, with z + n = w / 2^e and w the
+    Gaussian integer a + n 2^e + b i."""
+    a, b, e = zkey
+    top = 1 << (P + e * k)
+    if not b:
+        return tuple(top // (a + (n << e)) ** k for n in range(1, N + 1))
+    re, im = [], []
+    for n in range(1, N + 1):
+        x, y = _gauss_pow(a + (n << e), b, k)
+        norm = x * x + y * y
+        re.append(x * top // norm)
+        im.append(-y * top // norm)
+    return tuple(re), tuple(im)
+
+
+def _row_shift(zkey: tuple, N: int) -> int:
+    """lam with 2^lam <= |u_A|, u_A = z + N + 1."""
+    a, _, e = zkey
+    return max((abs(a + ((N + 1) << e)) >> e).bit_length() - 1, 0)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _monomials(zkey: tuple, N: int, P: int, pmax: int, qmax: int) -> tuple:
+    """(lam, re rows, im rows or None): row p holds u_A^(-p) log(u_A)^q for
+    q <= qmax, floored at 2^-(P + p lam).
+
+    1/u_A and log(u_A) are read to Q bits, and their powers are products of
+    pairs floored at 2^-Q: x^p is off by under 5 p units of 2^-Q and
+    log^q by under 5 q L^q (|x| < 1, |log u_A| < L), so Q holds enough bits
+    above P + p lam that every entry is off by under 1.25 units of its row
+    (under 2 for complex u_A).
+    """
+    a, b, e = zkey
+    re_u = a + ((N + 1) << e)
+    lam = _row_shift(zkey, N)
+    L = abs(cmath.log(complex(re_u / (1 << e), b / (1 << e))))
+    Q = (P + pmax * lam + qmax * int(L + 1).bit_length()
+         + (5 * (pmax + qmax) + 2).bit_length() + 4)
+    with mp.workprec(Q + 8):
+        u = mp.mpc(mp.mpf((re_u, -e)), mp.mpf((b, -e)))
+        x, lg = 1 / u, mp.log(u)
+        xr, xi, lr, li = (int(mp.ldexp(v, Q)) for v in (x.real, x.imag, lg.real, lg.imag))
+    logs = [(1 << Q, 0)]
+    for _ in range(qmax):
+        r, i = logs[-1]
+        logs.append(((r * lr - i * li) >> Q, (r * li + i * lr) >> Q))
+    re_rows, im_rows = [], []
+    pr, pi = 1 << Q, 0
+    for p in range(pmax + 1):
+        s = 2 * Q - P - p * lam
+        re_rows.append(tuple((pr * r - pi * i) >> s for r, i in logs))
+        im_rows.append(tuple((pr * i + pi * r) >> s for r, i in logs))
+        pr, pi = (pr * xr - pi * xi) >> Q, (pr * xi + pi * xr) >> Q
+    return lam, tuple(re_rows), tuple(im_rows) if b or re_u < 0 else None
+
+
+def _dot(seg: _Segment, table: tuple) -> tuple:
+    """The segment's g - EM(g) at u_A, in fixed point, as (re, im)."""
+    lam, re_rows, im_rows = table
+    re = sum(sum(map(mul, nums, re_rows[p])) >> (p * lam) for p, nums in seg.rows)
+    if im_rows is None:
+        return re // seg.den, 0
+    im = sum(sum(map(mul, nums, im_rows[p])) >> (p * lam) for p, nums in seg.rows)
+    return re // seg.den, im // seg.den
+
+
+def _partial_sums(c: tuple, zkey: tuple, P: int, N: int) -> list:
+    """The exact partial sums S_j(N), j = 1..r, as fixed-point pairs."""
+    out, prev = [], None
+    for k in c:
+        t = _inverse_powers(zkey, k, P, N)
+        if not zkey[1]:
+            terms = t if prev is None else map(rshift, map(mul, t, prev), repeat(P))
+            prev = list(accumulate(terms, initial=0))
+            out.append((prev[-1], 0))
+            continue
+        tr, ti = t
+        if prev is None:
+            re_terms, im_terms = tr, ti
         else:
-            raw = _shift_monomial_map(*key)
-        val = tuple((k, mp.mpf(c.numerator) / c.denominator) for k, c in raw)
-        _MAP_MP_CACHE[ck] = val
-    return val
+            pr, pi = prev
+            re_terms = map(rshift, map(sub, map(mul, tr, pr), map(mul, ti, pi)), repeat(P))
+            im_terms = map(rshift, map(add, map(mul, tr, pi), map(mul, ti, pr)), repeat(P))
+        prev = list(accumulate(re_terms, initial=0)), list(accumulate(im_terms, initial=0))
+        out.append((prev[0][-1], prev[1][-1]))
+    return out
 
 
-def _apply_map(e: dict, kind: str, extra: tuple, out: dict, scale=None) -> None:
-    """out += (map applied to e), where the map is selected per monomial."""
-    prec = mp.prec
-    for (p, q), c in e.items():
-        if scale is not None:
-            c = c * scale
-        for key, fr in _map_as_mp(kind, (p, q) + extra, prec):
-            cur = out.get(key)
-            out[key] = c * fr if cur is None else cur + c * fr
-
-
-def _eval_expansion(e: dict, u, logu) -> object:
-    uinv = 1 / u
-    # group by p to reuse powers
-    total = mp.mpf(0)
-    pow_cache = {0: mp.mpf(1)}
-    log_cache = {0: mp.mpf(1)}
-    for (p, q), c in e.items():
-        up = pow_cache.get(p)
-        if up is None:
-            up = uinv**p
-            pow_cache[p] = up
-        lq = log_cache.get(q)
-        if lq is None:
-            lq = logu**q
-            log_cache[q] = lq
-        total += c * up * lq
-    return total
+@lru_cache(maxsize=256)
+def _size_bounds(zkey: tuple, kmax: int, N: int) -> tuple:
+    """(Lambda, rho): the sum of tau_m = max(|z+m|^-1, |z+m|^-kmax) over
+    m <= N, and the largest (m - 1) tau_m."""
+    a, b, e = zkey
+    z = complex(a / (1 << e), b / (1 << e))
+    total = rho = 0.0
+    for m in range(1, N + 1):
+        x = abs(z + m)
+        tau = max(1 / x, x**-kmax)
+        total += tau
+        rho = max(rho, (m - 1) * tau)
+    return total, rho
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +442,15 @@ _CUTOFF = 900
 _EM_TERMS = 12
 _EXPANSION_ORDER = 28
 
-_HURWITZ_CACHE: dict = {}
-
 
 def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Shifted nested sum sum_{0<n_1<...<n_r} prod (z+n_i)^(-l_i).
 
     Requires an admissible index and z away from the poles {-1, -2, ...};
     valid for any such z (no radius restriction).  Cutoff and tail-expansion
-    parameters are the module constants above.
+    parameters are the module constants above.  The bound is the rounding
+    bound of :func:`_rounding_units` plus an estimate of the truncation
+    (twice the first omitted Euler-Maclaurin term and expansion order).
     """
     c = as_composition(c)
     if not c:
@@ -234,53 +460,98 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     wp = (dps if dps is not None else ctx.working_dps) + 10
     zv = _normalize_z(z, wp)
     _check_no_pole(zv)
-    key = (c, zv, wp)
-    cached = _HURWITZ_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _direct(c, zv, wp, _CUTOFF)
 
-    N, J, P = _CUTOFF, _EM_TERMS, _EXPANSION_ORDER
-    with mp.workdps(wp):
-        one = mp.mpf(1)
-        # exact partial sums S_i(n) for n <= N
-        invs = [None] * (N + 1)
-        for n in range(1, N + 1):
-            invs[n] = one / (zv + n)
-        prev = [one] * (N + 1)
-        partial_at_N = []
-        for k in c:
-            acc = mp.mpf(0)
-            cur = [mp.mpf(0)] * (N + 1)
-            for n in range(1, N + 1):
-                acc = acc + invs[n] ** k * prev[n - 1]
-                cur[n] = acc
-            prev = cur
-            partial_at_N.append(acc)
 
-        uA = zv + (N + 1)
-        logA = mp.log(uA)
-        # asymptotic expansion of each level's partial sum beyond N
-        F: dict = {(0, 0): one}
-        for idx, k in enumerate(c):
-            # g(m) = (z+m)^(-k) * F(z+m-1), re-expanded at u = z+m
-            shifted: dict = {}
-            _apply_map(F, "shift", (P,), shifted)
-            g = {(p + k, q): coeff for (p, q), coeff in shifted.items()}
-            n_part: dict = {}
-            _apply_map(g, "em", (J,), n_part)
-            const = _eval_expansion(g, uA, logA) - _eval_expansion(n_part, uA, logA)
-            F = n_part
-            F[(0, 0)] = F.get((0, 0), mp.mpf(0)) + partial_at_N[idx] + const
-
-        value = F.get((0, 0), mp.mpf(0))
-        leftover = sum(
-            (abs(coeff) for (p, q), coeff in F.items() if p == 0 and q > 0),
-            mp.mpf(0),
+def _segment_sizes(segs: dict, zkey: tuple, N: int) -> dict:
+    """(i, j) -> (bound on |d_ij|, E_ij, truncation estimate of d_ij): the
+    segment's coefficients weighted by |u_A|^(-p) |log u_A|^q, by the row
+    units 2^(-p lam), and its omitted terms weighted as the first."""
+    a, b, e = zkey
+    uA = complex(a / (1 << e) + N + 1, b / (1 << e))
+    ua, L = abs(uA), abs(cmath.log(uA))
+    lam = _row_shift(zkey, N)
+    return {
+        ij: (
+            sum(a * ua**-p * L**q for p, q, a in seg.sizes),
+            sum(a * 2.0 ** (-p * lam) for p, q, a in seg.sizes),
+            sum(a * ua**-p * L**q for p, q, a in seg.omitted),
         )
-        bound = mp.mpf(10) ** (-(wp - 8)) * (1 + abs(value)) + leftover * 100
-        result = Approx(value, bound)
-    _HURWITZ_CACHE[key] = result
-    return result
+        for ij, seg in segs.items()
+    }
+
+
+def _rounding_units(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict) -> float:
+    """Bound on the rounding error of K_r in units 2^-P, for any P.
+
+    Every floor, product and table entry is off by under 2 units (under one
+    per component).  Let tau_m = max_k |z+m|^(-k) over the parts k of the
+    word.  Every partial sum is then below B = max_j Lambda^j / j!, with
+    Lambda = sum_{m<=N} tau_m, and an error of level j - 1 at index m - 1
+    reaches level j multiplied by |z+m|^(-k) <= tau_m.  So with
+    rho = max (m-1) tau_m, level j is off by under n C_j units at index n,
+    where C_1 = 2 (the table entries) and C_j = 2 B + 2 + 1 + rho C_{j-1}
+    (an entry times a partial sum, the floor of the product, and the
+    product of two errors).  A dot product d_ij is off by under
+    2 E_ij + 2 (rows + 1) units: its entries, each row's floor and the
+    final division.  Each term of the K_j recursion adds
+    |K_i| err(d_ij) + |d_ij| err(K_i) + 3, with |d_ij| bounded by its
+    coefficients at |u_A| and |K_j| by B + sum |K_i| |d_ij|.
+    """
+    r = len(c)
+    Lam, rho = _size_bounds(zkey, max(c), N)
+    B = max(Lam**j / factorial(j) for j in range(r + 1))
+    C = 0.0
+    k_size, err = [1.0], [0.0]
+    for j in range(1, r + 1):
+        C = 2.0 if j == 1 else 2 * B + 3 + rho * C
+        kb, e = B, N * C
+        for i in range(j):
+            d_size, E, _ = sizes[i, j]
+            e += k_size[i] * (2 * E + 2 * (len(segs[i, j].rows) + 1)) + d_size * err[i] + 3
+            kb += k_size[i] * d_size
+        k_size.append(kb)
+        err.append(e)
+    return err[r]
+
+
+@lru_cache(maxsize=4096)
+def _direct(c: tuple, zv, wp: int, N: int) -> Approx:
+    """The direct value at wp digits and cutoff N (see the module docstring)."""
+    r = len(c)
+    zkey = _dyadic(zv)
+    segs = {
+        (i, j): _segment(c[i:j], _EM_TERMS, _EXPANSION_ORDER)
+        for j in range(1, r + 1)
+        for i in range(j)
+    }
+    sizes = _segment_sizes(segs, zkey, N)
+    units = _rounding_units(c, zkey, N, segs, sizes)
+    P = dps_to_prec(wp) + 32 * ceil(log2(units) / 32)
+
+    sums = _partial_sums(c, zkey, P, N)
+    table = _monomials(zkey, N, P, max(seg.rows[-1][0] for seg in segs.values()), r)
+    K = [(1 << P, 0)]
+    est = [0.0]  # truncation estimate of K_j
+    for j in range(1, r + 1):
+        re, im = sums[j - 1]
+        e = 0.0
+        for i in range(j):
+            dr, di = _dot(segs[i, j], table)
+            kr, ki = K[i]
+            re += (kr * dr - ki * di) >> P
+            im += (kr * di + ki * dr) >> P
+            d_size, _, trunc = sizes[i, j]
+            e += hypot(kr / (1 << P), ki / (1 << P)) * trunc + d_size * est[i]
+        K.append((re, im))
+        est.append(e)
+
+    # at P bits, or more for a value above 1, so that the conversion is exact
+    with mp.workprec(max(P, *(abs(x).bit_length() for x in K[r]))):
+        value = mp.mpf((K[r][0], -P))
+        if zkey[1]:
+            value = mp.mpc(value, mp.mpf((K[r][1], -P)))
+        return Approx(value, mp.ldexp(units, -P) + 2 * est[r])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +564,14 @@ def tau_value(z, T_value, ctx: PrecisionContext):
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
     with mp.workdps(wp):
-        return mp.mpmathify(T_value) - mp.digamma(1 + zv) - mp.euler
+        return mp.mpmathify(T_value) - _psi_gamma(zv, wp)
+
+
+@lru_cache(maxsize=256)
+def _psi_gamma(zv, wp: int):
+    """psi(1+z) + gamma at wp digits, computed once per point."""
+    with mp.workdps(wp):
+        return mp.digamma(1 + zv) + mp.euler
 
 
 def tau_series(z, T_value, ctx: PrecisionContext) -> Approx:
@@ -351,19 +629,17 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
 # literal Taylor route
 # ---------------------------------------------------------------------------
 
-_SHIFT_TPOLY_CACHE: dict = {}
 _TAYLOR_SLACK = 10  # extra digits asked of the Taylor route's truncation order
 
 
 def shifted_tpoly(c, a: int) -> TPoly:
     """Regularized expansion of the order-a shifted value of an index."""
-    c = as_composition(c)
-    key = (c, a)
-    tp = _SHIFT_TPOLY_CACHE.get(key)
-    if tp is None:
-        tp = regularize(shift_expand(a, c))
-        _SHIFT_TPOLY_CACHE[key] = tp
-    return tp
+    return _shifted_tpoly(as_composition(c), a)
+
+
+@lru_cache(maxsize=4096)
+def _shifted_tpoly(c: tuple, a: int) -> TPoly:
+    return regularize(shift_expand(a, c))
 
 
 def eval_shifted(c, a: int, T_value, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
@@ -418,3 +694,14 @@ def eval_hurwitz_taylor(c, z, ctx: PrecisionContext, T_value=None) -> Approx:
         C = max(max(recent), mp.mpf(1)) * 4
         tail = C * zabs ** (a_stop + 1) / (1 - zabs)
         return Approx(total, tail + coeff_bound_acc)
+
+
+def clear_caches() -> None:
+    """Empty every cache of this module: values, tables, exact tail data
+    and monomial maps."""
+    for cached in (
+        _direct, _psi_gamma, _shifted_tpoly, _segment, _inverse_powers, _monomials,
+        _size_bounds, _antider_monomial, _em_monomial_map, _log_shift_pow,
+        _shift_monomial_map,
+    ):
+        cached.cache_clear()

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output formats, JSON round-trip."""
 
 import json
+import math
 
 import pytest
 from mpmath import mp
@@ -132,6 +133,18 @@ def test_verify_T_list_and_json_fields(capsys):
     assert main(["verify", "main", "--k", "2,2", "--format", "json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)
     assert row["status"] == "skip" and row["T"] is None and row["lhs"] is None
+
+
+def test_verify_json_margin_digits(capsys):
+    args = ["verify", "bouillot", "--k", "1,2", "--z", "0.3", "--format", "json"]
+    assert main(args) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    residual, bound = float(row["residual"]), float(row["bound"])
+    assert residual > 0 and row["margin_digits"] > 10
+    assert abs(row["margin_digits"] - math.log10(bound / residual)) < 1e-3
+    assert main(["verify", "main", "--k", "2,2", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["status"] == "skip" and row["margin_digits"] is None
 
 
 def test_eval_reads_decimal_z_at_working_precision(capsys):

@@ -5,6 +5,7 @@ from mpmath import mp
 
 from mzvparity import (
     DomainError,
+    PrecisionContext,
     NonAdmissibleError,
     eval_admissible_mzv,
     eval_hurwitz_direct,
@@ -17,6 +18,7 @@ from mzvparity import (
     tau_series,
     tau_value,
 )
+from mzvparity import hurwitz
 
 
 def test_direct_at_zero_matches_plain_mzv(ctx30):
@@ -27,12 +29,19 @@ def test_direct_at_zero_matches_plain_mzv(ctx30):
 
 
 def test_direct_depth_one_matches_hurwitz_zeta(ctx30):
+    # -0.999 and -1.5 give values far above 1, whose absolute bound must
+    # survive the conversion of the fixed-point result
     with mp.workdps(ctx30.working_dps + 10):
-        for z in (mp.mpf("0.3"), mp.mpf("-0.4"), mp.mpc("0.25", "0.2"), mp.mpc(2, 5)):
-            for k in (2, 3, 5):
-                h = eval_hurwitz_direct((k,), z, ctx30)
+        points = (mp.mpf("0.3"), mp.mpf("-0.4"), mp.mpc("0.25", "0.2"), mp.mpc(2, 5),
+                  mp.mpf("-0.999"), mp.mpf("-1.5"))
+    for z in points:
+        for k in (2, 3, 5):
+            h = eval_hurwitz_direct((k,), z, ctx30)
+            with mp.workdps(ctx30.working_dps + 30):
                 ref = mp.zeta(k, 1 + z)
-                assert abs(h.value - ref) < mp.mpf(10) ** (-ctx30.working_dps + 4)
+                err = abs(h.value - ref)
+                assert err < mp.mpf(10) ** (-ctx30.working_dps + 4) * max(1, abs(ref))
+                assert err <= h.bound + mp.mpf(10) ** (-ctx30.working_dps - 25) * abs(ref), (z, k)
 
 
 def test_direct_empty_index_is_one(ctx30):
@@ -122,3 +131,81 @@ def test_shifted_value_is_regularized_shift_expansion(ctx30):
     v1 = eval_shifted((1, 2), 2, 0, ctx30).value
     v2 = eval_tpoly(regularize(shift_expand(2, (1, 2))), 0, ctx30).value
     assert v1 == v2
+
+
+@pytest.mark.parametrize("digits", [60, 100])
+def test_direct_bound_covers_truncation(digits, monkeypatch):
+    # At 60 and 100 digits the fixed cutoff, Euler-Maclaurin order and
+    # expansion order truncate above the rounding error; the bound must
+    # still cover the distance to a reference with a larger cutoff.
+    ctx = PrecisionContext(digits=digits)
+    with mp.workdps(ctx.working_dps + 10):
+        points = (mp.mpf("0.3"), mp.mpc("0.25", "0.2"))
+    for z in points:
+        for c in [(2, 3), (1, 1, 2)]:
+            value = eval_hurwitz_direct(c, z, ctx)
+            monkeypatch.setattr(hurwitz, "_CUTOFF", 4000)
+            ref = eval_hurwitz_direct(c, z, ctx, dps=ctx.working_dps + 10)
+            same_key = eval_hurwitz_direct(c, z, ctx)
+            monkeypatch.setattr(hurwitz, "_CUTOFF", 900)
+            with mp.workdps(ctx.working_dps + 20):
+                err = abs(value.value - ref.value)
+                assert err <= value.bound, (c, z, digits, err, value.bound)
+                # the cutoff is part of the cache key: no stale value
+                assert abs(same_key.value - ref.value) < err / 100, (c, z, digits)
+
+
+def test_stuffle_law_against_mpmath_depth_one():
+    # H(a) H(b) = H(a,b) + H(b,a) + H(a+b) for nested sums with a common
+    # shift; the depth-1 factors come from mpmath.  H(1) and H(3,1)
+    # diverge: their regularized values (tau_value at T = 0 and
+    # eval_hurwitz_star) satisfy the same law.
+    for digits in (10, 30, 60):
+        ctx = PrecisionContext(digits=digits)
+        wp = ctx.working_dps + 10
+        with mp.workdps(wp):
+            points = (mp.mpf("0.3"), -mp.mpf("0.3"), mp.mpc("0.25", "0.2"), -mp.mpc("0.25", "0.2"))
+        for z in points:
+            for a, b in [(2, 2), (2, 3), (3, 2), (1, 3)]:
+                rhs = [eval_hurwitz_direct((a, b), z, ctx), eval_hurwitz_direct((a + b,), z, ctx)]
+                if a == 1:
+                    rhs.append(eval_hurwitz_star((b, a), z, 0, ctx))
+                else:
+                    rhs.append(eval_hurwitz_direct((b, a), z, ctx))
+                with mp.workdps(wp + 20):
+                    left = tau_value(z, 0, ctx) if a == 1 else mp.zeta(a, 1 + z)
+                    lhs = left * mp.zeta(b, 1 + z)
+                    # tau_value is read at wp digits, mpmath.zeta here at wp + 20
+                    lhs_bound = mp.mpf(10) ** -(wp - 2) * abs(lhs)
+                    gap = abs(lhs - sum(h.value for h in rhs))
+                    assert gap <= lhs_bound + sum(h.bound for h in rhs), (a, b, z, digits, gap)
+
+
+def _module_caches():
+    return [
+        f for f in vars(hurwitz).values()
+        if hasattr(f, "cache_info") and f.__module__ == hurwitz.__name__
+    ]
+
+
+def test_clear_caches_recomputes_the_same_value(ctx30):
+    z = mp.mpc("0.25", "0.2")
+    first = eval_hurwitz_direct((1, 3), z, ctx30)
+    tau = tau_value(z, 0, ctx30)
+    shifted = eval_shifted((1, 2), 2, 0, ctx30)
+    hurwitz.clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in _module_caches())
+    again = eval_hurwitz_direct((1, 3), z, ctx30)
+    assert again.value == first.value and again.bound == first.bound
+    assert tau_value(z, 0, ctx30) == tau
+    assert eval_shifted((1, 2), 2, 0, ctx30).value == shifted.value
+
+
+def test_caches_are_bounded_and_psi_is_computed_once_per_point(ctx30):
+    cached = _module_caches()
+    assert len(cached) >= 10 and all(f.cache_info().maxsize is not None for f in cached)
+    hurwitz.clear_caches()
+    z = mp.mpf("0.3")
+    for T in (0, 1, 2):
+        tau_value(z, T, ctx30)
+    assert hurwitz._psi_gamma.cache_info().misses == 1
