@@ -18,6 +18,13 @@ with S_j(N) the exact partial sum of level j and d_ij the segment's
 expansion of g - EM(g) (its summand minus its Euler-Maclaurin sum) at
 u_A = z + N + 1.  The value is K_r.
 
+Segments rather than one running expansion per level with fixed-point
+coefficients: that design runs about as fast, but it floors every term of
+every map application, and those errors reach later levels through map
+entries up to about 1e8 (shift) and 1e18 (Euler-Maclaurin), so its guard
+bits would need norms of every map weighted at u_A.  With exact segment
+expansions the maps never round.
+
 The numbers are Python ints in fixed point with P fraction bits, a pair of
 ints (re, im) for complex z:
 
@@ -32,9 +39,12 @@ ints (re, im) for complex z:
 Guard bits.  Every floor, product and table entry is off by under 2 units
 2^-P, and :func:`_rounding_units` carries these errors through the partial
 sums, the dot products and the K_j recursion, from bounds on the sizes of
-the sums (like ``mzv._fraction_bits``, before any sum is computed).  P is
-the bits of dps + 10 digits plus the bits of that bound, rounded up to a
-multiple of 32 so that words of similar size share P and the tables.
+the sums (like ``mzv._fraction_bits``, before any sum is computed).  The
+sizes are read from the exact Gaussian integer 2^e (z + m) and carried as
+mpf, so a z closer to a pole than a double resolves, or a value beyond
+the double range, still gets its guard bits.  P is the bits of dps + 10
+digits plus the bits of that bound, rounded up to a multiple of 32 so that
+words of similar size share P and the tables.
 
 Bound.  The returned bound is that rounding bound plus an estimate of the
 truncation: for every segment, the first omitted Euler-Maclaurin term (the
@@ -63,7 +73,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import ceil, comb, factorial, gcd, hypot, lcm, log2
+from math import ceil, comb, exp, factorial, fsum, gcd, lcm, log
 from operator import add, mul, rshift, sub
 from typing import NamedTuple, Optional
 
@@ -291,6 +301,7 @@ def _segment(s: tuple, J: int, order: int) -> _Segment:
 
 # Entries of the per-point table caches.
 _TABLE_CACHE_SIZE = 128
+_LN2 = log(2)
 
 
 def _dyadic(zv) -> tuple:
@@ -401,17 +412,23 @@ def _partial_sums(c: tuple, zkey: tuple, P: int, N: int) -> list:
 
 @lru_cache(maxsize=256)
 def _size_bounds(zkey: tuple, kmax: int, N: int) -> tuple:
-    """(Lambda, rho): the sum of tau_m = max(|z+m|^-1, |z+m|^-kmax) over
-    m <= N, and the largest (m - 1) tau_m."""
+    """(Lambda, rho) as mpf: the sum of tau_m = max(|z+m|^-1, |z+m|^-kmax)
+    over m <= N, and the largest (m - 1) tau_m.
+
+    log |z+m| is read from the Gaussian integer 2^e (z+m), so a z closer
+    to a pole than a double resolves keeps its distance, and the sums are
+    mpf, so a tau_m beyond the double range does not overflow.
+    """
     a, b, e = zkey
-    z = complex(a / (1 << e), b / (1 << e))
-    total = rho = 0.0
+    logs = []
     for m in range(1, N + 1):
-        x = abs(z + m)
-        tau = max(1 / x, x**-kmax)
-        total += tau
-        rho = max(rho, (m - 1) * tau)
-    return total, rho
+        lx = log((a + (m << e)) ** 2 + b * b) / 2 - e * _LN2
+        logs.append(max(-lx, -kmax * lx))
+    top = max(logs)
+    with mp.workprec(53):
+        lam = mp.exp(top) * fsum(exp(t - top) for t in logs)
+        rho = mp.exp(max(log(m) + t for m, t in enumerate(logs[1:], 1))) if N > 1 else mp.zero
+    return lam, rho
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +498,9 @@ def _segment_sizes(segs: dict, zkey: tuple, N: int) -> dict:
     }
 
 
-def _rounding_units(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict) -> float:
-    """Bound on the rounding error of K_r in units 2^-P, for any P.
+def _rounding_units(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict):
+    """Bound on the rounding error of K_r in units 2^-P, for any P, as an
+    mpf (near a pole it is far beyond the double range).
 
     Every floor, product and table entry is off by under 2 units (under one
     per component).  Let tau_m = max_k |z+m|^(-k) over the parts k of the
@@ -500,18 +518,19 @@ def _rounding_units(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict) -> f
     """
     r = len(c)
     Lam, rho = _size_bounds(zkey, max(c), N)
-    B = max(Lam**j / factorial(j) for j in range(r + 1))
-    C = 0.0
-    k_size, err = [1.0], [0.0]
-    for j in range(1, r + 1):
-        C = 2.0 if j == 1 else 2 * B + 3 + rho * C
-        kb, e = B, N * C
-        for i in range(j):
-            d_size, E, _ = sizes[i, j]
-            e += k_size[i] * (2 * E + 2 * (len(segs[i, j].rows) + 1)) + d_size * err[i] + 3
-            kb += k_size[i] * d_size
-        k_size.append(kb)
-        err.append(e)
+    with mp.workprec(53):
+        B = max(Lam**j / factorial(j) for j in range(r + 1))
+        C = mp.zero
+        k_size, err = [mp.one], [mp.zero]
+        for j in range(1, r + 1):
+            C = 2 if j == 1 else 2 * B + 3 + rho * C
+            kb, e = B, N * C
+            for i in range(j):
+                d_size, E, _ = sizes[i, j]
+                e += k_size[i] * (2 * E + 2 * (len(segs[i, j].rows) + 1)) + d_size * err[i] + 3
+                kb += k_size[i] * d_size
+            k_size.append(kb)
+            err.append(e)
     return err[r]
 
 
@@ -527,24 +546,25 @@ def _direct(c: tuple, zv, wp: int, N: int) -> Approx:
     }
     sizes = _segment_sizes(segs, zkey, N)
     units = _rounding_units(c, zkey, N, segs, sizes)
-    P = dps_to_prec(wp) + 32 * ceil(log2(units) / 32)
+    P = dps_to_prec(wp) + 32 * ceil(mp.mag(units) / 32)
 
     sums = _partial_sums(c, zkey, P, N)
     table = _monomials(zkey, N, P, max(seg.rows[-1][0] for seg in segs.values()), r)
     K = [(1 << P, 0)]
-    est = [0.0]  # truncation estimate of K_j
-    for j in range(1, r + 1):
-        re, im = sums[j - 1]
-        e = 0.0
-        for i in range(j):
-            dr, di = _dot(segs[i, j], table)
-            kr, ki = K[i]
-            re += (kr * dr - ki * di) >> P
-            im += (kr * di + ki * dr) >> P
-            d_size, _, trunc = sizes[i, j]
-            e += hypot(kr / (1 << P), ki / (1 << P)) * trunc + d_size * est[i]
-        K.append((re, im))
-        est.append(e)
+    est = [mp.zero]  # truncation estimate of K_j, an mpf like the units
+    with mp.workprec(53):
+        for j in range(1, r + 1):
+            re, im = sums[j - 1]
+            e = mp.zero
+            for i in range(j):
+                dr, di = _dot(segs[i, j], table)
+                kr, ki = K[i]
+                re += (kr * dr - ki * di) >> P
+                im += (kr * di + ki * dr) >> P
+                d_size, _, trunc = sizes[i, j]
+                e += mp.hypot(mp.mpf((kr, -P)), mp.mpf((ki, -P))) * trunc + d_size * est[i]
+            K.append((re, im))
+            est.append(e)
 
     # at P bits, or more for a value above 1, so that the conversion is exact
     with mp.workprec(max(P, *(abs(x).bit_length() for x in K[r]))):

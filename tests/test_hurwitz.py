@@ -29,18 +29,30 @@ def test_direct_at_zero_matches_plain_mzv(ctx30):
 
 
 def test_direct_depth_one_matches_hurwitz_zeta(ctx30):
-    # -0.999 and -1.5 give values far above 1, whose absolute bound must
-    # survive the conversion of the fixed-point result
     with mp.workdps(ctx30.working_dps + 10):
-        points = (mp.mpf("0.3"), mp.mpf("-0.4"), mp.mpc("0.25", "0.2"), mp.mpc(2, 5),
-                  mp.mpf("-0.999"), mp.mpf("-1.5"))
-    for z in points:
-        for k in (2, 3, 5):
+        for z in (mp.mpf("0.3"), mp.mpf("-0.4"), mp.mpc("0.25", "0.2"), mp.mpc(2, 5)):
+            for k in (2, 3, 5):
+                h = eval_hurwitz_direct((k,), z, ctx30)
+                ref = mp.zeta(k, 1 + z)
+                assert abs(h.value - ref) < mp.mpf(10) ** (-ctx30.working_dps + 4)
+
+
+def test_direct_depth_one_bound_covers_hurwitz_zeta(ctx30):
+    # the points above, values far above 1 (-0.999, -1.5) and points closer
+    # to the pole at -1 than a double resolves, with values up to 1e360:
+    # relative to the value, and the absolute bound must survive the
+    # conversion of the fixed-point result
+    with mp.workdps(ctx30.working_dps + 10):
+        points = [(z, (2, 3, 5)) for z in (mp.mpf("0.3"), mp.mpf("-0.4"), mp.mpc("0.25", "0.2"),
+                                           mp.mpc(2, 5), mp.mpf("-0.999"), mp.mpf("-1.5"))]
+        points += [(-1 + mp.mpf("1e-18"), (2, 6)), (mp.mpc(-1, mp.mpf("1e-60")), (2, 6))]
+    for z, ks in points:
+        for k in ks:
             h = eval_hurwitz_direct((k,), z, ctx30)
             with mp.workdps(ctx30.working_dps + 30):
                 ref = mp.zeta(k, 1 + z)
                 err = abs(h.value - ref)
-                assert err < mp.mpf(10) ** (-ctx30.working_dps + 4) * max(1, abs(ref))
+                assert err < mp.mpf(10) ** (-ctx30.working_dps + 4) * abs(ref), (z, k)
                 assert err <= h.bound + mp.mpf(10) ** (-ctx30.working_dps - 25) * abs(ref), (z, k)
 
 
@@ -153,6 +165,21 @@ def test_direct_bound_covers_truncation(digits, monkeypatch):
                 assert err <= value.bound, (c, z, digits, err, value.bound)
                 # the cutoff is part of the cache key: no stale value
                 assert abs(same_key.value - ref.value) < err / 100, (c, z, digits)
+
+
+def test_stuffle_law_near_a_pole(ctx30):
+    # depth 2 closer to the pole at -1 than a double resolves, with level
+    # values up to 1e360: H(6) H(2) = H(6,2) + H(2,6) + H(8)
+    wp = ctx30.working_dps + 10
+    with mp.workdps(wp):
+        points = (-1 + mp.mpf("1e-18"), mp.mpc(-1, mp.mpf("1e-60")))
+    for z in points:
+        rhs = [eval_hurwitz_direct(c, z, ctx30) for c in [(6, 2), (2, 6), (8,)]]
+        with mp.workdps(wp + 30):
+            lhs = mp.zeta(6, 1 + z) * mp.zeta(2, 1 + z)
+            gap = abs(lhs - sum(h.value for h in rhs))
+            slack = mp.mpf(10) ** -(wp + 20) * abs(lhs)
+            assert gap <= slack + sum(h.bound for h in rhs), (z, gap)
 
 
 def test_stuffle_law_against_mpmath_depth_one():
