@@ -464,8 +464,10 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     """Shifted nested sum sum_{0<n_1<...<n_r} prod (z+n_i)^(-l_i).
 
     Requires an admissible index and z away from the poles {-1, -2, ...};
-    valid for any such z (no radius restriction).  Cutoff and tail-expansion
-    parameters are the module constants above.  The bound is the rounding
+    valid for any such z (no radius restriction).  The tail-expansion
+    parameters are the module constants above, and so is the cutoff N for
+    Re z >= 0; left of that, N grows by -floor(Re z), so that the tail
+    starts at Re u_A >= _CUTOFF + 1 whatever z is.  The bound is the rounding
     bound of :func:`_rounding_units` plus an estimate of the truncation
     (twice the first omitted Euler-Maclaurin term and expansion order).
     """
@@ -477,7 +479,8 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     wp = (dps if dps is not None else ctx.working_dps) + 10
     zv = _normalize_z(z, wp)
     _check_no_pole(zv)
-    return _direct(c, zv, wp, _CUTOFF)
+    # past the poles left of the origin, so that Re u_A = Re z + N + 1 >= 901
+    return _direct(c, zv, wp, _CUTOFF + max(0, -int(mp.floor(zv.real))))
 
 
 def _segment_sizes(segs: dict, zkey: tuple, N: int) -> dict:

@@ -121,14 +121,15 @@ def eval_multitangent_direct(
     if abs(zc.imag) == 0 and abs(zc.real - round(zc.real)) < 1e-12:
         raise DomainError("multitangent functions have poles at integer z")
     M = cutoff
-    d = len(c)
-    m = np.arange(-M, M + 1, dtype=np.float64)
-    prev = np.ones(m.shape, dtype=np.complex128)
+    # 1/(z+m) once per call; (z+m)^(-k) is then k in-place products
+    inv = 1.0 / (zc + np.arange(-M + 1, M + 1, dtype=np.float64))
+    prev = np.ones(2 * M + 1, dtype=np.complex128)
     for k in c:
-        term = np.empty_like(prev)
-        term[0] = 0.0
-        term[1:] = (zc + m[1:]) ** (-k) * prev[:-1]
         # prev held the chain count ending strictly before the current index
+        term = np.zeros_like(prev)
+        term[1:] = prev[:-1]
+        for _ in range(k):
+            term[1:] *= inv
         prev = np.cumsum(term)
     value = complex(prev[-1])
 

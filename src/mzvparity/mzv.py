@@ -22,8 +22,19 @@ right: every cut of the path needs the series of one prefix on each side,
 and the nested sums of the completed blocks are built once per walk and
 reused for all of them.  Prefix values are cached by ``(blocks, M, P)``,
 so words share them.  A value is returned as an mpf that carries the guard
-bits, and the expression evaluators sum at the kernel's precision so that
-they do not round those bits away.
+bits.
+
+The expression evaluators sum in integers.  An mpf is an exact dyadic
+man * 2^exp, so a word combination (one grade of an expression) brought to
+the common denominator D of its rational coefficients is the exact integer
+sum of (q D) man 2^(exp - E), with E the smallest exponent; it is rounded
+once, by one division by D at the kernel's precision, so that the guard
+bits the values carry are kept.  Powers of T and pi multiply whole grades.
+The bound stays the per-word estimate 10^-(dps-2) times the sum of |q|,
+plus that estimate once per grade.
+
+The value, prefix and power caches are bounded, with caps that no sweep
+reaches; :func:`clear_caches` empties them.
 
 Two independent oracles accompany the kernel: a direct-truncation nested
 sum with an explicit tail bound, and an Euler-Maclaurin corrected depth-1
@@ -36,12 +47,13 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from operator import floordiv, mul, rshift
 from typing import Optional
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
 from .errors import NonAdmissibleError
 from .harmonic import Composition, as_composition, is_admissible
@@ -51,6 +63,7 @@ from .regularization import TPoly
 from .special import PiTerm, bernoulli
 
 __all__ = [
+    "clear_caches",
     "eval_admissible_mzv",
     "eval_pigraded",
     "eval_piterm",
@@ -62,12 +75,33 @@ __all__ = [
 
 _LOG2_10 = math.log(10.0) / math.log(2.0)
 
-# best value computed so far per composition: comp -> (dps, mpf)
-_MZV_CACHE: dict = {}
-# (e, M) -> [n^e for n = 1..M]
-_POW_CACHE: dict = {}
-# (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M)
-_PREFIX_CACHE: dict = {}
+
+class _BoundedCache(dict):
+    """A dict that empties itself rather than grow past ``cap`` entries.
+
+    Lookups are plain dict lookups; only a new key checks the size.  One
+    ``clear``, where evicting single entries would take several steps,
+    keeps the dict safe to share between threads.
+    """
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def __setitem__(self, key, value):
+        if len(self) >= self.cap and key not in self:
+            self.clear()
+        super().__setitem__(key, value)
+
+
+# best value computed so far per composition: comp -> (dps, mpf).  The Taylor
+# cross-check of the Hurwitz values fills about 97,000 words.
+_MZV_CACHE = _BoundedCache(1 << 17)
+# (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M);
+# the same cross-check fills about 290,000.
+_PREFIX_CACHE = _BoundedCache(1 << 19)
 # Requests below this many digits are computed at it, so that a falling
 # request (the Taylor route's per-order dps) keeps hitting the cache.
 _MIN_DPS = 14
@@ -112,13 +146,10 @@ def _fraction_bits(dps: int, v: int) -> int:
     return dps_to_prec(dps + 8) + guard
 
 
+@lru_cache(maxsize=4096)
 def _powers(e: int, M: int) -> list:
-    key = (e, M)
-    tab = _POW_CACHE.get(key)
-    if tab is None:
-        tab = [n**e for n in range(1, M + 1)]
-        _POW_CACHE[key] = tab
-    return tab
+    """[n^e for n = 1..M]."""
+    return [n**e for n in range(1, M + 1)]
 
 
 def _prefix_values(bits: tuple, dps: int) -> list:
@@ -185,8 +216,7 @@ def eval_admissible_mzv(c, ctx: PrecisionContext, dps: Optional[int] = None) -> 
         dps_run = max(dps_req, _MIN_DPS)
         cached = (dps_run, _holder(c, dps_run))
         _MZV_CACHE[c] = cached
-    bound = mp.mpf(10) ** (-(min(cached[0], dps_req) - 2))
-    return Approx(cached[1], bound)
+    return Approx(cached[1], _estimate(dps_req))
 
 
 def mzv_truncation_oracle(c, cutoff: int = 1_000_000) -> Approx:
@@ -269,50 +299,89 @@ def _sum_prec(dps: int) -> int:
     return _fraction_bits(max(dps, _MIN_DPS), 0)
 
 
+@lru_cache(maxsize=256)
+def _estimate(dps: int):
+    """The error estimate 10^-(dps-2) of a value requested at dps digits."""
+    with mp.workprec(_sum_prec(dps)):
+        return mp.mpf(10) ** (2 - dps)
+
+
+def _combo_sum(combo, ctx: PrecisionContext, dps: int) -> tuple:
+    """(value, sum of |q| over the nonempty words) of a Q-combination of
+    admissible words at dps digits, both rounded once to the current
+    precision.
+
+    With D the common denominator of the coefficients and E the smallest
+    exponent of the values man 2^exp, D times the value is the integer
+    sum of (q D) man 2^(exp - E), times 2^E.  A cached value good to dps
+    digits is read from the cache; any other word goes through
+    :func:`eval_admissible_mzv`, which raises for non-admissible words.
+    """
+    D = lcm(*(q.denominator for _, q in combo.items()))
+    const = weight = 0
+    nums, exps = [], []
+    for w, q in combo.items():
+        n = q.numerator * (D // q.denominator)
+        if not w:
+            const = n
+            continue
+        weight += abs(n)
+        hit = _MZV_CACHE.get(w)
+        if hit is not None and hit[0] >= dps:
+            v = hit[1]
+        else:
+            v = eval_admissible_mzv(w, ctx, dps=dps).value
+        sign, man, exp, _ = v._mpf_
+        nums.append(-n * man if sign else n * man)
+        exps.append(exp)
+    E = min([0, *exps])
+    total = sum((m << (e - E) for m, e in zip(nums, exps)), const << -E)
+    prec, den = mp.prec, from_int(D)
+    value = mpf_div(from_man_exp(total, E), den, prec, round_nearest)
+    return mp.make_mpf(value), mp.make_mpf(mpf_div(from_int(weight), den, prec, round_nearest))
+
+
+def _tpoly_sum(p: TPoly, T, ctx: PrecisionContext, dps: int) -> Approx:
+    """sum_t T^t (combination t) at the current precision, T an mpf."""
+    est = _estimate(dps)
+    total = bound = mp.zero
+    for t, combo in p.items():
+        value, weight = _combo_sum(combo, ctx, dps)
+        Tp = T**t if t else mp.one
+        total += Tp * value
+        bound += abs(Tp) * (weight * est + est)
+    return Approx(total, bound)
+
+
 def eval_word_combo(combo, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Evaluate a Q-combination of admissible words (empty word = 1)."""
     dps_eff = dps if dps is not None else ctx.working_dps
     with mp.workprec(_sum_prec(dps_eff)):
-        total = mp.mpf(0)
-        bound = mp.mpf(0)
-        for w, q in combo.items():
-            qm = _fraction_to_mp(q)
-            if w:
-                v = eval_admissible_mzv(w, ctx, dps=dps_eff)
-                total += qm * v.value
-                bound += abs(qm) * v.bound
-            else:
-                total += qm
-        return Approx(+total, bound + mp.mpf(10) ** (-(dps_eff - 2)))
+        value, weight = _combo_sum(combo, ctx, dps_eff)
+        est = _estimate(dps_eff)
+        return Approx(value, weight * est + est)
 
 
 def eval_tpoly(p: TPoly, T_value, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Substitute a numeric T into a T-polynomial and evaluate all words."""
     dps_eff = dps if dps is not None else ctx.working_dps
     with mp.workprec(_sum_prec(dps_eff)):
-        T = mp.mpmathify(T_value)
-        total = mp.mpf(0)
-        bound = mp.mpf(0)
-        for t, combo in p.items():
-            v = eval_word_combo(combo, ctx, dps=dps_eff)
-            Tp = T**t if t else mp.mpf(1)
-            total = total + Tp * v.value
-            bound += abs(Tp) * v.bound
-        return Approx(total, bound)
+        return _tpoly_sum(p, mp.mpmathify(T_value), ctx, dps_eff)
 
 
 def eval_pigraded(e: PiGradedExpr, T_value, ctx: PrecisionContext) -> Approx:
     """Substitute numeric pi and T into a pi-graded expression."""
-    with mp.workprec(_sum_prec(ctx.working_dps)):
+    dps = ctx.working_dps
+    with mp.workprec(_sum_prec(dps)):
         pi = +mp.pi
-        total = mp.mpf(0)
-        bound = mp.mpf(0)
+        T = mp.mpmathify(T_value)
+        total = bound = mp.zero
         for p, tp in e.items():
-            v = eval_tpoly(tp, T_value, ctx)
-            pip = pi**p if p else mp.mpf(1)
-            total = total + pip * v.value
+            v = _tpoly_sum(tp, T, ctx, dps)
+            pip = pi**p if p else mp.one
+            total += pip * v.value
             bound += pip * v.bound
-        return Approx(total, bound + mp.mpf(10) ** (-(ctx.working_dps - 2)))
+        return Approx(total, bound + _estimate(dps))
 
 
 def eval_piterm(term: PiTerm, ctx: PrecisionContext) -> Approx:
@@ -320,3 +389,12 @@ def eval_piterm(term: PiTerm, ctx: PrecisionContext) -> Approx:
     with mp.workdps(ctx.working_dps + 8):
         val = _fraction_to_mp(term.coeff) * (+mp.pi) ** term.pi_exp
         return Approx(val, mp.mpf(10) ** (-(ctx.working_dps - 2)) * (1 + abs(val)))
+
+
+def clear_caches() -> None:
+    """Empty every cache of this module: values, prefix values, powers and
+    the derived precisions."""
+    _MZV_CACHE.clear()
+    _PREFIX_CACHE.clear()
+    for cached in (_powers, _fraction_bits, _estimate):
+        cached.cache_clear()

@@ -15,6 +15,7 @@ stuffle-based ``TPoly x TPoly`` product and T-specific accessors.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Union
 
 from .harmonic import (
@@ -29,7 +30,7 @@ from .harmonic import (
     stuffle,
 )
 
-__all__ = ["TPoly", "antipode_combo", "regularize"]
+__all__ = ["TPoly", "antipode_combo", "clear_caches", "regularize"]
 
 
 class TPoly(_SparseMap):
@@ -121,31 +122,31 @@ def _freeze(acc: dict) -> TPoly:
     return TPoly._raw({t: WordCombo._raw(terms) for t, terms in acc.items()})
 
 
-_REG_CACHE: dict = {}
-
-
-def _regularize_word(w: Composition) -> TPoly:
-    cached = _REG_CACHE.get(w)
-    if cached is not None:
-        return cached
+def _acc_reg(acc: dict, w: Composition, q, shift: int = 0) -> None:
+    """In-place ``acc += q T^shift reg(w)`` on a {t: {word: coeff}}
+    accumulator.  An admissible word is its own regularization."""
     if is_admissible(w):
-        res = TPoly._raw({0: WordCombo.word(w)})
+        _acc_t(acc, shift, ((w, q),))
     else:
-        # Peel one trailing 1: in v * (1) the word w occurs with positive
-        # multiplicity and every other word has strictly fewer trailing
-        # ones, so the recursion terminates.
-        v = w[:-1]
-        prod = dict(_stuffle_words(v, (1,)))
-        mult = prod.pop(w)
-        acc = {t + 1: dict(combo.items()) for t, combo in _regularize_word(v).items()}
-        for word, n in prod.items():
-            for t, combo in _regularize_word(word).items():
-                _acc_t(acc, t, combo.items(), Fraction(-n))
-        res = _freeze(acc)
-        if mult != 1:
-            res = res * Fraction(1, mult)
-    _REG_CACHE[w] = res
-    return res
+        for t, combo in _regularize_divergent(w).items():
+            _acc_t(acc, t + shift, combo.items(), q)
+
+
+# Admissible words take no entry, and there are 2,048 divergent words of
+# weight <= 12, the sweep cap.
+@lru_cache(maxsize=1 << 13)
+def _regularize_divergent(w: Composition) -> TPoly:
+    # Peel one trailing 1: in v * (1) the word w occurs with positive
+    # multiplicity and every other word has strictly fewer trailing ones, so
+    # the recursion terminates.
+    v = w[:-1]
+    prod = dict(_stuffle_words(v, (1,)))
+    mult = prod.pop(w)
+    acc: dict = {}
+    _acc_reg(acc, v, Fraction(1, mult), 1)
+    for word, n in prod.items():
+        _acc_reg(acc, word, Fraction(-n, mult))
+    return _freeze(acc)
 
 
 def regularize(x) -> TPoly:
@@ -159,10 +160,10 @@ def regularize(x) -> TPoly:
     if isinstance(x, WordCombo):
         acc: dict = {}
         for w, q in x.items():
-            for t, combo in _regularize_word(w).items():
-                _acc_t(acc, t, combo.items(), q)
+            _acc_reg(acc, w, q)
         return _freeze(acc)
-    return _regularize_word(as_composition(x))
+    w = as_composition(x)
+    return TPoly.from_word(w) if is_admissible(w) else _regularize_divergent(w)
 
 
 def antipode_combo(j: int, c) -> TPoly:
@@ -183,3 +184,10 @@ def antipode_combo(j: int, c) -> TPoly:
         term = regularize(prod)
         total = total + term if i % 2 == 0 else total - term
     return total
+
+
+def clear_caches() -> None:
+    """Empty the regularized divergent words and the stuffle products of
+    bare words."""
+    _regularize_divergent.cache_clear()
+    _stuffle_words.cache_clear()

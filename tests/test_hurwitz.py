@@ -56,6 +56,24 @@ def test_direct_depth_one_bound_covers_hurwitz_zeta(ctx30):
                 assert err <= h.bound + mp.mpf(10) ** (-ctx30.working_dps - 25) * abs(ref), (z, k)
 
 
+def test_direct_depth_one_far_left_of_the_origin(ctx30):
+    # The cutoff grows with -Re z, so that the tail starts at Re u_A >= 901.
+    # mp.zeta(k, 1 + z) is no reference here (at z = -900.5 it returns
+    # -0.00111, while the series is 9.868...), so the reference sums the
+    # first N terms and adds the Hurwitz zeta value of the rest.
+    with mp.workdps(ctx30.working_dps + 10):
+        points = [mp.mpf("-900.5"), -901 + mp.mpf("1e-18"), mp.mpc(-901, mp.mpf("1e-30"))]
+    for z in points:
+        for k in (2, 3):
+            h = eval_hurwitz_direct((k,), z, ctx30)
+            with mp.workdps(ctx30.working_dps + 150):  # values up to 1e90
+                N = 2000
+                ref = mp.fsum((z + n) ** -k for n in range(1, N + 1)) + mp.zeta(k, z + N + 1)
+                err = abs(h.value - ref)
+            assert h.bound < mp.mpf(10) ** (-ctx30.working_dps + 4), (z, k)
+            assert err <= h.bound, (z, k, err)
+
+
 def test_direct_empty_index_is_one(ctx30):
     assert eval_hurwitz_direct((), mp.mpf("0.3"), ctx30).value == 1
 

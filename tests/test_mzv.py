@@ -11,7 +11,9 @@ from mzvparity import (
     PiGradedExpr,
     TPoly,
     WordCombo,
+    build_main2_identity,
     compositions_up_to,
+    depth,
     eval_admissible_mzv,
     eval_pigraded,
     eval_tpoly,
@@ -21,8 +23,11 @@ from mzvparity import (
     is_admissible,
     mzv_em_oracle,
     mzv_truncation_oracle,
+    reduce_main3,
+    regularize,
     weight,
 )
+from mzvparity import mzv, regularization
 
 
 def test_zeta_two_is_pi_squared_over_six(ctx30):
@@ -162,3 +167,101 @@ def test_words_above_weight_twelve_share_prefix_values(ctx30):
                 eval_admissible_mzv(c, ctx30, dps=dps).value for c in group if is_admissible(c)
             )
             assert abs(total - mp.zeta(w)) <= mp.mpf(10) ** (-(dps + 4)), (w, d)
+
+
+def _reference_tpoly(tp, T, ctx):
+    """(value, parent bound) of a T-polynomial: every coefficient converted
+    to mpf and multiplied per word, at the caller's precision."""
+    est = mp.mpf(10) ** (2 - ctx.working_dps)
+    value = bound = mp.mpf(0)
+    for t, combo in tp.items():
+        part = mp.mpf(0)
+        for w, q in combo.items():
+            v = eval_admissible_mzv(w, ctx).value if w else 1
+            part += mp.mpf(q.numerator) / q.denominator * v
+        weight_sum = sum(abs(q) for w, q in combo.items() if w)
+        value += T**t * part
+        bound += abs(T) ** t * (mp.mpf(weight_sum.numerator) / weight_sum.denominator + 1) * est
+    return value, bound
+
+
+def test_integer_sums_match_per_word_reference(ctx30):
+    # Every grade is summed as one integer dot product and rounded once;
+    # the reference converts and multiplies per word at 30 more digits.
+    # The bounds keep the per-word formula: the estimate times sum |q|,
+    # plus the estimate once per grade (and once more for pi-graded sums).
+    exprs = []
+    for c in compositions_up_to(6):
+        exprs.append(build_main2_identity(c))
+        if weight(c) % 2 != depth(c) % 2:
+            exprs.append(reduce_main3(c).expanded)
+    for T in (0, 1, Fraction(5, 2)):
+        for e in exprs:
+            v = eval_pigraded(e, T, ctx30)
+            with mp.workdps(ctx30.working_dps + 30):
+                Tm = mp.mpf(T.numerator) / T.denominator if isinstance(T, Fraction) else mp.mpf(T)
+                ref = bound = mp.mpf(0)
+                for p, tp in e.items():
+                    tv = eval_tpoly(tp, T, ctx30)
+                    rv, rb = _reference_tpoly(tp, Tm, ctx30)
+                    assert abs(tv.value - rv) <= tv.bound, (e, p, T)
+                    assert abs(tv.bound - rb) <= rb * mp.mpf(10) ** -40, (e, p, T)
+                    ref += mp.pi**p * rv
+                    bound += mp.pi**p * rb
+                bound += mp.mpf(10) ** (2 - ctx30.working_dps)
+                assert abs(v.value - ref) <= v.bound, (e, T)
+                assert abs(v.bound - bound) <= bound * mp.mpf(10) ** -40, (e, T)
+
+
+def test_word_combo_with_large_coprime_denominators(ctx30):
+    # Sum theorem: the admissible words of one weight and depth add up to
+    # zeta(weight).  Each group minus zeta(weight) is scaled by its own
+    # denominator, so the common denominator is their product, and the
+    # constant 5/17 is the exact value of the whole combination.
+    dps = ctx30.working_dps
+    combo = WordCombo({(): Fraction(5, 17)})
+    for (w, d), den in zip(((5, 2), (6, 3), (7, 2), (8, 4)), (3 * 7 * 11 * 13, 10007, 65537, 1009)):
+        group = [c for c in compositions_up_to(w) if len(c) == d and weight(c) == w and is_admissible(c)]
+        part = WordCombo({c: 1 for c in group}) - WordCombo.word((w,))
+        combo = combo + part * Fraction(1, den)
+    v = eval_word_combo(combo, ctx30)
+    with mp.workdps(dps + 30):
+        err = abs(v.value - mp.mpf(5) / 17)
+        weight_sum = sum(abs(q) for w, q in combo.items() if w)
+        est = mp.mpf(10) ** (2 - dps)
+        expected_bound = (mp.mpf(weight_sum.numerator) / weight_sum.denominator + 1) * est
+        assert abs(v.bound - expected_bound) <= expected_bound * mp.mpf(10) ** -40
+        assert err <= v.bound
+        assert err <= mp.mpf(10) ** -(dps + 3), err
+
+
+def test_clear_caches_recomputes_bit_identical_values(ctx30):
+    words = [c for c in compositions_up_to(9) if is_admissible(c)]
+    mzv.clear_caches()  # values cached at more digits by earlier tests
+    before = [eval_admissible_mzv(c, ctx30).value for c in words]
+    tp_before = regularize((2, 1, 1))
+    mzv.clear_caches()
+    regularization.clear_caches()
+    assert not mzv._MZV_CACHE and not mzv._PREFIX_CACHE
+    after = [eval_admissible_mzv(c, ctx30).value for c in words]
+    assert [v._mpf_ for v in after] == [v._mpf_ for v in before]
+    tp_after = regularize((2, 1, 1))
+    assert tp_after == tp_before and tp_after is not tp_before
+
+
+def test_caches_stay_within_their_caps(ctx30, monkeypatch):
+    # The module caches are emptied when they reach their caps, and the
+    # values computed meanwhile are unchanged.
+    words = [c for c in compositions_up_to(8) if is_admissible(c)]
+    mzv.clear_caches()
+    expected = {c: eval_admissible_mzv(c, ctx30).value for c in words}
+    mzv.clear_caches()
+    monkeypatch.setattr(mzv._MZV_CACHE, "cap", 10)
+    monkeypatch.setattr(mzv._PREFIX_CACHE, "cap", 50)
+    for c in words:
+        assert eval_admissible_mzv(c, ctx30).value == expected[c], c
+        assert len(mzv._MZV_CACHE) <= 10 and len(mzv._PREFIX_CACHE) <= 50
+    for cached in (mzv._powers, mzv._fraction_bits, mzv._estimate,
+                   regularization._regularize_divergent):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
