@@ -25,18 +25,14 @@ from .harmonic import (
 from .hurwitz import (
     eval_hurwitz_direct,
     eval_hurwitz_star,
-    eval_hurwitz_taylor,
     eval_shifted,
     shifted_tpoly,
-    tau_series,
     tau_value,
 )
 from .multitangent import (
     eval_monotangent,
     eval_multitangent_direct,
     eval_multitangent_regularized,
-    monotangent_symmetric_oracle,
-    multitangent_regularized_series,
 )
 from .mzv import (
     eval_admissible_mzv,
@@ -44,8 +40,6 @@ from .mzv import (
     eval_piterm,
     eval_tpoly,
     eval_word_combo,
-    mzv_em_oracle,
-    mzv_truncation_oracle,
 )
 from .precision import Approx, PrecisionContext
 from .reduction import (
@@ -101,7 +95,6 @@ __all__ = [
     "eval_admissible_mzv",
     "eval_hurwitz_direct",
     "eval_hurwitz_star",
-    "eval_hurwitz_taylor",
     "eval_monotangent",
     "eval_multitangent_direct",
     "eval_multitangent_regularized",
@@ -113,10 +106,6 @@ __all__ = [
     "even_zeta",
     "expand_depth_certificate",
     "is_admissible",
-    "monotangent_symmetric_oracle",
-    "multitangent_regularized_series",
-    "mzv_em_oracle",
-    "mzv_truncation_oracle",
     "reduce_main",
     "reduce_main3",
     "regularize",
@@ -125,7 +114,6 @@ __all__ = [
     "star_expand",
     "stuffle",
     "sweep",
-    "tau_series",
     "tau_value",
     "verify_bouillot",
     "verify_fund_eq2",

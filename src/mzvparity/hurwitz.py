@@ -60,8 +60,6 @@ indices: regularization expresses any index as a T-polynomial in admissible
 words, and substituting T -> T - psi(1+z) - euler_gamma (the regularized
 depth-1 generating value) together with direct values of the admissible
 words yields the generating value of the shifted-index Taylor series.
-``eval_hurwitz_taylor`` is the literal term-by-term Taylor route used to
-cross-check it.
 
 Every cache of the module is a bounded ``lru_cache``; :func:`clear_caches`
 empties them all.
@@ -82,7 +80,7 @@ from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
 from .harmonic import as_composition, is_admissible, shift_expand
-from .mzv import eval_admissible_mzv, eval_tpoly
+from .mzv import eval_tpoly
 from .precision import Approx, PrecisionContext
 from .regularization import TPoly, regularize
 from .special import bernoulli
@@ -91,10 +89,8 @@ __all__ = [
     "clear_caches",
     "eval_hurwitz_direct",
     "eval_hurwitz_star",
-    "eval_hurwitz_taylor",
     "eval_shifted",
     "shifted_tpoly",
-    "tau_series",
     "tau_value",
 ]
 
@@ -597,26 +593,6 @@ def _psi_gamma(zv, wp: int):
         return mp.digamma(1 + zv) + mp.euler
 
 
-def tau_series(z, T_value, ctx: PrecisionContext) -> Approx:
-    """Series route for the same value: T + sum_{a>=1} (-z)^a zeta(a+1)."""
-    wp = ctx.working_dps + 10
-    zv = _normalize_z(z, wp)
-    with mp.workdps(wp):
-        zabs = abs(zv)
-        if zabs >= 1:
-            raise DomainError("the depth-1 generating series needs |z| < 1")
-        if zabs == 0:
-            return Approx(mp.mpmathify(T_value), mp.mpf(0))
-        A = int(mp.ceil((wp + 4) / -mp.log10(zabs))) + 4
-        total = mp.mpmathify(T_value)
-        zp = mp.mpf(1)
-        for a in range(1, A + 1):
-            zp = zp * (-zv)
-            total += zp * eval_admissible_mzv((a + 1,), ctx, dps=wp).value
-        tail = mp.zeta(2) * zabs ** (A + 1) / (1 - zabs)
-        return Approx(total, tail + mp.mpf(10) ** (-(wp - 4)))
-
-
 def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
     """Regularized generating value of a word or combination, |z| <= 1/2.
 
@@ -648,13 +624,6 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
         return Approx(total, bound + mp.mpf(10) ** (-(wp - 6)))
 
 
-# ---------------------------------------------------------------------------
-# literal Taylor route
-# ---------------------------------------------------------------------------
-
-_TAYLOR_SLACK = 10  # extra digits asked of the Taylor route's truncation order
-
-
 def shifted_tpoly(c, a: int) -> TPoly:
     """Regularized expansion of the order-a shifted value of an index."""
     return _shifted_tpoly(as_composition(c), a)
@@ -665,58 +634,9 @@ def _shifted_tpoly(c: tuple, a: int) -> TPoly:
     return regularize(shift_expand(a, c))
 
 
-def eval_shifted(c, a: int, T_value, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
+def eval_shifted(c, a: int, T_value, ctx: PrecisionContext) -> Approx:
     """Numeric order-a shifted value of an index at a given T."""
-    return eval_tpoly(shifted_tpoly(c, a), T_value, ctx, dps=dps)
-
-
-def eval_hurwitz_taylor(c, z, ctx: PrecisionContext, T_value=None) -> Approx:
-    """Term-by-term Taylor route: sum_a z^a (shifted value of order a).
-
-    Enforced radius |z| <= 1/2; for non-admissible indices a T value is
-    required.  The truncation order adapts to the observed coefficient
-    sizes, capped by the context policy, and the returned bound is the
-    geometric tail estimate C |z|^(A+1) / (1 - |z|) with an empirical C.
-    """
-    c = as_composition(c)
-    if not c:
-        raise NonAdmissibleError("empty index")
-    if not is_admissible(c) and T_value is None:
-        raise NonAdmissibleError(
-            f"{c!r} is not admissible: the Taylor route needs an explicit T value"
-        )
-    T = 0 if T_value is None else T_value
-    wp = ctx.working_dps + 6
-    zv = _normalize_z(z, wp)
-    with mp.workdps(wp):
-        zabs = abs(zv)
-        if zabs > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
-            raise DomainError("the Taylor route is restricted to |z| <= 1/2")
-        if zabs == 0:
-            return eval_shifted(c, 0, T, ctx)
-        log10_inv = float(-mp.log10(zabs))
-        A = ceil((ctx.digits + _TAYLOR_SLACK) / log10_inv)
-        target = mp.mpf(10) ** (-(ctx.digits + 2))
-        total = mp.mpf(0) if isinstance(zv, mp.mpf) else mp.mpc(0)
-        coeff_bound_acc = mp.mpf(0)
-        zp = mp.mpf(1)
-        recent: list = []
-        a_stop = A
-        for a in range(A + 1):
-            dps_a = max(8, ctx.digits + 4 - int(a * log10_inv))
-            cv = eval_shifted(c, a, T, ctx, dps=dps_a)
-            total = total + zp * cv.value
-            coeff_bound_acc += abs(zp) * cv.bound
-            zp = zp * zv
-            recent.append(abs(cv.value))
-            if len(recent) > 3:
-                recent.pop(0)
-            if a >= 6 and max(recent) * zabs ** (a + 1) / (1 - zabs) < target:
-                a_stop = a
-                break
-        C = max(max(recent), mp.mpf(1)) * 4
-        tail = C * zabs ** (a_stop + 1) / (1 - zabs)
-        return Approx(total, tail + coeff_bound_acc)
+    return eval_tpoly(shifted_tpoly(c, a), T_value, ctx)
 
 
 def clear_caches() -> None:

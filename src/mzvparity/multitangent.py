@@ -11,6 +11,7 @@ generating values at z and -z.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import log
 
 import numpy as np
@@ -18,15 +19,13 @@ from mpmath import mp
 
 from .errors import DomainError
 from .harmonic import as_composition, splits
-from .hurwitz import eval_hurwitz_star, eval_shifted, _normalize_z
+from .hurwitz import eval_hurwitz_star, _normalize_z
 from .precision import Approx, PrecisionContext
 
 __all__ = [
     "eval_monotangent",
     "eval_multitangent_direct",
     "eval_multitangent_regularized",
-    "monotangent_symmetric_oracle",
-    "multitangent_regularized_series",
 ]
 
 
@@ -76,28 +75,6 @@ def eval_monotangent(s: int, z, ctx: PrecisionContext) -> Approx:
             acc = acc * x + mp.mpf(ci.numerator) / ci.denominator
         val = mp.pi**s * acc
         return Approx(val, mp.mpf(10) ** (-(wp - 6)) * (1 + abs(val)))
-
-
-def monotangent_symmetric_oracle(s: int, z, cutoff: int = 100_000) -> Approx:
-    """Symmetric partial sums of Psi_s plus midpoint-integral tail estimates.
-
-    Convergent for s >= 2; float64 precision, intended as an independent
-    cross-check of the closed form.
-    """
-    if s < 2:
-        raise ValueError("the symmetric series oracle needs s >= 2")
-    zc = complex(z)
-    if abs(zc.imag) == 0 and abs(zc.real - round(zc.real)) < 1e-12:
-        raise DomainError("multitangent functions have poles at integer z")
-    M = cutoff
-    m = np.arange(-M, M + 1, dtype=np.float64)
-    vals = (zc + m) ** (-s)
-    total = complex(np.sum(vals))
-    # one-sided tails by the midpoint rule
-    total += (zc + M + 0.5) ** (1 - s) / (s - 1)
-    total += (-1) ** s * (M + 0.5 - zc) ** (1 - s) / (s - 1)
-    err = s / 12.0 * (M - abs(zc)) ** (-s - 1) * 2 + 5e-13 * abs(zc) ** (-s)
-    return Approx(mp.mpmathify(total), mp.mpf(err))
 
 
 _DIRECT_CUTOFF = 100_000  # symmetric cutoff M of the direct sums
@@ -173,10 +150,16 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
             raise DomainError("regularized multitangents are evaluated for 0 < |z| <= 1/2")
         total = mp.mpc(0)
         bound = mp.mpf(0)
+
+        # the 2d + 1 splits share d + 1 heads at -z and d + 1 tails at z
+        @cache
+        def star(word, point):
+            return eval_hurwitz_star(word, point, T_value, ctx)
+
         # a cut (k = 0) has the exact gap factor z^0 = 1
         for rev_head, k, tail, sign in splits(c):
-            left = eval_hurwitz_star(rev_head, -zv, T_value, ctx)
-            right = eval_hurwitz_star(tail, zv, T_value, ctx)
+            left = star(rev_head, -zv)
+            right = star(tail, zv)
             gap = zv ** (-k)
             total += sign * left.value * right.value * gap
             bound += abs(gap) * (
@@ -185,63 +168,3 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
         if (not isinstance(total, mp.mpc)) or total.imag == 0:
             total = total.real if isinstance(total, mp.mpc) else total
         return Approx(total, bound + mp.mpf(10) ** (-(wp - 8)))
-
-
-def multitangent_regularized_series(
-    c, z, T_value, ctx: PrecisionContext, order: int = 16
-) -> Approx:
-    """Literal truncated double-sum form of the regularized multitangent.
-
-    Sums z^(a+b) (and z^(a+b-k_j) for the gap terms) against numeric shifted
-    values, truncated at a + b <= order with a geometric tail estimate.
-    Slow; used to cross-check the production evaluator on small indices.
-    """
-    c = as_composition(c)
-    if not c:
-        raise ValueError("multitangent needs a nonempty index")
-    wp = ctx.working_dps + 6
-    zv = _normalize_z(z, wp)
-    with mp.workdps(wp):
-        zabs = abs(zv)
-        if zabs == 0 or zabs > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
-            raise DomainError("the series form is evaluated for 0 < |z| <= 1/2")
-        d = len(c)
-        prefix = [0] * (d + 1)
-        for i in range(d):
-            prefix[i + 1] = prefix[i] + c[i]
-        total = mp.mpc(0)
-        max_coeff = mp.mpf(1)
-        for j in range(d + 1):
-            rev_head = c[:j][::-1]
-            tail = c[j:]
-            base_sign = -1 if prefix[j] % 2 else 1
-            for a in range(order + 1):
-                va = eval_shifted(rev_head, a, T_value, ctx)
-                if va.value == 0:
-                    continue
-                for b in range(order + 1 - a):
-                    vb = eval_shifted(tail, b, T_value, ctx)
-                    if vb.value == 0:
-                        continue
-                    sign = base_sign if a % 2 == 0 else -base_sign
-                    total += sign * zv ** (a + b) * va.value * vb.value
-                    max_coeff = max(max_coeff, abs(va.value * vb.value))
-        for j in range(1, d + 1):
-            rev_head = c[: j - 1][::-1]
-            tail = c[j:]
-            base_sign = -1 if prefix[j - 1] % 2 else 1
-            for a in range(order + 1):
-                va = eval_shifted(rev_head, a, T_value, ctx)
-                if va.value == 0:
-                    continue
-                for b in range(order + 1 - a):
-                    vb = eval_shifted(tail, b, T_value, ctx)
-                    if vb.value == 0:
-                        continue
-                    sign = base_sign if a % 2 == 0 else -base_sign
-                    total += sign * zv ** (a + b - c[j - 1]) * va.value * vb.value
-                    max_coeff = max(max_coeff, abs(va.value * vb.value))
-        tail_est = 4 * max_coeff * (order + 2) * zabs ** (order + 1) / (1 - zabs)
-        if (not isinstance(total, mp.mpc)) or total.imag == 0:
-            total = total.real if isinstance(total, mp.mpc) else total
-        return Approx(total, tail_est)

@@ -34,11 +34,8 @@ The bound stays the per-word estimate 10^-(dps-2) times the sum of |q|,
 plus that estimate once per grade.
 
 The value, prefix and power caches are bounded, with caps that no sweep
-reaches; :func:`clear_caches` empties them.
-
-Two independent oracles accompany the kernel: a direct-truncation nested
-sum with an explicit tail bound, and an Euler-Maclaurin corrected depth-1
-sum.
+reaches; :func:`clear_caches` empties them.  The independent cross-checks
+of the kernel are in :mod:`mzvparity.oracles`.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from math import lcm
 from operator import floordiv, mul, rshift
 from typing import Optional
 
-import numpy as np
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
@@ -60,7 +56,7 @@ from .harmonic import Composition, as_composition, is_admissible
 from .precision import Approx, PrecisionContext
 from .reduction import PiGradedExpr
 from .regularization import TPoly
-from .special import PiTerm, bernoulli
+from .special import PiTerm
 
 __all__ = [
     "clear_caches",
@@ -69,8 +65,6 @@ __all__ = [
     "eval_piterm",
     "eval_tpoly",
     "eval_word_combo",
-    "mzv_em_oracle",
-    "mzv_truncation_oracle",
 ]
 
 _LOG2_10 = math.log(10.0) / math.log(2.0)
@@ -97,13 +91,13 @@ class _BoundedCache(dict):
 
 
 # best value computed so far per composition: comp -> (dps, mpf).  The Taylor
-# cross-check of the Hurwitz values fills about 97,000 words.
+# oracle of the Hurwitz values, ``oracles.eval_hurwitz_taylor``, fills 97,000.
 _MZV_CACHE = _BoundedCache(1 << 17)
 # (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M);
 # the same cross-check fills about 290,000.
 _PREFIX_CACHE = _BoundedCache(1 << 19)
 # Requests below this many digits are computed at it, so that a falling
-# request (the Taylor route's per-order dps) keeps hitting the cache.
+# request (the Taylor oracle's per-order dps) keeps hitting the cache.
 _MIN_DPS = 14
 
 
@@ -217,76 +211,6 @@ def eval_admissible_mzv(c, ctx: PrecisionContext, dps: Optional[int] = None) -> 
         cached = (dps_run, _holder(c, dps_run))
         _MZV_CACHE[c] = cached
     return Approx(cached[1], _estimate(dps_req))
-
-
-def mzv_truncation_oracle(c, cutoff: int = 1_000_000) -> Approx:
-    """Direct nested-sum truncation with an explicit tail bound.
-
-    Sums all chains with the outer index <= cutoff in float64 and bounds
-    the tail by ``integral_N^inf (1+ln x)^(d-1) x^(-k_d) dx / (d-1)!``,
-    a valid upper bound since the inner chain factor is at most
-    ``H_x^(d-1)/(d-1)!``.  Intended for cross-checks, not production use.
-    """
-    c = as_composition(c)
-    if not c or not is_admissible(c):
-        raise NonAdmissibleError(f"{c!r} is not admissible")
-    d = len(c)
-    n = np.arange(0, cutoff + 1, dtype=np.float64)
-    prev = np.ones(cutoff + 1)
-    for k in c[:-1]:
-        term = np.zeros(cutoff + 1)
-        term[1:] = n[1:] ** (-float(k)) * prev[:-1]
-        prev = np.cumsum(term)
-    term = np.zeros(cutoff + 1)
-    term[1:] = n[1:] ** (-float(c[-1])) * prev[:-1]
-    value = float(np.sum(term))
-
-    s = c[-1] - 1
-    L = math.log(cutoff)
-    p = d - 1
-    tail = 0.0
-    for i in range(p + 1):
-        tail += (s * (1.0 + L)) ** i / math.factorial(i)
-    tail *= math.exp(-s * L) / s ** (p + 1)
-    fp_slack = 1e-12 * (1.0 + abs(value)) * math.sqrt(d)
-    return Approx(mp.mpf(value), mp.mpf(tail + fp_slack))
-
-
-def mzv_em_oracle(k: int, ctx: PrecisionContext, cutoff: int = 0) -> Approx:
-    """Depth-1 zeta via direct summation plus Euler-Maclaurin tail.
-
-    Independent high-precision oracle for zeta(k), k >= 2: sums to the
-    cutoff and corrects with the standard Bernoulli tail; the returned
-    bound is the first omitted correction term.
-    """
-    if k < 2:
-        raise NonAdmissibleError("depth-1 oracle needs k >= 2")
-    wp = ctx.working_dps + 10
-    with mp.workdps(wp):
-        N = cutoff if cutoff else max(80, ctx.working_dps)
-        total = mp.mpf(0)
-        for n in range(1, N):
-            total += mp.mpf(n) ** (-k)
-        Nf = mp.mpf(N)
-        total += Nf ** (1 - k) / (k - 1) + Nf ** (-k) / 2
-        rising = mp.mpf(k)  # (k)_1
-        term = mp.mpf(0)
-        j = 1
-        while True:
-            b = bernoulli(2 * j)
-            term = (
-                mp.mpf(b.numerator)
-                / b.denominator
-                / mp.factorial(2 * j)
-                * rising
-                * Nf ** (-(k + 2 * j - 1))
-            )
-            if abs(term) < mp.mpf(10) ** (-(wp + 5)) or j > 60:
-                break
-            total += term
-            rising *= (k + 2 * j - 1) * (k + 2 * j)
-            j += 1
-        return Approx(+total, abs(term) + mp.mpf(10) ** (-(wp - 2)))
 
 
 def _fraction_to_mp(q: Fraction):

@@ -103,8 +103,8 @@ def _factor_latex(factor: tuple) -> str:
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def latex_reduction(result: ReductionResult, expanded: bool = True) -> str:
-    """LaTeX for the display form (and optionally the expanded form)."""
+def latex_reduction(result: ReductionResult) -> str:
+    """LaTeX for the display form, then the expanded form."""
     comp = format_composition(result.composition)
     parts = []
     for term in result.display:
@@ -117,21 +117,18 @@ def latex_reduction(result: ReductionResult, expanded: bool = True) -> str:
             piece += r"\," + _factor_latex(f)
         parts.append(piece)
     display = " + ".join(parts) if parts else "0"
-    lines = [rf"\zeta({comp}) &= {display}"]
-    if expanded:
-        rows = _sorted_flat(result.expanded)
-        pieces = []
-        for p, t, w, q in rows:
-            s = _latex_rational(q)
-            if p:
-                s += rf"\,\pi^{{{p}}}"
-            if t:
-                s += r"\,T" if t == 1 else rf"\,T^{{{t}}}"
-            if w:
-                s += rf"\,\zeta({format_composition(w)})"
-            pieces.append(s)
-        lines.append(rf"&= {' + '.join(pieces) if pieces else '0'}")
-    return " \\\\\n".join(lines)
+    pieces = []
+    for p, t, w, q in _sorted_flat(result.expanded):
+        s = _latex_rational(q)
+        if p:
+            s += rf"\,\pi^{{{p}}}"
+        if t:
+            s += r"\,T" if t == 1 else rf"\,T^{{{t}}}"
+        if w:
+            s += rf"\,\zeta({format_composition(w)})"
+        pieces.append(s)
+    expanded = " + ".join(pieces) if pieces else "0"
+    return rf"\zeta({comp}) &= {display} \\" + "\n" + rf"&= {expanded}"
 
 
 def reduction_to_json(
@@ -173,7 +170,7 @@ def latex_table(results, ctx: PrecisionContext) -> str:
     ]
     for r in results:
         value = eval_pigraded(r.expanded, 0, ctx).value
-        lines.append(latex_reduction(r, expanded=True) + r" \\")
+        lines.append(latex_reduction(r) + r" \\")
         lines.append(rf"&\approx {mp.nstr(value, ctx.digits)} \\")
     lines.append(r"\end{align*}")
     return "\n".join(lines)

@@ -13,7 +13,8 @@ regularization variable T; the residual is the largest over them, and
 ``None`` selects the identity's default: ``(0,)`` for ``main``,
 ``fundeq2`` and ``bouillot``, ``(0, 1)`` for ``main2`` and ``main3``; an
 empty ``T_values`` raises :class:`ValueError`.  Every report's ``T`` is the
-tuple of T values it used.
+tuple of T values it used, and its ``lhs`` and ``rhs`` are those of the T
+value with the largest residual (the first on a tie).
 
 ``bouillot`` and ``fundeq2`` share one right-hand side, a sum over the
 entries of :func:`harmonic.slot_splits` with Psi_s(z) in the middle; the
@@ -186,6 +187,19 @@ def _T_values(T_values, default: tuple) -> tuple:
     return T_values
 
 
+def _worst(T_values: tuple, sides: Callable) -> tuple:
+    """(residual, lhs, rhs) of the T value with the largest residual
+    |lhs - rhs|, the first such T on a tie; ``sides(T)`` is (lhs, rhs).
+
+    A report carries the sides of the T value its residual comes from.
+    """
+    rows = []
+    for T in T_values:
+        lhs, rhs = sides(T)
+        rows.append((abs(lhs - rhs), lhs, rhs))
+    return max(rows, key=lambda row: row[0])
+
+
 def _slot_sum(c: Composition, T, ctx: PrecisionContext, middle: Callable):
     """delta(c) + sum of sign * zeta_a(rev_head) * zeta_b(tail) * middle(s).
 
@@ -231,15 +245,16 @@ def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Resid
         raise ValueError("the identity needs a nonempty composition")
     T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
+
+    def sides(T):
+        lhs = mp.mpf(0)
+        for rev_head, _, tail, sign in islice(splits(c), len(c) + 1):  # the cuts
+            prod = stuffle(WordCombo.word(rev_head), WordCombo.word(tail))
+            lhs += sign * eval_tpoly(regularize(prod), T, ctx).value
+        return lhs, _slot_sum(c, T, ctx, _twice_zeta)
+
     with mp.workdps(ctx.working_dps + 5):
-        residual = mp.mpf(0)
-        for T in T_values:
-            lhs = mp.mpf(0)
-            for rev_head, _, tail, sign in islice(splits(c), len(c) + 1):  # the cuts
-                prod = stuffle(WordCombo.word(rev_head), WordCombo.word(tail))
-                lhs += sign * eval_tpoly(regularize(prod), T, ctx).value
-            rhs = _slot_sum(c, T, ctx, _twice_zeta)
-            residual = max(residual, abs(lhs - rhs))
+        residual, lhs, rhs = _worst(T_values, sides)
     return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, T=T_values)
 
 
@@ -249,13 +264,8 @@ def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     T_values = _T_values(T_values, (0, 1))
     t0 = time.perf_counter()
     expr = build_main2_identity(c)
-    residual = mp.mpf(0)
-    vals = []
-    for T in T_values:
-        v = eval_pigraded(expr, T, ctx)
-        vals.append(v.value)
-        residual = max(residual, abs(v.value))
-    return _finish("main2", c, ctx, residual, vals[0], mp.mpf(0), t0, T=T_values)
+    residual, lhs, rhs = _worst(T_values, lambda T: (eval_pigraded(expr, T, ctx).value, mp.zero))
+    return _finish("main2", c, ctx, residual, lhs, rhs, t0, T=T_values)
 
 
 def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -267,12 +277,10 @@ def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     t0 = time.perf_counter()
     red = reduce_main3(c)
     tp = regularize(c)
-    residual = mp.mpf(0)
-    lhs = rhs = None
-    for T in T_values:
-        lhs = eval_tpoly(tp, T, ctx).value
-        rhs = eval_pigraded(red.expanded, T, ctx).value
-        residual = max(residual, abs(lhs - rhs))
+    residual, lhs, rhs = _worst(
+        T_values,
+        lambda T: (eval_tpoly(tp, T, ctx).value, eval_pigraded(red.expanded, T, ctx).value),
+    )
     return _finish("main3", c, ctx, residual, lhs, rhs, t0, T=T_values)
 
 
@@ -292,11 +300,10 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
     red = reduce_main(c)
     t_free = red.expanded.t_degree in (None, 0)
     cert = expand_depth_certificate(red.expanded, depth(c))
-    lhs = eval_admissible_mzv(c, ctx).value
-    residual = mp.mpf(0)
-    for T in T_values:
-        rhs = eval_pigraded(red.expanded, T, ctx).value
-        residual = max(residual, abs(lhs - rhs))
+    value = eval_admissible_mzv(c, ctx).value
+    residual, lhs, rhs = _worst(
+        T_values, lambda T: (value, eval_pigraded(red.expanded, T, ctx).value)
+    )
     reason = None
     if not t_free:
         reason = f"reduction has T-degree {red.expanded.t_degree}"
@@ -325,12 +332,11 @@ def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualRe
     def monotangent(s: int):
         return eval_monotangent(s, z, ctx).value if s else 0
 
+    def sides(T):
+        return eval_multitangent_regularized(c, z, T, ctx).value, _slot_sum(c, T, ctx, monotangent)
+
     with mp.workdps(ctx.working_dps + 5):
-        residual = mp.mpf(0)
-        for T in T_values:
-            lhs = eval_multitangent_regularized(c, z, T, ctx).value
-            rhs = _slot_sum(c, T, ctx, monotangent)
-            residual = max(residual, abs(lhs - rhs))
+        residual, lhs, rhs = _worst(T_values, sides)
         extra_ok = True
         reason = None
         if c[0] >= 2 and c[-1] >= 2:

@@ -20,7 +20,6 @@ from mzvparity import (
     depth,
     eval_admissible_mzv,
     eval_hurwitz_direct,
-    eval_hurwitz_taylor,
     eval_monotangent,
     eval_multitangent_direct,
     eval_multitangent_regularized,
@@ -28,8 +27,6 @@ from mzvparity import (
     eval_piterm,
     even_zeta,
     is_admissible,
-    monotangent_symmetric_oracle,
-    mzv_em_oracle,
     reduce_main,
     regularize,
     stuffle,
@@ -37,6 +34,7 @@ from mzvparity import (
     weight,
 )
 from mzvparity.cli import main as cli_main
+from mzvparity.oracles import eval_hurwitz_taylor, monotangent_symmetric_oracle, mzv_em_oracle
 
 CTX30 = PrecisionContext(digits=30)
 

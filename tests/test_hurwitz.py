@@ -10,15 +10,14 @@ from mzvparity import (
     eval_admissible_mzv,
     eval_hurwitz_direct,
     eval_hurwitz_star,
-    eval_hurwitz_taylor,
     eval_shifted,
     eval_tpoly,
     regularize,
     shift_expand,
-    tau_series,
     tau_value,
 )
 from mzvparity import hurwitz
+from mzvparity.oracles import eval_hurwitz_taylor, tau_series
 
 
 def test_direct_at_zero_matches_plain_mzv(ctx30):

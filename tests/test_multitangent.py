@@ -8,10 +8,10 @@ from mzvparity import (
     eval_monotangent,
     eval_multitangent_direct,
     eval_multitangent_regularized,
-    monotangent_symmetric_oracle,
-    multitangent_regularized_series,
     PrecisionContext,
 )
+from mzvparity import multitangent
+from mzvparity.oracles import monotangent_symmetric_oracle, multitangent_regularized_series
 
 
 def test_monotangent_closed_values(ctx30):
@@ -86,6 +86,22 @@ def test_regularized_matches_literal_series():
         prod = eval_multitangent_regularized(c, z, 0, ctx)
         lit = multitangent_regularized_series(c, z, 0, ctx, order=22)
         assert abs(prod.value - lit.value) < lit.bound + mp.mpf(10) ** -8, c
+
+
+def test_regularized_computes_each_hurwitz_value_once(ctx30, monkeypatch):
+    """The 2d + 1 splits of a depth-d index share d + 1 heads at -z and
+    d + 1 tails at z: 2(d + 1) regularized Hurwitz values, not 2(2d + 1)."""
+    calls = []
+    original = multitangent.eval_hurwitz_star
+
+    def counting(word, point, T_value, ctx):
+        calls.append((word, point))
+        return original(word, point, T_value, ctx)
+
+    monkeypatch.setattr(multitangent, "eval_hurwitz_star", counting)
+    eval_multitangent_regularized((2, 1, 3), mp.mpf("0.3"), 0, ctx30)
+    assert len(calls) == 2 * (3 + 1)
+    assert len(set(calls)) == len(calls)
 
 
 def test_t_dependence_structure(ctx30):

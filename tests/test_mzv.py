@@ -21,13 +21,12 @@ from mzvparity import (
     even_zeta,
     eval_piterm,
     is_admissible,
-    mzv_em_oracle,
-    mzv_truncation_oracle,
     reduce_main3,
     regularize,
     weight,
 )
 from mzvparity import mzv, regularization
+from mzvparity.oracles import mzv_em_oracle, mzv_truncation_oracle
 
 
 def test_zeta_two_is_pi_squared_over_six(ctx30):

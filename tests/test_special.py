@@ -6,7 +6,8 @@ from math import comb
 import pytest
 from mpmath import mp
 
-from mzvparity import PiTerm, bernoulli, delta, even_zeta, eval_piterm, mzv_em_oracle
+from mzvparity import PiTerm, bernoulli, delta, even_zeta, eval_piterm
+from mzvparity.oracles import mzv_em_oracle
 
 
 def test_bernoulli_small_values():

@@ -91,6 +91,19 @@ def test_residual_is_max_over_T_values(ctx30):
         assert both.residual == max(check((0,)).residual, check((1,)).residual)
 
 
+def test_report_sides_are_those_of_the_residual(ctx30):
+    """lhs and rhs come from the T value with the largest residual, so
+    |lhs - rhs| is the reported residual."""
+    for identity in ("main", "main2", "main3", "fundeq2"):
+        for c in compositions_up_to(5):
+            rep = IDENTITIES[identity](c, ctx=ctx30, T_values=(0, 1))
+            if rep.skipped:
+                continue
+            with mp.workdps(ctx30.working_dps + 20):
+                gap = abs(rep.lhs - rep.rhs)
+            assert abs(gap - rep.residual) <= mp.mpf("1e-10") * rep.residual, (identity, c)
+
+
 def test_empty_T_values_is_refused(ctx30):
     # a check over no T values would pass vacuously with residual 0
     z = mp.mpf("0.3")
