@@ -249,6 +249,7 @@ def _cmd_verify(args) -> int:
                 "lhs": _nstr(r.lhs, ctx.digits),
                 "rhs": _nstr(r.rhs, ctx.digits),
                 "wall_time": r.wall_time,
+                "stages": r.stages,
             }
             for r in reports
         ]

@@ -7,7 +7,8 @@ converges exactly when ``k_d >= 2``.  :class:`WordCombo` is a finite
 Q-linear combination of compositions with exact rational coefficients; the
 stuffle product turns it into the harmonic algebra.  Its linear operations
 live in a private sparse-map base class that ``TPoly`` and ``PiGradedExpr``
-share.
+share.  Products and expansions run on integer numerators over one common
+denominator, and build each ``Fraction`` once per result term.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 Composition = tuple[int, ...]
@@ -113,7 +114,7 @@ def _format_word(c: Composition) -> str:
 def _iadd(acc: dict, items, scale=None) -> None:
     """In-place ``acc += scale * items`` over (key, value) pairs.
 
-    Values are Fractions or sparse maps; ``scale=None`` adds them unscaled.
+    Values are ints, Fractions or sparse maps; ``scale=None`` adds unscaled.
     A key whose value cancels to zero is removed, so ``acc`` never stores
     a zero.
     """
@@ -270,19 +271,56 @@ def _stuffle_words(u: Composition, v: Composition):
     return tuple(acc.items())
 
 
+def _numerators(data: dict) -> tuple:
+    """``(D, {key: q D})`` for a {key: Fraction} map, D the common denominator."""
+    D = lcm(*(q.denominator for q in data.values()))
+    return D, {k: q.numerator * (D // q.denominator) for k, q in data.items()}
+
+
+def _fractions(ints: dict, D: int) -> dict:
+    """``{key: Fraction(n, D)}`` over the nonzero values of a {key: int} map."""
+    return {k: Fraction(n, D) for k, n in ints.items() if n}
+
+
+def _add_stuffle(acc: dict, u: dict, v: dict, n: int = 1) -> None:
+    """In-place ``acc += n * (u stuffle v)`` over {word: int} maps."""
+    for wu, nu in u.items():
+        for wv, nv in v.items():
+            s = n * nu * nv
+            if s:
+                for w, k in _stuffle_words(wu, wv):
+                    acc[w] = acc.get(w, 0) + s * k
+
+
 def stuffle(u, v) -> WordCombo:
     """Stuffle (quasi-shuffle) product; accepts compositions or combinations.
 
     Bilinear, commutative and associative; the empty composition is the
-    identity element.
+    identity element.  The integer numerators are multiplied over the
+    product of the two common denominators.
     """
-    cu = u if isinstance(u, WordCombo) else WordCombo.word(as_composition(u))
-    cv = v if isinstance(v, WordCombo) else WordCombo.word(as_composition(v))
+    Du, nu = _numerators(u._data) if isinstance(u, WordCombo) else (1, {as_composition(u): 1})
+    Dv, nv = _numerators(v._data) if isinstance(v, WordCombo) else (1, {as_composition(v): 1})
     acc: dict = {}
-    for wu, qu in cu.items():
-        for wv, qv in cv.items():
-            _iadd(acc, _stuffle_words(wu, wv), qu * qv)
-    return WordCombo._raw(acc)
+    _add_stuffle(acc, nu, nv)
+    return WordCombo._raw(_fractions(acc, Du * Dv))
+
+
+def _star_ints(c: Composition) -> dict:
+    """{word: int} form of :func:`star_expand` (distinct separators, distinct words)."""
+    d = len(c)
+    if d == 0:
+        return {(): 1}
+    acc: dict = {}
+    for mask in range(1 << (d - 1)):
+        parts = [c[0]]
+        for i in range(1, d):
+            if (mask >> (i - 1)) & 1:
+                parts[-1] += c[i]
+            else:
+                parts.append(c[i])
+        acc[tuple(parts)] = 1
+    return acc
 
 
 def star_expand(c) -> WordCombo:
@@ -292,21 +330,7 @@ def star_expand(c) -> WordCombo:
     contributes the contracted composition with coefficient +1; the empty
     composition expands to itself.
     """
-    c = as_composition(c)
-    d = len(c)
-    if d == 0:
-        return WordCombo.word(())
-    acc: dict = {}
-    for mask in range(1 << (d - 1)):
-        parts = [c[0]]
-        for i in range(1, d):
-            if (mask >> (i - 1)) & 1:
-                parts[-1] += c[i]
-            else:
-                parts.append(c[i])
-        w = tuple(parts)
-        acc[w] = acc.get(w, 0) + Fraction(1)
-    return WordCombo._raw(acc)
+    return WordCombo._raw(_fractions(_star_ints(as_composition(c)), 1))
 
 
 def _weak_compositions(total: int, slots: int) -> Iterator[tuple]:
@@ -323,6 +347,18 @@ def _weak_compositions(total: int, slots: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
+def _shift_ints(a: int, c: Composition) -> dict:
+    """{word: int} form of :func:`shift_expand` (distinct shifts, distinct words)."""
+    sign = -1 if a % 2 else 1
+    acc: dict = {}
+    for extra in _weak_compositions(a, len(c)):
+        coeff = sign
+        for k, e in zip(c, extra):
+            coeff *= comb(k - 1 + e, e)
+        acc[tuple(k + e for k, e in zip(c, extra))] = coeff
+    return acc
+
+
 def shift_expand(a: int, c) -> WordCombo:
     """Expand the a-th Taylor-shift of an index into plain indices.
 
@@ -334,17 +370,4 @@ def shift_expand(a: int, c) -> WordCombo:
     """
     if a < 0:
         raise ValueError("shift order must be >= 0")
-    c = as_composition(c)
-    if not c:
-        return WordCombo.word(()) if a == 0 else WordCombo.zero()
-    if a == 0:
-        return WordCombo.word(c)
-    sign = -1 if a % 2 else 1
-    acc: dict = {}
-    for extra in _weak_compositions(a, len(c)):
-        coeff = sign
-        for k, e in zip(c, extra):
-            coeff *= comb(k - 1 + e, e)
-        w = tuple(k + e for k, e in zip(c, extra))
-        acc[w] = acc.get(w, 0) + Fraction(coeff)
-    return WordCombo._raw(acc)
+    return WordCombo._raw(_fractions(_shift_ints(a, as_composition(c)), 1))

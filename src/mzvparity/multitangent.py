@@ -5,13 +5,14 @@ they have closed forms as polynomials in cot(pi z).  Multitangents are the
 doubly infinite nested sums; the direct evaluator truncates them
 symmetrically, while the regularized evaluator splits the summation chain
 at the sign change and assembles the value from regularized Hurwitz
-generating values at z and -z.
+generating values at z and -z.  Monotangent values are kept in a bounded
+cache per (order, point, working precision); :func:`clear_caches` empties it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import log
 
 import numpy as np
@@ -23,6 +24,7 @@ from .hurwitz import eval_hurwitz_star, _normalize_z
 from .precision import Approx, PrecisionContext
 
 __all__ = [
+    "clear_caches",
     "eval_monotangent",
     "eval_multitangent_direct",
     "eval_multitangent_regularized",
@@ -65,7 +67,12 @@ def eval_monotangent(s: int, z, ctx: PrecisionContext) -> Approx:
     if s < 1:
         raise ValueError("monotangent order must be >= 1")
     wp = ctx.working_dps + 10
-    zv = _normalize_z(z, wp)
+    return _monotangent(s, _normalize_z(z, wp), wp)
+
+
+@lru_cache(maxsize=256)
+def _monotangent(s: int, zv, wp: int) -> Approx:
+    """Psi_s(z) at wp digits, computed once per (s, point, wp)."""
     with mp.workdps(wp):
         _reject_integer_z(zv, wp)
         x = mp.cot(mp.pi * zv)
@@ -168,3 +175,8 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
         if (not isinstance(total, mp.mpc)) or total.imag == 0:
             total = total.real if isinstance(total, mp.mpc) else total
         return Approx(total, bound + mp.mpf(10) ** (-(wp - 8)))
+
+
+def clear_caches() -> None:
+    """Empty the monotangent values."""
+    _monotangent.cache_clear()

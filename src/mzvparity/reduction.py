@@ -7,11 +7,11 @@ pi-exponent -> ``TPoly``, sharing its linear operations with ``TPoly`` and
 correction sum has the same rational weight 4^m B_{2m} / (2m)!, up to
 sign, and star, shift and stuffle expansions have integer coefficients.
 So reductions add the unregularized stuffle words of each grade to an
-integer accumulator ``{m: {word: int}}``, regularize each grade once
-(regularization is linear) and scale the result once by the grade's
-rational weight.  Regularized grades land in one flat
-``{(pi_exp, t, word): coeff}`` dict, from which the expression is built
-once at the end.
+integer accumulator ``{m: {word: int}}`` and regularize each grade once
+(regularization is linear), in integers over the grade's largest r!.
+The regularized grades are summed in one flat ``{(pi_exp, t, word): int}``
+map over the common denominator of their rational weights, and each
+coefficient of the expression becomes a ``Fraction`` once, at the end.
 
 :func:`reduce_main` produces, for an admissible
 index whose weight and depth have opposite parity, an exact expression in
@@ -28,25 +28,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator
 
 from .errors import NonAdmissibleError, ParityError
 from .harmonic import (
     Composition,
     WordCombo,
+    _add_stuffle,
+    _fractions,
     _iadd,
+    _shift_ints,
     _SparseMap,
-    _stuffle_words,
+    _star_ints,
     as_composition,
     depth,
     is_admissible,
-    shift_expand,
     slot_splits,
-    star_expand,
     weight,
 )
-from .regularization import TPoly, regularize
+from .regularization import TPoly, _regularize_ints
 from .special import bernoulli, delta
 
 __all__ = [
@@ -82,17 +83,12 @@ class PiGradedExpr(_SparseMap):
         """Build from a flat {(pi_exp, t, word): coeff} accumulator."""
         grades: dict = {}
         for (p, t, w), q in flat.items():
-            if not q:
-                continue
-            grades.setdefault(p, {}).setdefault(t, {})[w] = q
-        data = {}
-        for p, by_t in grades.items():
-            tp = TPoly._raw(
-                {t: WordCombo._raw(terms) for t, terms in by_t.items() if terms}
-            )
-            if not tp.is_zero:
-                data[p] = tp
-        return cls._raw(data)
+            if q:
+                grades.setdefault(p, {}).setdefault(t, {})[w] = q
+        return cls._raw({
+            p: TPoly._raw({t: WordCombo._raw(terms) for t, terms in by_t.items()})
+            for p, by_t in grades.items()
+        })
 
     @property
     def t_degree(self):
@@ -141,31 +137,6 @@ class ReductionResult:
     display: tuple
 
 
-def _acc_tpoly(flat: dict, pi_exp: int, tpoly: TPoly, coeff: Fraction) -> None:
-    """flat += coeff * pi^pi_exp * tpoly over (pi_exp, t, word) keys."""
-    if coeff:
-        _iadd(
-            flat,
-            (((pi_exp, t, w), q) for t, combo in tpoly.items() for w, q in combo.items()),
-            coeff,
-        )
-
-
-def _ints(combo: WordCombo) -> dict:
-    """{word: int} copy of a combination whose coefficients are integers."""
-    return {w: q.numerator for w, q in combo.items()}
-
-
-def _add_stuffle(acc: dict, u: dict, v: dict, n: int = 1) -> None:
-    """In-place ``acc += n * (u stuffle v)`` over {word: int} dicts."""
-    for wu, nu in u.items():
-        for wv, nv in v.items():
-            s = n * nu * nv
-            if s:
-                for w, k in _stuffle_words(wu, wv):
-                    acc[w] = acc.get(w, 0) + s * k
-
-
 def _bernoulli_weight(m: int) -> Fraction:
     """C_m = 4^m B_{2m} / (2m)!, the rational part of (2 pi)^(2m) B_{2m} / (2m)!."""
     return Fraction(4**m) * bernoulli(2 * m) / factorial(2 * m)
@@ -184,9 +155,7 @@ def _triple_terms(c: Composition, grades: dict) -> list:
     (i, m), after the shifted factors of all slots are summed.  Returns
     ``(i, mid, tail, a, m, b, sign)`` for every term, in expansion order.
     """
-    @cache  # mids and tails recur across i
-    def shift_ints(a: int, word: Composition) -> dict:
-        return _ints(shift_expand(a, word))
+    shift_ints = cache(_shift_ints)  # mids and tails recur across i
 
     terms = []
     for i in range(len(c)):
@@ -205,26 +174,14 @@ def _triple_terms(c: Composition, grades: dict) -> list:
             term_sign = -sign if (head_parity + m) % 2 else sign
             _add_stuffle(by_m.setdefault(m, {}), u, v, term_sign)
             terms.append((i, mid, tail, a, m, b, term_sign))
-        head = _ints(star_expand(c[:i]))
+        head = _star_ints(c[:i])
         for m, words in by_m.items():
             _add_stuffle(grades.setdefault(m, {}), head, words)
     return terms
 
 
-def _regularize_grades(flat: dict, grades: dict, scale: Fraction) -> None:
-    """flat += scale * sum_m C_m pi^(2m) regularize(grades[m]).
-
-    Regularization is linear, so each grade's integer combination is
-    regularized once and its rational factor applied to the result once.
-    """
-    for m, words in grades.items():
-        combo = WordCombo._raw({w: Fraction(n) for w, n in words.items() if n})
-        if combo:
-            _acc_tpoly(flat, 2 * m, regularize(combo), scale * _bernoulli_weight(m))
-
-
-def _add_all_ones(flat: dict, c: Composition, coeff) -> list:
-    """flat += coeff * sum_i star(c[:i]) delta(c[i:]); return the i of nonzero terms.
+def _add_all_ones(parts: list, c: Composition, coeff) -> list:
+    """parts += coeff * sum_i star(c[:i]) delta(c[i:]); return the i of nonzero terms.
 
     delta(c[i:]) is zero unless c[i:] is an even number d - i of ones, and
     its pi-exponent d - i gives each term a grade of its own.
@@ -233,32 +190,52 @@ def _add_all_ones(flat: dict, c: Composition, coeff) -> list:
     for i in range(len(c)):
         dl = delta(c[i:])
         if not dl.is_zero:
-            _acc_tpoly(flat, dl.pi_exp, regularize(star_expand(c[:i])), coeff * dl.coeff)
+            parts.append((dl.pi_exp, coeff * dl.coeff, _star_ints(c[:i])))
             cuts.append(i)
     return cuts
 
 
-def _require_opposite_parity(c: Composition) -> None:
+def _sum_regularized(parts: list) -> PiGradedExpr:
+    """The sum of q pi^p reg(words) over parts (p, q, {word: int}).
+
+    Regularization is linear, so each part's integer combination is
+    regularized once, in integers over its largest r! R.  The results are
+    summed in one flat {(p, t, word): int} map over the common denominator
+    of the q / R, and each coefficient becomes a Fraction once.
+    """
+    regs = [(p, q / R, acc) for p, q, words in parts for R, acc in [_regularize_ints(words)]]
+    D = lcm(*(q.denominator for _, q, _ in regs))
+    flat: dict = {}
+    for p, q, acc in regs:
+        items = (((p, t, w), k) for t, terms in acc.items() for w, k in terms.items())
+        _iadd(flat, items, q.numerator * (D // q.denominator))
+    return PiGradedExpr._from_flat(_fractions(flat, D))
+
+
+def _reduce_expansion(c, with_all_ones: bool) -> ReductionResult:
+    c = as_composition(c)
+    if not c:
+        raise ValueError("the empty composition cannot be reduced")
     if weight(c) % 2 == depth(c) % 2:
         raise ParityError(
             f"weight {weight(c)} and depth {depth(c)} of {c!r} have the same parity"
         )
-
-
-def _reduce_expansion(c: Composition, with_all_ones: bool) -> ReductionResult:
+    if not (with_all_ones or is_admissible(c)):
+        raise NonAdmissibleError(f"{c!r} is not admissible (last part must be >= 2)")
     scale = Fraction(-1, 2)
-    flat: dict = {}
+    parts: list = []
     display = []
 
     # (plain - star)/2: the depth-d words cancel, leaving the proper
     # contractions, which join grade 0 of the correction sum (C_0 = 1)
     # under the common scale -1/2.
-    grades = {0: _ints(star_expand(c) - WordCombo.word(c))}
+    grades = {0: _star_ints(c)}
+    del grades[0][c]
     display.append(DisplayTerm(-scale, 0, (("word", c),)))
     display.append(DisplayTerm(scale, 0, (("star", c),)))
 
     if with_all_ones:
-        for i in _add_all_ones(flat, c, scale):
+        for i in _add_all_ones(parts, c, scale):
             display.append(DisplayTerm(scale, 0, (("star", c[:i]), ("delta", c[i:]))))
 
     # double-index correction sum, scaled by -1/2
@@ -272,9 +249,9 @@ def _reduce_expansion(c: Composition, with_all_ones: bool) -> ReductionResult:
             factors.append(("shift", b, tail))
         coeff = scale * sign * _bernoulli_weight(m)
         display.append(DisplayTerm(coeff, 2 * m, tuple(factors)))
-    _regularize_grades(flat, grades, scale)
+    parts += ((2 * m, scale * _bernoulli_weight(m), words) for m, words in grades.items())
 
-    return ReductionResult(c, PiGradedExpr._from_flat(flat), tuple(display))
+    return ReductionResult(c, _sum_regularized(parts), tuple(display))
 
 
 def reduce_main3(c) -> ReductionResult:
@@ -285,10 +262,6 @@ def reduce_main3(c) -> ReductionResult:
     cancel), the correction sum over all-ones tails, and the double-index
     correction sum with (2 pi)^(2m) Bernoulli coefficients.
     """
-    c = as_composition(c)
-    if not c:
-        raise ValueError("the empty composition cannot be reduced")
-    _require_opposite_parity(c)
     return _reduce_expansion(c, with_all_ones=True)
 
 
@@ -299,12 +272,6 @@ def reduce_main(c) -> ReductionResult:
     omitted (it vanishes term by term when the last part is >= 2); the
     result is T-free and every word has depth at most d-1.
     """
-    c = as_composition(c)
-    if not c:
-        raise ValueError("the empty composition cannot be reduced")
-    _require_opposite_parity(c)
-    if not is_admissible(c):
-        raise NonAdmissibleError(f"{c!r} is not admissible (last part must be >= 2)")
     return _reduce_expansion(c, with_all_ones=False)
 
 
@@ -322,21 +289,22 @@ def build_main2_identity(c) -> PiGradedExpr:
     w = weight(c)
     sign_d = -1 if d % 2 else 1
     sign_w = -1 if w % 2 else 1
-    flat: dict = {}
+    parts: list = []
 
     # The RHS contains (-1)^w times the double-index sum, so every grade of
     # LHS - RHS carries the scale -(-1)^w.  The LHS
     # (-1)^d star(c) - (-1)^w plain(c) joins grade 0 divided by that scale.
-    lhs = star_expand(c) * Fraction(-sign_w * sign_d) + WordCombo.word(c)
-    grades = {0: _ints(lhs)}
+    lhs = {word: -sign_w * sign_d for word in _star_ints(c)}
+    lhs[c] += 1
+    grades = {0: lhs}
     _triple_terms(c, grades)
-    _regularize_grades(flat, grades, Fraction(-sign_w))
+    parts += ((2 * m, -sign_w * _bernoulli_weight(m), words) for m, words in grades.items())
 
     # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail),
     # and (-1)^i = (-1)^d on every nonzero term
-    _add_all_ones(flat, c, sign_d)
+    _add_all_ones(parts, c, sign_d)
 
-    return PiGradedExpr._from_flat(flat)
+    return _sum_regularized(parts)
 
 
 def expand_depth_certificate(e: PiGradedExpr, d: int) -> bool:

@@ -6,6 +6,26 @@ trailing ones with the stuffle relation.  The map is the unique algebra
 homomorphism from the harmonic algebra to ``(admissible span)[T]`` that is
 the identity on admissible words and sends (1) to T.
 
+The regularization is computed in integers.  Let w have r >= 1 trailing
+ones and v = w[:-1].  In the stuffle product v * (1) the word w occurs r
+times, once for each place of the new 1 in the trailing run, and every
+other word u has at most r - 1 trailing ones: a 1 inserted before the run
+leaves r - 1 of them, and a 1 merged into a part ends the run sooner.  As
+reg is a homomorphism with reg((1)) = T,
+
+    reg(w) = (T reg(v) - sum_u n_u reg(u)) / r.
+
+By induction on r, with an admissible word (r = 0) its own regularization,
+(r-1)! reg(v) and (r-1)! reg(u) have integer coefficients (r_u! divides
+(r-1)!), and so does r! reg(w) = (r-1)! (T reg(v) - sum_u n_u reg(u)).
+Each divergent word caches ``(r!, {t: {word: int}})``.  A combination
+sum q_w w is brought to the common denominator D of its q_w and summed in
+integers over the largest r! of its words, R (every r! divides it), and
+each coefficient of the result is divided by D R once.  Products multiply
+integer numerators over the product of the two common denominators.  Over
+the words of weight <= 10 the reduced denominator of reg(w) is exactly r!.
+Reference: Ihara, Kaneko and Zagier, Compositio Math. 142 (2006).
+
 :class:`TPoly` is the middle level of the nested sparse maps (T-exponent ->
 :class:`~mzvparity.harmonic.WordCombo`); its linear operations come from the
 shared sparse-map base in :mod:`mzvparity.harmonic`, and it adds only the
@@ -14,20 +34,21 @@ stuffle-based ``TPoly x TPoly`` product and T-specific accessors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
 from .harmonic import (
     Composition,
     WordCombo,
+    _add_stuffle,
+    _fractions,
     _iadd,
+    _numerators,
     _SparseMap,
+    _star_ints,
     _stuffle_words,
     as_composition,
     is_admissible,
-    star_expand,
-    stuffle,
 )
 
 __all__ = ["TPoly", "antipode_combo", "clear_caches", "regularize"]
@@ -38,7 +59,7 @@ class TPoly(_SparseMap):
 
     Every composition stored in any coefficient is admissible.  Ring
     operations are exact; multiplication multiplies coefficients with the
-    stuffle product.
+    stuffle product, in integers.
     """
 
     __slots__ = ()
@@ -94,11 +115,15 @@ class TPoly(_SparseMap):
     def __mul__(self, other):
         if not isinstance(other, TPoly):
             return super().__mul__(other)
+        Da, a = _numerators({(t, w): q for t, c in self.items() for w, q in c.items()})
+        Db, b = _numerators({(t, w): q for t, c in other.items() for w, q in c.items()})
         acc: dict = {}
-        for s, cs in self._data.items():
-            for t, ct in other._data.items():
-                _acc_t(acc, s + t, stuffle(cs, ct).items())
-        return _freeze(acc)
+        for (s, wu), nu in a.items():
+            for (t, wv), nv in b.items():
+                terms = acc.setdefault(s + t, {})
+                for w, k in _stuffle_words(wu, wv):
+                    terms[w] = terms.get(w, 0) + nu * nv * k
+        return _tpoly(Da * Db, acc)
 
     def __repr__(self) -> str:
         if not self._data:
@@ -110,43 +135,55 @@ class TPoly(_SparseMap):
         return " + ".join(parts)
 
 
-def _acc_t(acc: dict, t: int, items, scale=None) -> None:
-    """In-place ``acc[t] += scale * items`` on a {t: {word: coeff}} accumulator."""
-    terms = acc.setdefault(t, {})
-    _iadd(terms, items, scale)
-    if not terms:
-        del acc[t]
+def _tpoly(D: int, acc: dict) -> TPoly:
+    """The TPoly ``acc / D`` of a {t: {word: int}} map."""
+    return TPoly._raw({t: WordCombo._raw(f) for t, ns in acc.items() if (f := _fractions(ns, D))})
 
 
-def _freeze(acc: dict) -> TPoly:
-    return TPoly._raw({t: WordCombo._raw(terms) for t, terms in acc.items()})
+def _form(w: Composition) -> tuple:
+    """``(r!, r! reg(w))`` for a word w with r trailing ones."""
+    return (1, {0: {w: 1}}) if is_admissible(w) else _regularize_divergent(w)
 
 
-def _acc_reg(acc: dict, w: Composition, q, shift: int = 0) -> None:
-    """In-place ``acc += q T^shift reg(w)`` on a {t: {word: coeff}}
-    accumulator.  An admissible word is its own regularization."""
-    if is_admissible(w):
-        _acc_t(acc, shift, ((w, q),))
-    else:
-        for t, combo in _regularize_divergent(w).items():
-            _acc_t(acc, t + shift, combo.items(), q)
+def _acc_regularized(acc: dict, forms, R: int) -> None:
+    """In-place ``acc += R reg(sum n w)`` over (n, form of w) pairs on a
+    {t: {word: int}} map without zeros; R is a multiple of every r!."""
+    for n, (Rw, by_t) in forms:
+        for t, part in by_t.items():
+            terms = acc.setdefault(t, {})
+            _iadd(terms, part.items(), n * (R // Rw))
+            if not terms:
+                del acc[t]
+
+
+def _regularize_ints(words: dict) -> tuple:
+    """``(R, R reg(sum n w))`` for a {word: int} map, R the largest r! of its words."""
+    forms = [(n, _form(w)) for w, n in words.items() if n]
+    R = max((Rw for _, (Rw, _) in forms), default=1)
+    acc: dict = {}
+    _acc_regularized(acc, forms, R)
+    return R, acc
 
 
 # Admissible words take no entry, and there are 2,048 divergent words of
 # weight <= 12, the sweep cap.
 @lru_cache(maxsize=1 << 13)
-def _regularize_divergent(w: Composition) -> TPoly:
-    # Peel one trailing 1: in v * (1) the word w occurs with positive
-    # multiplicity and every other word has strictly fewer trailing ones, so
-    # the recursion terminates.
+def _regularize_divergent(w: Composition) -> tuple:
+    # The peel of the module docstring: v has r - 1 trailing ones, so its
+    # form carries f = (r-1)!.
     v = w[:-1]
     prod = dict(_stuffle_words(v, (1,)))
-    mult = prod.pop(w)
-    acc: dict = {}
-    _acc_reg(acc, v, Fraction(1, mult), 1)
-    for word, n in prod.items():
-        _acc_reg(acc, word, Fraction(-n, mult))
-    return _freeze(acc)
+    r = prod.pop(w)
+    f, by_t = _form(v)
+    acc = {t + 1: dict(terms) for t, terms in by_t.items()}
+    _acc_regularized(acc, ((-n, _form(u)) for u, n in prod.items()), f)
+    return r * f, acc
+
+
+# regularize(w) of a divergent word, which the Hurwitz evaluator calls per word
+@lru_cache(maxsize=1 << 13)
+def _regularized_word(w: Composition) -> TPoly:
+    return _tpoly(*_regularize_divergent(w))
 
 
 def regularize(x) -> TPoly:
@@ -155,15 +192,14 @@ def regularize(x) -> TPoly:
     Admissible words map to themselves at T-degree 0; the single part (1)
     maps to T; the extension to arbitrary words is forced by requiring an
     algebra homomorphism for the stuffle product, and it is linear, so a
-    combination is regularized word by word into one flat accumulator.
+    combination is regularized over one common denominator, in integers.
     """
     if isinstance(x, WordCombo):
-        acc: dict = {}
-        for w, q in x.items():
-            _acc_reg(acc, w, q)
-        return _freeze(acc)
+        D, nums = _numerators(x._data)
+        R, acc = _regularize_ints(nums)
+        return _tpoly(D * R, acc)
     w = as_composition(x)
-    return TPoly.from_word(w) if is_admissible(w) else _regularize_divergent(w)
+    return TPoly.from_word(w) if is_admissible(w) else _regularized_word(w)
 
 
 def antipode_combo(j: int, c) -> TPoly:
@@ -176,18 +212,15 @@ def antipode_combo(j: int, c) -> TPoly:
     c = as_composition(c)
     if not 0 <= j <= len(c):
         raise ValueError(f"j must satisfy 0 <= j <= depth, got j={j} for {c!r}")
-    total = TPoly.zero()
+    words: dict = {}
     for i in range(j + 1):
-        head = star_expand(c[:i])
-        seg = c[i:j][::-1]
-        prod = stuffle(head, WordCombo.word(seg))
-        term = regularize(prod)
-        total = total + term if i % 2 == 0 else total - term
-    return total
+        _add_stuffle(words, _star_ints(c[:i]), {c[i:j][::-1]: 1}, -1 if i % 2 else 1)
+    return _tpoly(*_regularize_ints(words))
 
 
 def clear_caches() -> None:
-    """Empty the regularized divergent words and the stuffle products of
-    bare words."""
+    """Empty the regularized divergent words, in integer and TPoly form,
+    and the stuffle products of bare words."""
     _regularize_divergent.cache_clear()
+    _regularized_word.cache_clear()
     _stuffle_words.cache_clear()

@@ -14,7 +14,9 @@ regularization variable T; the residual is the largest over them, and
 ``fundeq2`` and ``bouillot``, ``(0, 1)`` for ``main2`` and ``main3``; an
 empty ``T_values`` raises :class:`ValueError`.  Every report's ``T`` is the
 tuple of T values it used, and its ``lhs`` and ``rhs`` are those of the T
-value with the largest residual (the first on a tie).
+value with the largest residual (the first on a tie).  Reports of ``main``,
+``main2`` and ``main3`` carry ``stages``, the seconds of the exact build
+(reduction and regularization) and of the numeric evaluation.
 
 ``bouillot`` and ``fundeq2`` share one right-hand side, a sum over the
 entries of :func:`harmonic.slot_splits` with Psi_s(z) in the middle; the
@@ -25,7 +27,7 @@ case of ``bouillot``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 from typing import Callable, Optional
@@ -95,6 +97,9 @@ class ResidualReport:
     lhs: object = None
     rhs: object = None
     wall_time: float = 0.0
+    # {"build": s, "evaluate": s} for main, main2 and main3: the exact
+    # reduction and regularization, then the numeric evaluation
+    stages: Optional[dict] = field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -143,7 +148,9 @@ def _finish(
     T=None,
     extra_ok: bool = True,
     reason: Optional[str] = None,
+    t_built: Optional[float] = None,
 ) -> ResidualReport:
+    t_evaluated = time.perf_counter()
     bound = ctx.residual_bound()
     ok = bool(residual <= bound) and extra_ok
     return ResidualReport(
@@ -159,6 +166,9 @@ def _finish(
         lhs=lhs,
         rhs=rhs,
         wall_time=time.perf_counter() - t0,
+        stages=None if t_built is None else {
+            "build": t_built - t0, "evaluate": t_evaluated - t_built,
+        },
     )
 
 
@@ -264,8 +274,9 @@ def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     T_values = _T_values(T_values, (0, 1))
     t0 = time.perf_counter()
     expr = build_main2_identity(c)
+    t_built = time.perf_counter()
     residual, lhs, rhs = _worst(T_values, lambda T: (eval_pigraded(expr, T, ctx).value, mp.zero))
-    return _finish("main2", c, ctx, residual, lhs, rhs, t0, T=T_values)
+    return _finish("main2", c, ctx, residual, lhs, rhs, t0, T=T_values, t_built=t_built)
 
 
 def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -277,11 +288,12 @@ def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     t0 = time.perf_counter()
     red = reduce_main3(c)
     tp = regularize(c)
+    t_built = time.perf_counter()
     residual, lhs, rhs = _worst(
         T_values,
         lambda T: (eval_tpoly(tp, T, ctx).value, eval_pigraded(red.expanded, T, ctx).value),
     )
-    return _finish("main3", c, ctx, residual, lhs, rhs, t0, T=T_values)
+    return _finish("main3", c, ctx, residual, lhs, rhs, t0, T=T_values, t_built=t_built)
 
 
 def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -300,6 +312,7 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
     red = reduce_main(c)
     t_free = red.expanded.t_degree in (None, 0)
     cert = expand_depth_certificate(red.expanded, depth(c))
+    t_built = time.perf_counter()
     value = eval_admissible_mzv(c, ctx).value
     residual, lhs, rhs = _worst(
         T_values, lambda T: (value, eval_pigraded(red.expanded, T, ctx).value)
@@ -311,7 +324,7 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
         reason = "depth certificate failed"
     return _finish(
         "main", c, ctx, residual, lhs, rhs, t0,
-        T=T_values, extra_ok=t_free and cert, reason=reason,
+        T=T_values, extra_ok=t_free and cert, reason=reason, t_built=t_built,
     )
 
 

@@ -244,3 +244,19 @@ def test_reduce_json_format(capsys):
     assert data["expanded"][0]["pi_exp"] == 2
     assert data["expanded"][0]["coeff_num"] == "1"
     assert data["expanded"][0]["coeff_den"] == "6"
+
+
+def test_verify_json_stage_times(capsys):
+    args = ["verify", "{}", "--max-weight", "4", "--z", "0.3", "--format", "json"]
+    for identity in ("main", "main2", "main3", "fundeq2", "bouillot"):
+        assert main([identity if a == "{}" else a for a in args]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for row in rows:
+            if identity in ("fundeq2", "bouillot") or row["status"] == "skip":
+                assert row["stages"] is None, (identity, row)
+                continue
+            stages = row["stages"]
+            assert set(stages) == {"build", "evaluate"}
+            assert min(stages.values()) >= 0
+            assert sum(stages.values()) <= row["wall_time"]
+        assert any(row["stages"] for row in rows) == (identity in ("main", "main2", "main3"))

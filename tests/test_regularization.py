@@ -1,6 +1,9 @@
 """T-polynomials, the regularization homomorphism, and the antipode sum."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +14,17 @@ from mzvparity import (
     TPoly,
     WordCombo,
     antipode_combo,
+    build_main2_identity,
     compositions_up_to,
     is_admissible,
+    reduce_main,
+    reduce_main3,
     regularize,
     shift_expand,
     star_expand,
     stuffle,
 )
+from mzvparity import regularization
 
 
 @st.composite
@@ -184,3 +191,135 @@ def test_shift_expansion_is_multiplicative(u, v, order):
 def test_star_expand_of_admissible_regularizes_at_degree_zero():
     tp = regularize(star_expand((2, 3)))
     assert tp.t_degree == 0
+
+
+# --- the integer layer against a Fraction reference -------------------------
+
+
+@lru_cache(maxsize=None)
+def _ref_stuffle(u: tuple, v: tuple) -> dict:
+    """Stuffle product of two bare words, {word: int}, by the recursion on
+    leading parts."""
+    if not u or not v:
+        return {u + v: 1}
+    out = Counter()
+    for w, n in _ref_stuffle(u[1:], v).items():
+        out[(u[0],) + w] += n
+    for w, n in _ref_stuffle(u, v[1:]).items():
+        out[(v[0],) + w] += n
+    for w, n in _ref_stuffle(u[1:], v[1:]).items():
+        out[(u[0] + v[0],) + w] += n
+    return dict(out)
+
+
+@lru_cache(maxsize=None)
+def _ref_reg(w: tuple) -> dict:
+    """reg(w) as {(t, word): Fraction}, peeling one trailing 1 at a time in
+    Fractions: reg(w) = (T reg(v) - sum n_u reg(u)) / mult for v = w[:-1]."""
+    if is_admissible(w):
+        return {(0, w): Fraction(1)}
+    v = w[:-1]
+    prod = dict(_ref_stuffle(v, (1,)))
+    mult = prod.pop(w)
+    acc = Counter()
+    for (t, u), q in _ref_reg(v).items():
+        acc[(t + 1, u)] += q / mult
+    for word, n in prod.items():
+        for key, q in _ref_reg(word).items():
+            acc[key] -= q * n / mult
+    return {key: q for key, q in acc.items() if q}
+
+
+def _ref_reg_combo(combo) -> dict:
+    acc = Counter()
+    for w, q in combo.items():
+        for key, p in _ref_reg(w).items():
+            acc[key] += q * p
+    return {key: q for key, q in acc.items() if q}
+
+
+def _ref_stuffle_combo(x, y) -> dict:
+    acc = Counter()
+    for u, p in x.items():
+        for v, q in y.items():
+            for w, n in _ref_stuffle(u, v).items():
+                acc[w] += p * q * n
+    return {w: q for w, q in acc.items() if q}
+
+
+def _flat_tpoly(tp: TPoly) -> dict:
+    """{(t, word): coeff} of a TPoly, asserting every coefficient is a Fraction
+    (an int would pass an equality check, and so would a digest)."""
+    flat = {}
+    for t, combo in tp.items():
+        for w, q in combo.items():
+            assert type(q) is Fraction, (t, w, q)
+            flat[(t, w)] = q
+    return flat
+
+
+def _trailing_ones(w: tuple) -> int:
+    r = 0
+    while r < len(w) and w[-1 - r] == 1:
+        r += 1
+    return r
+
+
+def test_integer_form_of_every_word_up_to_weight_10():
+    """r! reg(w) is integral and r! is the exact denominator, weight <= 10."""
+    words = list(compositions_up_to(10))
+    assert len(words) == 1023
+    for w in words:
+        r = _trailing_ones(w)
+        ref = _ref_reg(w)
+        assert max(q.denominator for q in ref.values()) == factorial(r), w
+        assert _flat_tpoly(regularize(w)) == ref, w
+        if r:
+            R, by_t = regularization._regularize_divergent(w)
+            assert R == factorial(r), w
+            ints = {(t, u): n for t, terms in by_t.items() for u, n in terms.items()}
+            assert all(type(n) is int and n for n in ints.values()), w
+            assert {key: Fraction(n, R) for key, n in ints.items()} == ref, w
+
+
+_odd_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-40, max_value=40).filter(bool),
+    st.sampled_from([1, 2, 3, 6, 7, 1009, 3 * 7 * 1009]),
+)
+_odd_combos = st.dictionaries(compositions(6), _odd_fractions, min_size=1, max_size=5).map(
+    WordCombo
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_odd_combos, _odd_combos)
+def test_integer_products_and_regularization_match_fractions(x, y):
+    assert _flat_tpoly(regularize(x)) == _ref_reg_combo(x)
+    prod = stuffle(x, y)
+    assert all(type(q) is Fraction for _, q in prod.items())
+    assert dict(prod.items()) == _ref_stuffle_combo(x, y)
+    assert _flat_tpoly(regularize(prod)) == _ref_reg_combo(prod)
+    expected = Counter()
+    for (s, u), p in _ref_reg_combo(x).items():
+        for (t, v), q in _ref_reg_combo(y).items():
+            for w, n in _ref_stuffle(u, v).items():
+                expected[(s + t, w)] += p * q * n
+    assert _flat_tpoly(regularize(x) * regularize(y)) == {
+        key: q for key, q in expected.items() if q
+    }
+
+
+def test_public_exact_results_carry_fractions_only():
+    for c in compositions_up_to(6):
+        combos = [star_expand(c), shift_expand(2, c), stuffle(c, c)]
+        tpolys = [regularize(c), antipode_combo(len(c), c), regularize(shift_expand(1, c))]
+        exprs = [build_main2_identity(c)]
+        if sum(c) % 2 != len(c) % 2:
+            exprs.append(reduce_main3(c).expanded)
+            if is_admissible(c):
+                exprs.append(reduce_main(c).expanded)
+        tpolys += [tp for e in exprs for _, tp in e.items()]
+        combos += [combo for tp in tpolys for _, combo in tp.items()]
+        for combo in combos:
+            assert all(type(q) is Fraction for _, q in combo.items()), c
