@@ -266,10 +266,17 @@ def _combo_sum(combo, ctx: PrecisionContext, dps: int) -> tuple:
 
 
 def _tpoly_sum(p: TPoly, T, ctx: PrecisionContext, dps: int) -> Approx:
-    """sum_t T^t (combination t) at the current precision, T an mpf."""
+    """sum_t T^t (combination t) at the current precision, T an mpf.
+
+    At T = 0 the grades t > 0 are skipped: their terms and their bound
+    terms are exactly 0, so the value and the bound are those of grade 0,
+    and their words are not evaluated.
+    """
     est = _estimate(dps)
     total = bound = mp.zero
     for t, combo in p.items():
+        if t and not T:
+            continue
         value, weight = _combo_sum(combo, ctx, dps)
         Tp = T**t if t else mp.one
         total += Tp * value

@@ -9,6 +9,11 @@ sign, and star, shift and stuffle expansions have integer coefficients.
 So reductions add the unregularized stuffle words of each grade to an
 integer accumulator ``{m: {word: int}}`` and regularize each grade once
 (regularization is linear), in integers over the grade's largest r!.
+The sum over the slots of a suffix c[i:] depends only on that suffix, up
+to the head parity (-1)^(i + k_1 + ... + k_i): it is cached per proper
+suffix (i >= 1), without that sign, as ``({m: {word: int}}, terms)``, so
+that a sweep computes it once per process; the shift expansions are
+cached too, and :func:`clear_caches` empties both.
 The regularized grades are summed in one flat ``{(pi_exp, t, word): int}``
 map over the common denominator of their rational weights, and each
 coefficient of the expression becomes a ``Fraction`` once, at the end.
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterator
 
@@ -55,6 +60,7 @@ __all__ = [
     "PiGradedExpr",
     "ReductionResult",
     "build_main2_identity",
+    "clear_caches",
     "expand_depth_certificate",
     "reduce_main",
     "reduce_main3",
@@ -95,9 +101,6 @@ class PiGradedExpr(_SparseMap):
         """Largest T-exponent in any grade: 0 when T-free, None when zero."""
         degs = [tp.t_degree for tp in self._data.values() if tp.t_degree]
         return max(degs) if degs else (0 if self._data else None)
-
-    def pi_exponents(self):
-        return sorted(self._data)
 
     def words(self) -> Iterator[Composition]:
         for tp in self._data.values():
@@ -142,41 +145,71 @@ def _bernoulli_weight(m: int) -> Fraction:
     return Fraction(4**m) * bernoulli(2 * m) / factorial(2 * m)
 
 
+# Mids and tails recur across the suffixes of an index and across indices.
+# There are 8,191 pairs (a, word) with a + weight(word) <= 12, the sweep cap.
+_shift = lru_cache(maxsize=1 << 13)(_shift_ints)
+
+
+def _suffix_slot_sum(c: Composition) -> tuple:
+    """``({m: {word: int}}, terms)``: the slot sum of a suffix, without the
+    head parity.
+
+    For every slot ``c = rev(mid) + (k_j,) + tail`` and every split
+    a + 2m + b of k_j (the even-s entries of :func:`slot_splits`), adds
+    ``sign * shift_a(mid) * shift_b(tail)`` to grade m, as unregularized
+    stuffle words, with sign = (-1)^m times the sign of :func:`slot_splits`,
+    (-1)^(a + weight of the parts of the suffix before the slot).
+    ``terms`` holds ``(mid, tail, a, m, b, sign)`` for every term, in
+    expansion order.
+    """
+    by_m: dict = {}
+    terms = []
+    for mid, a, s, b, tail, sign in slot_splits(c):
+        if s % 2:
+            continue
+        u = _shift(a, mid)
+        if not u:
+            continue
+        v = _shift(b, tail)
+        if not v:
+            continue
+        m = s // 2
+        term_sign = -sign if m % 2 else sign
+        _add_stuffle(by_m.setdefault(m, {}), u, v, term_sign)
+        terms.append((mid, tail, a, m, b, term_sign))
+    return by_m, tuple(terms)
+
+
+# A sweep reaches each proper suffix from many indices, and the whole index
+# from only one.  Every proper suffix of an index of weight <= 12, the sweep
+# cap, is one of the 2^11 - 1 compositions of weight <= 11.  The cached
+# dicts are shared: callers only read them.
+_proper_suffix_slot_sum = lru_cache(maxsize=1 << 11)(_suffix_slot_sum)
+
+
 def _triple_terms(c: Composition, grades: dict) -> list:
     """Add the double-index correction sum to ``grades``; return its terms.
 
-    For every 0 <= i < d, every slot ``c[i:] = rev(mid) + (k_j,) + tail``
-    and every split a + 2m + b of k_j (the even-s entries of
-    :func:`slot_splits`), the term is
+    The term of an index 0 <= i < d, a slot of c[i:] and a split
+    a + 2m + b of its part is
     ``sign * C_m * pi^(2m) * star(k_1..k_i) * shift_a(mid) * shift_b(tail)``
-    with sign = (-1)^(m+i+a+k_1+...+k_j).  Its unregularized stuffle
-    expansion, times ``sign``, is added to the integer accumulator
-    ``grades[m]`` ({word: int}); the star head is multiplied in once per
-    (i, m), after the shifted factors of all slots are summed.  Returns
-    ``(i, mid, tail, a, m, b, sign)`` for every term, in expansion order.
+    with sign = (-1)^(m+i+a+k_1+...+k_j).  For every i the slot sum of the
+    suffix c[i:] (:func:`_suffix_slot_sum`, cached for i >= 1) is
+    multiplied by the star head and by the head parity
+    (-1)^(i + k_1 + ... + k_i), and its grade m is added to the integer
+    accumulator ``grades[m]`` ({word: int}); the caller applies C_m.
+    Returns ``(i, mid, tail, a, m, b, sign)`` for every term, in expansion
+    order.
     """
-    shift_ints = cache(_shift_ints)  # mids and tails recur across i
-
     terms = []
     for i in range(len(c)):
-        head_parity = i + weight(c[:i])
-        by_m: dict = {}
-        for mid, a, s, b, tail, sign in slot_splits(c[i:]):
-            if s % 2:
-                continue
-            u = shift_ints(a, mid)
-            if not u:
-                continue
-            v = shift_ints(b, tail)
-            if not v:
-                continue
-            m = s // 2
-            term_sign = -sign if (head_parity + m) % 2 else sign
-            _add_stuffle(by_m.setdefault(m, {}), u, v, term_sign)
-            terms.append((i, mid, tail, a, m, b, term_sign))
+        slot_sum = _proper_suffix_slot_sum if i else _suffix_slot_sum
+        by_m, suffix_terms = slot_sum(c[i:])
+        h = -1 if (i + weight(c[:i])) % 2 else 1
         head = _star_ints(c[:i])
         for m, words in by_m.items():
-            _add_stuffle(grades.setdefault(m, {}), head, words)
+            _add_stuffle(grades.setdefault(m, {}), head, words, h)
+        terms += ((i, mid, tail, a, m, b, h * sign) for mid, tail, a, m, b, sign in suffix_terms)
     return terms
 
 
@@ -310,3 +343,9 @@ def build_main2_identity(c) -> PiGradedExpr:
 def expand_depth_certificate(e: PiGradedExpr, d: int) -> bool:
     """True iff every word occurring in the expansion has depth <= d-1."""
     return all(len(w) <= d - 1 for w in e.words())
+
+
+def clear_caches() -> None:
+    """Empty the cached slot sums of suffixes and the shift expansions."""
+    _proper_suffix_slot_sum.cache_clear()
+    _shift.cache_clear()

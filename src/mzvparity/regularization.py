@@ -21,9 +21,11 @@ By induction on r, with an admissible word (r = 0) its own regularization,
 Each divergent word caches ``(r!, {t: {word: int}})``.  A combination
 sum q_w w is brought to the common denominator D of its q_w and summed in
 integers over the largest r! of its words, R (every r! divides it), and
-each coefficient of the result is divided by D R once.  Products multiply
-integer numerators over the product of the two common denominators.  Over
-the words of weight <= 10 the reduced denominator of reg(w) is exactly r!.
+each coefficient of the result is divided by D R once.  Its admissible
+words are fixed points of reg and skip the peel: they go straight into
+grade t = 0, scaled by R.  Products multiply integer numerators over the
+product of the two common denominators.  Over the words of weight <= 10
+the reduced denominator of reg(w) is exactly r!.
 Reference: Ihara, Kaneko and Zagier, Compositio Math. 142 (2006).
 
 :class:`TPoly` is the middle level of the nested sparse maps (T-exponent ->
@@ -106,12 +108,6 @@ class TPoly(_SparseMap):
         for combo in self._data.values():
             yield from combo.words()
 
-    def shift_t(self, n: int) -> "TPoly":
-        """Multiply by T^n."""
-        if n == 0:
-            return self
-        return TPoly._raw({t + n: combo for t, combo in self._data.items()})
-
     def __mul__(self, other):
         if not isinstance(other, TPoly):
             return super().__mul__(other)
@@ -157,8 +153,25 @@ def _acc_regularized(acc: dict, forms, R: int) -> None:
 
 
 def _regularize_ints(words: dict) -> tuple:
-    """``(R, R reg(sum n w))`` for a {word: int} map, R the largest r! of its words."""
-    forms = [(n, _form(w)) for w, n in words.items() if n]
+    """``(R, R reg(sum n w))`` for a {word: int} map, R the largest r! of its words.
+
+    Admissible words are fixed points of reg: they are collected into one
+    form of grade t = 0, and only the divergent words are peeled.  That form
+    takes the place of the first admissible word, so that the T-grades come
+    in the order in which the words first reach them, which is the order in
+    which the evaluators add them up in floating point.
+    """
+    grade0: dict = {}
+    forms = []
+    for w, n in words.items():
+        if not n:
+            continue
+        if is_admissible(w):
+            if not grade0:
+                forms.append((1, (1, {0: grade0})))
+            grade0[w] = n
+        else:
+            forms.append((n, _regularize_divergent(w)))
     R = max((Rw for _, (Rw, _) in forms), default=1)
     acc: dict = {}
     _acc_regularized(acc, forms, R)

@@ -1,6 +1,8 @@
 """Compositions, word combinations, and the stuffle/star/shift expansions."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from mzvparity import (
     stuffle,
     weight,
 )
-from mzvparity.harmonic import slot_splits, splits
+from mzvparity.harmonic import _stuffle_words, slot_splits, splits
 
 
 @st.composite
@@ -79,6 +81,32 @@ def test_word_combo_algebra():
 def test_stuffle_identity_element():
     assert stuffle((), (3, 2)) == WordCombo.word((3, 2))
     assert stuffle((3, 2), ()) == WordCombo.word((3, 2))
+
+
+def _stuffle_by_surjections(u, v):
+    """The stuffle product from its definition as a sum over order-preserving
+    surjections: the parts of u and the parts of v go to increasing places
+    among 1..n, every place gets one part of u, one of v or one of each,
+    and a place holds the sum of its parts."""
+    out = Counter()
+    for n in range(max(len(u), len(v)), len(u) + len(v) + 1):
+        for places_u in combinations(range(n), len(u)):
+            for places_v in combinations(range(n), len(v)):
+                if len(set(places_u) | set(places_v)) < n:
+                    continue
+                w = [0] * n
+                for place, k in [*zip(places_u, u), *zip(places_v, v)]:
+                    w[place] += k
+                out[tuple(w)] += 1
+    return out
+
+
+def test_stuffle_words_match_the_surjection_definition():
+    words = [(), *compositions_up_to(7)]
+    pairs = [(u, v) for u in words for v in words if weight(u) + weight(v) <= 7]
+    assert len(pairs) == 576
+    for u, v in pairs:
+        assert dict(_stuffle_words(u, v)) == _stuffle_by_surjections(u, v), (u, v)
 
 
 def test_stuffle_2_3_exact():

@@ -109,6 +109,32 @@ def test_eval_tpoly_substitution(ctx30):
     assert abs(eval_tpoly(t1, 7, ctx30).value - 7) == 0
 
 
+@pytest.mark.parametrize("T", [0, mp.mpf(0), mp.mpc(0)], ids=["int", "mpf", "mpc"])
+def test_t_grades_are_skipped_at_t_zero(ctx30, T):
+    """At T = 0 the value and the bound are those of grade 0, bit for bit,
+    and a word that occurs only at t > 0 is not evaluated."""
+    tp = TPoly({
+        0: WordCombo({(2,): 3, (3, 2): Fraction(-1, 7), (): 1}),
+        1: WordCombo({(5, 3): 1, (2,): Fraction(1, 3)}),
+        2: WordCombo({(4, 4): 2}),
+    })
+    main2 = build_main2_identity((2, 1, 1, 1))
+    cases = [
+        (eval_tpoly, tp, [tp], TPoly({0: tp.coeff(0)})),
+        (eval_pigraded, main2, [g for _, g in main2.items()],
+         PiGradedExpr({p: {0: g.coeff(0)} for p, g in main2.items()})),
+    ]
+    for evaluate, expr, tpolys, t_free in cases:
+        grade0 = {w for g in tpolys for w in g.coeff(0).words()}
+        only_t_positive = {w for g in tpolys for t, c in g.items() if t for w in c.words()} - grade0
+        assert only_t_positive
+        mzv.clear_caches()
+        got = evaluate(expr, T, ctx30)
+        assert not only_t_positive & mzv._MZV_CACHE.keys()
+        want = evaluate(t_free, T, ctx30)
+        assert got.value._mpf_ == want.value._mpf_ and got.bound._mpf_ == want.bound._mpf_
+
+
 def test_eval_pigraded_pi_substitution(ctx30):
     e = PiGradedExpr({2: TPoly({0: WordCombo.word((), Fraction(1, 6))})})
     v = eval_pigraded(e, 0, ctx30)

@@ -1,5 +1,6 @@
 """Parity reductions: exact forms, structural guarantees, identity residuals."""
 
+import copy
 import hashlib
 from fractions import Fraction
 
@@ -24,8 +25,10 @@ from mzvparity import (
     regularize,
     shift_expand,
     star_expand,
+    sweep,
     weight,
 )
+from mzvparity import reduction, regularization
 from mzvparity.render import render_display_text, render_expanded_text
 from mzvparity.special import delta
 
@@ -77,7 +80,7 @@ def test_reduce_main_structural_guarantees():
         red = reduce_main(c)
         assert red.expanded.t_degree in (None, 0), c
         assert expand_depth_certificate(red.expanded, depth(c)), c
-        assert all(p % 2 == 0 and p <= weight(c) for p in red.expanded.pi_exponents())
+        assert all(p % 2 == 0 and p <= weight(c) for p, _ in red.expanded.items())
 
 
 def _pinned_rows(indices, build):
@@ -92,6 +95,20 @@ def _pinned_rows(indices, build):
     return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
+# (rows, sha256) of every term of every reduction up to weight 8 and of
+# every main2 identity up to weight 7
+_PINNED_MAIN = (980, "15fbccd58dd95b7ab9a0d1df2b87ab89ce03c1daca8bfc41b7659a98703e1197")
+_PINNED_MAIN2 = (1963, "f8b251349ac816dee1025fd3640fa4d8a692e1206a752690865c56f5eccb2e65")
+
+
+def _opposite_admissible(max_weight):
+    return [
+        c
+        for c in compositions_up_to(max_weight)
+        if is_admissible(c) and weight(c) % 2 != depth(c) % 2
+    ]
+
+
 def test_exact_output_pinned():
     """Every term of every reduction up to weight 8 (main2: weight 7) is pinned.
 
@@ -99,19 +116,46 @@ def test_exact_output_pinned():
     implementation; any change to the exact output of the symbolic layer,
     not only to its value, shows up here.
     """
-    opposite = [
-        c
-        for c in compositions_up_to(8)
-        if is_admissible(c) and weight(c) % 2 != depth(c) % 2
-    ]
-    assert _pinned_rows(opposite, lambda c: reduce_main(c).expanded) == (
-        980,
-        "15fbccd58dd95b7ab9a0d1df2b87ab89ce03c1daca8bfc41b7659a98703e1197",
-    )
-    assert _pinned_rows(compositions_up_to(7), build_main2_identity) == (
-        1963,
-        "f8b251349ac816dee1025fd3640fa4d8a692e1206a752690865c56f5eccb2e65",
-    )
+    assert _pinned_rows(_opposite_admissible(8), lambda c: reduce_main(c).expanded) == _PINNED_MAIN
+    assert _pinned_rows(compositions_up_to(7), build_main2_identity) == _PINNED_MAIN2
+
+
+def test_clear_caches_rebuilds_the_pinned_output():
+    reduction.clear_caches()
+    for cached in (reduction._proper_suffix_slot_sum, reduction._shift):
+        info = cached.cache_info()
+        assert info.currsize == 0 and info.maxsize is not None
+    # reversed, so that the suffixes are cached in another order
+    indices = _opposite_admissible(8)[::-1]
+    assert _pinned_rows(indices, lambda c: reduce_main(c).expanded) == _PINNED_MAIN
+    assert _pinned_rows(list(compositions_up_to(7))[::-1], build_main2_identity) == _PINNED_MAIN2
+
+
+def test_sweep_leaves_shared_cache_entries_unchanged(ctx30):
+    """The cached slot sums, shift expansions and regularized words are
+    shared dicts: a sweep that reads them must not change them."""
+    def entries():
+        suffixes = [reduction._proper_suffix_slot_sum(s) for s in compositions_up_to(6)]
+        shifts = [
+            reduction._shift(a, w)
+            for w in [(), *compositions_up_to(7)]
+            for a in range(8 - weight(w))
+        ]
+        divergent = [
+            regularization._regularize_divergent(w)
+            for w in compositions_up_to(7)
+            if not is_admissible(w)
+        ]
+        return suffixes + shifts + divergent
+
+    reduction.clear_caches()
+    sweep(7, "main2", ctx30)
+    live = entries()
+    before = copy.deepcopy(live)
+    assert all(r.status == "pass" for r in sweep(7, "main2", ctx30))
+    after = entries()
+    assert all(x is y for x, y in zip(after, live))  # still the cached objects
+    assert after == before
 
 
 def _display_sum(display) -> PiGradedExpr:
