@@ -3,7 +3,9 @@
 Monotangents are the doubly infinite depth-1 sums sum_{m in Z} (z+m)^(-s);
 they have closed forms as polynomials in cot(pi z).  Multitangents are the
 doubly infinite nested sums; the direct evaluator truncates them
-symmetrically, while the regularized evaluator splits the summation chain
+symmetrically and streams the range of the summation index through
+fixed-size numpy blocks, carrying each level's running sum from block to
+block, while the regularized evaluator splits the summation chain
 at the sign change and assembles the value from regularized Hurwitz
 generating values at z and -z.  Monotangent values are kept in a bounded
 cache per (order, point, working precision); :func:`clear_caches` empties it.
@@ -85,16 +87,38 @@ def _monotangent(s: int, zv, wp: int) -> Approx:
 
 
 _DIRECT_CUTOFF = 100_000  # symmetric cutoff M of the direct sums
+# Entries of -M < m <= M per block of the direct sums: a level's block
+# arrays (64 KiB real, 128 KiB complex) stay in cache.
+_DIRECT_BLOCK = 8192
+
+
+def _inverse(z: complex, m: np.ndarray) -> np.ndarray:
+    """1/(z+m) over the float64 integers m: real at a real z, and at a
+    complex z built from the real arrays x/|z+m|^2 and -y/|z+m|^2."""
+    if not z.imag:
+        return 1.0 / (z.real + m)
+    x = z.real + m
+    d = x * x + z.imag * z.imag
+    inv = np.empty(len(m), dtype=np.complex128)
+    inv.real = x / d
+    inv.imag = -z.imag / d
+    return inv
 
 
 def eval_multitangent_direct(
     c, z, ctx: PrecisionContext, cutoff: int = _DIRECT_CUTOFF
 ) -> Approx:
-    """Truncated doubly infinite nested sum over -M <= m_1 < ... < m_d <= M.
+    """Truncated doubly infinite nested sum over -M < m_1 < ... < m_d <= M.
 
     Requires first and last part >= 2 (absolute convergence).  float64
     precision with a stated O(M^(1-min(k_1,k_d))) tail estimate; intended
-    for low-precision cross-checks only.
+    for low-precision cross-checks only.  The range of m is walked in
+    blocks of :data:`_DIRECT_BLOCK` entries, with float64 arithmetic at a
+    real z and complex128 otherwise.  Level j's partial sums are
+    S_j(m) = S_j(m - 1) + S_{j-1}(m - 1) (z+m)^(-k_j), with S_0 = 1: each
+    level carries its running sum from block to block, added into the
+    block's first term before the cumulative sum, so the sums are
+    accumulated in order, m by m, and only a few block arrays are live.
     """
     c = as_composition(c)
     if not c or c[0] < 2 or c[-1] < 2:
@@ -105,17 +129,25 @@ def eval_multitangent_direct(
     if abs(zc.imag) == 0 and abs(zc.real - round(zc.real)) < 1e-12:
         raise DomainError("multitangent functions have poles at integer z")
     M = cutoff
-    # 1/(z+m) once per call; (z+m)^(-k) is then k in-place products
-    inv = 1.0 / (zc + np.arange(-M + 1, M + 1, dtype=np.float64))
-    prev = np.ones(2 * M + 1, dtype=np.complex128)
-    for k in c:
-        # prev held the chain count ending strictly before the current index
-        term = np.zeros_like(prev)
-        term[1:] = prev[:-1]
-        for _ in range(k):
-            term[1:] *= inv
-        prev = np.cumsum(term)
-    value = complex(prev[-1])
+    running = [0.0] * len(c)  # S_j at the last m of the previous block
+    for start in range(-M + 1, M + 1, _DIRECT_BLOCK):
+        inv = _inverse(zc, np.arange(start, min(start + _DIRECT_BLOCK, M + 1), dtype=np.float64))
+        # (z+m)^(-k) once per distinct part k of the index
+        powers, pk = {}, 1.0
+        for k in range(1, max(c) + 1):
+            pk = pk * inv
+            if k in c:
+                powers[k] = pk
+        below = 1.0  # S_{j-1}(m - 1) over the block; S_0 = 1
+        for j, k in enumerate(c):
+            term = below * powers[k]
+            term[0] += running[j]
+            np.cumsum(term, out=term)
+            below = np.empty_like(term)
+            below[0] = running[j]
+            below[1:] = term[:-1]
+            running[j] = term[-1]
+    value = complex(running[-1])
 
     # Chains escape past +-M through the first or the last slot; the
     # complementary chain factor is estimated by the full one-slot sums,

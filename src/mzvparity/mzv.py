@@ -29,7 +29,9 @@ man * 2^exp, so a word combination (one grade of an expression) brought to
 the common denominator D of its rational coefficients is the exact integer
 sum of (q D) man 2^(exp - E), with E the smallest exponent; it is rounded
 once, by one division by D at the kernel's precision, so that the guard
-bits the values carry are kept.  Powers of T and pi multiply whole grades.
+bits the values carry are kept.  Powers of T and pi multiply whole grades,
+and a check at several T values sums each grade once and combines the sums
+per T.
 The bound stays the per-word estimate 10^-(dps-2) times the sum of |q|,
 plus that estimate once per grade.
 
@@ -265,23 +267,28 @@ def _combo_sum(combo, ctx: PrecisionContext, dps: int) -> tuple:
     return mp.make_mpf(value), mp.make_mpf(mpf_div(from_int(weight), den, prec, round_nearest))
 
 
-def _tpoly_sum(p: TPoly, T, ctx: PrecisionContext, dps: int) -> Approx:
-    """sum_t T^t (combination t) at the current precision, T an mpf.
+def _tpoly_sums(p: TPoly, Ts: list, ctx: PrecisionContext, dps: int) -> list:
+    """[sum_t T^t (combination t) for T in Ts] at the current precision,
+    each T an mpf, as ``Approx``; every grade is summed once, however many
+    T values share it.
 
     At T = 0 the grades t > 0 are skipped: their terms and their bound
     terms are exactly 0, so the value and the bound are those of grade 0,
-    and their words are not evaluated.
+    and a grade t > 0 is not summed unless some T is nonzero.
     """
     est = _estimate(dps)
-    total = bound = mp.zero
+    totals = [mp.zero] * len(Ts)
+    bounds = [mp.zero] * len(Ts)
     for t, combo in p.items():
-        if t and not T:
+        at = [i for i, T in enumerate(Ts) if T or not t]
+        if not at:
             continue
         value, weight = _combo_sum(combo, ctx, dps)
-        Tp = T**t if t else mp.one
-        total += Tp * value
-        bound += abs(Tp) * (weight * est + est)
-    return Approx(total, bound)
+        for i in at:
+            Tp = Ts[i] ** t if t else mp.one
+            totals[i] += Tp * value
+            bounds[i] += abs(Tp) * (weight * est + est)
+    return [Approx(v, b) for v, b in zip(totals, bounds)]
 
 
 def eval_word_combo(combo, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
@@ -295,24 +302,37 @@ def eval_word_combo(combo, ctx: PrecisionContext, dps: Optional[int] = None) -> 
 
 def eval_tpoly(p: TPoly, T_value, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Substitute a numeric T into a T-polynomial and evaluate all words."""
+    return _eval_tpoly_at(p, (T_value,), ctx, dps)[0]
+
+
+def _eval_tpoly_at(p: TPoly, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -> list:
+    """:func:`eval_tpoly` at each of ``T_values``, summing every grade once."""
     dps_eff = dps if dps is not None else ctx.working_dps
     with mp.workprec(_sum_prec(dps_eff)):
-        return _tpoly_sum(p, mp.mpmathify(T_value), ctx, dps_eff)
+        return _tpoly_sums(p, [mp.mpmathify(T) for T in T_values], ctx, dps_eff)
 
 
 def eval_pigraded(e: PiGradedExpr, T_value, ctx: PrecisionContext) -> Approx:
     """Substitute numeric pi and T into a pi-graded expression."""
+    return _eval_pigraded_at(e, (T_value,), ctx)[0]
+
+
+def _eval_pigraded_at(e: PiGradedExpr, T_values, ctx: PrecisionContext) -> list:
+    """:func:`eval_pigraded` at each of ``T_values``, summing every grade
+    once: a check at several T values shares the grades' integer sums."""
     dps = ctx.working_dps
     with mp.workprec(_sum_prec(dps)):
         pi = +mp.pi
-        T = mp.mpmathify(T_value)
-        total = bound = mp.zero
+        Ts = [mp.mpmathify(T) for T in T_values]
+        totals = [mp.zero] * len(Ts)
+        bounds = [mp.zero] * len(Ts)
         for p, tp in e.items():
-            v = _tpoly_sum(tp, T, ctx, dps)
             pip = pi**p if p else mp.one
-            total += pip * v.value
-            bound += pip * v.bound
-        return Approx(total, bound + _estimate(dps))
+            for i, v in enumerate(_tpoly_sums(tp, Ts, ctx, dps)):
+                totals[i] += pip * v.value
+                bounds[i] += pip * v.bound
+        est = _estimate(dps)
+        return [Approx(v, b + est) for v, b in zip(totals, bounds)]
 
 
 def eval_piterm(term: PiTerm, ctx: PrecisionContext) -> Approx:

@@ -140,6 +140,8 @@ class ReductionResult:
     display: tuple
 
 
+# Called once per display term; m <= 6 within the sweep cap.
+@lru_cache(maxsize=64)
 def _bernoulli_weight(m: int) -> Fraction:
     """C_m = 4^m B_{2m} / (2m)!, the rational part of (2 pi)^(2m) B_{2m} / (2m)!."""
     return Fraction(4**m) * bernoulli(2 * m) / factorial(2 * m)
@@ -346,6 +348,8 @@ def expand_depth_certificate(e: PiGradedExpr, d: int) -> bool:
 
 
 def clear_caches() -> None:
-    """Empty the cached slot sums of suffixes and the shift expansions."""
+    """Empty the cached slot sums of suffixes, the shift expansions and the
+    Bernoulli weights."""
     _proper_suffix_slot_sum.cache_clear()
     _shift.cache_clear()
+    _bernoulli_weight.cache_clear()

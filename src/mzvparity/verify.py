@@ -53,7 +53,7 @@ from .multitangent import (
     eval_multitangent_direct,
     eval_multitangent_regularized,
 )
-from .mzv import eval_admissible_mzv, eval_pigraded, eval_tpoly
+from .mzv import _eval_pigraded_at, _eval_tpoly_at, eval_admissible_mzv, eval_pigraded, eval_tpoly
 from .precision import PrecisionContext
 from .reduction import (
     _bernoulli_weight,
@@ -197,16 +197,14 @@ def _T_values(T_values, default: tuple) -> tuple:
     return T_values
 
 
-def _worst(T_values: tuple, sides: Callable) -> tuple:
+def _worst(sides) -> tuple:
     """(residual, lhs, rhs) of the T value with the largest residual
-    |lhs - rhs|, the first such T on a tie; ``sides(T)`` is (lhs, rhs).
+    |lhs - rhs|, the first such T on a tie; ``sides`` yields (lhs, rhs)
+    per T value, in order.
 
     A report carries the sides of the T value its residual comes from.
     """
-    rows = []
-    for T in T_values:
-        lhs, rhs = sides(T)
-        rows.append((abs(lhs - rhs), lhs, rhs))
+    rows = [(abs(lhs - rhs), lhs, rhs) for lhs, rhs in sides]
     return max(rows, key=lambda row: row[0])
 
 
@@ -264,7 +262,7 @@ def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Resid
         return lhs, _slot_sum(c, T, ctx, _twice_zeta)
 
     with mp.workdps(ctx.working_dps + 5):
-        residual, lhs, rhs = _worst(T_values, sides)
+        residual, lhs, rhs = _worst(map(sides, T_values))
     return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, T=T_values)
 
 
@@ -275,7 +273,9 @@ def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     t0 = time.perf_counter()
     expr = build_main2_identity(c)
     t_built = time.perf_counter()
-    residual, lhs, rhs = _worst(T_values, lambda T: (eval_pigraded(expr, T, ctx).value, mp.zero))
+    residual, lhs, rhs = _worst(
+        (v.value, mp.zero) for v in _eval_pigraded_at(expr, T_values, ctx)
+    )
     return _finish("main2", c, ctx, residual, lhs, rhs, t0, T=T_values, t_built=t_built)
 
 
@@ -289,10 +289,9 @@ def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     red = reduce_main3(c)
     tp = regularize(c)
     t_built = time.perf_counter()
-    residual, lhs, rhs = _worst(
-        T_values,
-        lambda T: (eval_tpoly(tp, T, ctx).value, eval_pigraded(red.expanded, T, ctx).value),
-    )
+    lhs_at = _eval_tpoly_at(tp, T_values, ctx)
+    rhs_at = _eval_pigraded_at(red.expanded, T_values, ctx)
+    residual, lhs, rhs = _worst((l.value, r.value) for l, r in zip(lhs_at, rhs_at))
     return _finish("main3", c, ctx, residual, lhs, rhs, t0, T=T_values, t_built=t_built)
 
 
@@ -315,7 +314,7 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
     t_built = time.perf_counter()
     value = eval_admissible_mzv(c, ctx).value
     residual, lhs, rhs = _worst(
-        T_values, lambda T: (value, eval_pigraded(red.expanded, T, ctx).value)
+        (value, eval_pigraded(red.expanded, T, ctx).value) for T in T_values
     )
     reason = None
     if not t_free:
@@ -349,7 +348,7 @@ def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualRe
         return eval_multitangent_regularized(c, z, T, ctx).value, _slot_sum(c, T, ctx, monotangent)
 
     with mp.workdps(ctx.working_dps + 5):
-        residual, lhs, rhs = _worst(T_values, sides)
+        residual, lhs, rhs = _worst(map(sides, T_values))
         extra_ok = True
         reason = None
         if c[0] >= 2 and c[-1] >= 2:

@@ -1,5 +1,9 @@
 """Monotangents and multitangents: closed forms, direct sums, regularization."""
 
+import tracemalloc
+from math import log
+
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -11,6 +15,7 @@ from mzvparity import (
     PrecisionContext,
 )
 from mzvparity import multitangent
+from mzvparity.harmonic import compositions_up_to
 from mzvparity.oracles import monotangent_symmetric_oracle, multitangent_regularized_series
 
 
@@ -59,6 +64,66 @@ def test_multitangent_direct_cross_checks(ctx30):
     r33 = eval_multitangent_regularized((3, 3), zc, 0, ctx30)
     assert abs(d33.value - r33.value) < 1e-6
     assert abs(d33.value - r33.value) < d33.bound
+
+
+def _direct_whole_array(c, z, M):
+    """(value, tail estimate) of the direct sum with every level held as one
+    complex array over all 2M values of m: the reference for the blocked
+    kernel."""
+    zc = complex(z)
+    inv = 1.0 / (zc + np.arange(-M + 1, M + 1, dtype=np.float64))
+    prev = np.ones(2 * M + 1, dtype=np.complex128)
+    for k in c:
+        term = np.zeros_like(prev)
+        term[1:] = prev[:-1]
+        for _ in range(k):
+            term[1:] *= inv
+        prev = np.cumsum(term)
+    value = complex(prev[-1])
+    logf = 4.0 * log(2 * M + 1)
+    zabs = abs(zc)
+
+    def side(k_escape, others):
+        prod = 1.0
+        for k in others:
+            prod *= zabs ** (-k) + logf
+        return (M - zabs) ** (1 - k_escape) / (k_escape - 1) * prod
+
+    return value, side(c[0], c[1:]) + side(c[-1], c[:-1])
+
+
+_BLOCK = multitangent._DIRECT_BLOCK
+
+
+@pytest.mark.parametrize("z", [0.3, 0.25 + 0.2j, -0.45, 0.1 + 0.45j])
+def test_direct_blocks_match_the_whole_array_sum(ctx30, z):
+    """Every index of weight <= 7 with first and last part >= 2, at cutoffs
+    inside one block, on both sides of the block edges and at the default:
+    the blocked sum agrees with the whole-array sum to float64 accuracy
+    (the powers (z+m)^(-k) are rounded once instead of k times), its bound
+    is the same tail estimate plus the same fp slack on its value, and its
+    value is an mpc also at a real z."""
+    indices = [c for c in compositions_up_to(7) if c[0] >= 2 and c[-1] >= 2]
+    for M in (1, 7, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100_000):
+        for c in indices:
+            got = eval_multitangent_direct(c, z, ctx30, cutoff=M)
+            value, est = _direct_whole_array(c, z, M)
+            assert isinstance(got.value, mp.mpc), (c, M)
+            assert abs(complex(got.value) - value) <= 1e-13 * (1 + abs(value)), (c, M)
+            assert got.bound == mp.mpf(est + 1e-11 * (1 + abs(complex(got.value)))), (c, M)
+            assert abs(got.bound - (est + 1e-11 * (1 + abs(value)))) <= 1e-15 * got.bound
+
+
+def test_direct_memory_stays_within_blocks(ctx30):
+    """Only block arrays are live: the whole-array sum peaked at 12.2 MiB."""
+    for z in (mp.mpf("0.3"), mp.mpc("0.25", "0.2")):
+        tracemalloc.start()
+        try:
+            eval_multitangent_direct((2, 1, 1, 2), z, ctx30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (z, peak)
 
 
 def test_multitangent_direct_preconditions(ctx30):

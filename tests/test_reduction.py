@@ -122,7 +122,7 @@ def test_exact_output_pinned():
 
 def test_clear_caches_rebuilds_the_pinned_output():
     reduction.clear_caches()
-    for cached in (reduction._proper_suffix_slot_sum, reduction._shift):
+    for cached in (reduction._proper_suffix_slot_sum, reduction._shift, reduction._bernoulli_weight):
         info = cached.cache_info()
         assert info.currsize == 0 and info.maxsize is not None
     # reversed, so that the suffixes are cached in another order

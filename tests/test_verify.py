@@ -1,10 +1,17 @@
 """Verification harness: single identities, sweeps, report semantics."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
 from mzvparity import (
     IDENTITIES,
+    build_main2_identity,
+    eval_pigraded,
+    eval_tpoly,
+    reduce_main3,
+    regularize,
     ResidualReport,
     VerificationFailure,
     compositions_up_to,
@@ -17,6 +24,7 @@ from mzvparity import (
     verify_main3,
     weight,
 )
+from mzvparity import mzv
 
 
 def test_fund_eq2_cases(ctx30):
@@ -89,6 +97,41 @@ def test_residual_is_max_over_T_values(ctx30):
         both = check((0, 1))
         assert both.T == (0, 1)
         assert both.residual == max(check((0,)).residual, check((1,)).residual)
+
+
+def _grades(expr) -> int:
+    """The (pi-grade, T-grade) pairs of an expression: one integer sum each."""
+    return sum(len(list(tp.items())) for _, tp in expr.items())
+
+
+def test_checks_at_several_T_sum_each_grade_once(ctx30, monkeypatch):
+    """main2 and main3 sum every grade of their expressions once for all T
+    values, and report the values of one evaluation per T, bit for bit."""
+    calls = []
+    original = mzv._combo_sum
+
+    def counting(combo, ctx, dps):
+        calls.append(combo)
+        return original(combo, ctx, dps)
+
+    Ts = (0, 1, Fraction(5, 2))
+    for c in [(2, 1, 1, 1), (1, 2, 1), (3, 1, 2), (1, 1, 1, 2)]:
+        main2, main3, reg = build_main2_identity(c), reduce_main3(c).expanded, regularize(c)
+        cases = {
+            "main2": (_grades(main2), lambda T: (eval_pigraded(main2, T, ctx30).value, mp.zero)),
+            "main3": (_grades(main3) + len(list(reg.items())), lambda T: (
+                eval_tpoly(reg, T, ctx30).value, eval_pigraded(main3, T, ctx30).value,
+            )),
+        }
+        for identity, (grades, sides) in cases.items():
+            rows = [(abs(lhs - rhs), lhs, rhs) for lhs, rhs in map(sides, Ts)]
+            want = max(rows, key=lambda row: row[0])
+            monkeypatch.setattr(mzv, "_combo_sum", counting)
+            calls.clear()
+            rep = IDENTITIES[identity](c, ctx=ctx30, T_values=Ts)
+            monkeypatch.setattr(mzv, "_combo_sum", original)
+            assert len(calls) == grades, (identity, c)
+            assert (rep.residual, rep.lhs, rep.rhs) == want, (identity, c)
 
 
 def test_report_sides_are_those_of_the_residual(ctx30):
