@@ -7,8 +7,12 @@ converges exactly when ``k_d >= 2``.  :class:`WordCombo` is a finite
 Q-linear combination of compositions with exact rational coefficients; the
 stuffle product turns it into the harmonic algebra.  Its linear operations
 live in a private sparse-map base class that ``TPoly`` and ``PiGradedExpr``
-share.  Products and expansions run on integer numerators over one common
-denominator, and build each ``Fraction`` once per result term.
+share.  All three store one positive int denominator and one flat
+{key: int} map of numerators, in lowest terms, the key being a word,
+``(t, word)`` or ``(pi_exp, t, word)``.  Products, expansions and the
+evaluators work on that storage; a ``Fraction`` is built only when a
+coefficient is read.  Coefficients from outside must be exact: int or
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
-from math import comb, lcm
+from math import comb, gcd, lcm
+from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Union
 
 Composition = tuple[int, ...]
@@ -107,86 +112,132 @@ def compositions_up_to(max_weight: int) -> Iterator[Composition]:
         yield from compositions_of(w)
 
 
-def _format_word(c: Composition) -> str:
-    return "zeta(" + ",".join(str(k) for k in c) + ")"
+def _ratio(q) -> tuple:
+    """``(numerator, denominator)`` of an exact coefficient, as ints; a float
+    would enter as the rational value of its rounding, and raises."""
+    if not isinstance(q, Rational):
+        raise TypeError(f"exact coefficients must be int or Fraction, got {q!r}")
+    return int(q.numerator), int(q.denominator)
 
 
-def _iadd(acc: dict, items, scale=None) -> None:
-    """In-place ``acc += scale * items`` over (key, value) pairs.
-
-    Values are ints, Fractions or sparse maps; ``scale=None`` adds unscaled.
-    A key whose value cancels to zero is removed, so ``acc`` never stores
-    a zero.
-    """
-    if scale is not None:
-        items = ((k, v * scale) for k, v in items)
+def _iadd(acc: dict, items, scale: int) -> None:
+    """In-place ``acc += scale * items`` over (key, int) pairs; a key whose
+    value cancels to zero is removed, so ``acc`` never stores a zero."""
     for k, v in items:
-        old = acc.get(k)
-        if old is not None:
-            v = old + v
+        v = acc.get(k, 0) + v * scale
         if v:
             acc[k] = v
-        elif old is not None:
-            del acc[k]
+        else:
+            acc.pop(k, None)
+
+
+def _grades(nums: dict) -> dict:
+    """``{key[0]: {rest: n}}`` of a {key: int} map with tuple keys, the rest
+    of a key being its tail (unwrapped when it is one part); grades and
+    keys keep the order in which they first appear."""
+    grades: dict = {}
+    for k, n in nums.items():
+        grades.setdefault(k[0], {})[k[1] if len(k) == 2 else k[1:]] = n
+    return grades
+
+
+def _grade_major(nums: dict, depth: int) -> dict:
+    """``nums`` with the keys of each grade together, over ``depth`` grade
+    levels, in the order of :func:`_grades`."""
+    if not depth:
+        return nums
+    return {
+        (g, *r) if depth > 1 else (g, r): n
+        for g, rest in _grades(nums).items()
+        for r, n in _grade_major(rest, depth - 1).items()
+    }
 
 
 class _SparseMap:
-    """Immutable finite map from keys to nonzero values, a Q-vector space.
+    """Immutable finite Q-linear combination of keys, stored in integers.
 
-    Shared core of :class:`WordCombo` (word -> Fraction), ``TPoly``
-    (T-exponent -> WordCombo) and ``PiGradedExpr`` (pi-exponent -> TPoly):
-    zero values are never stored, and every operation returns a fresh map.
-    Values of different subclasses are never equal.
+    Shared core of :class:`WordCombo` (keys: words), ``TPoly`` (keys:
+    ``(t, word)``) and ``PiGradedExpr`` (keys: ``(pi_exp, t, word)``): the
+    coefficient of a key is ``_nums[key] / _den``, with ``_den > 0``, no
+    zero in ``_nums`` and gcd(_den, *_nums) = 1, so equal maps have equal
+    storage.  Every operation returns a fresh map; values of different
+    subclasses are never equal.  ``items()`` yields each grade (leading key
+    part) with its coefficient as a map of the class below (``_view``), in
+    the order of :func:`_grades`, and ``len`` counts grades.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_den", "_nums")
+    _view = None
+    _depth = 0  # grade levels above the word
+
+    def __init__(self, terms=()):
+        """Sum of ``q * key`` over (key, q) pairs of exact rationals."""
+        ints = [(k, *_ratio(q)) for k, q in terms]
+        den = lcm(*(d for _, _, d in ints))
+        nums: dict = {}
+        for k, n, d in ints:
+            nums[k] = nums.get(k, 0) + n * (den // d)
+        self._set(den, nums)
+
+    def _set(self, den: int, nums: dict) -> None:
+        g = gcd(den, *nums.values())
+        self._den = den // g
+        self._nums = {k: n // g for k, n in nums.items() if n}
 
     @classmethod
-    def _raw(cls, data: dict):
-        # internal constructor: data already validated and pruned
+    def _raw(cls, den: int, nums: dict):
+        """The map ``nums / den`` of a {key: int} accumulator, den > 0, which
+        is read and not kept: it may be a cached dict."""
         self = object.__new__(cls)
-        self._data = data
+        self._set(den, nums)
         return self
 
     @classmethod
     def zero(cls):
-        return cls._raw({})
+        return cls._raw(1, {})
 
     def items(self):
-        return self._data.items()
+        view, den = self._view, self._den
+        return {g: view._raw(den, nums) for g, nums in _grades(self._nums).items()}.items()
+
+    def words(self):
+        """The word of every term, once per grade that holds it."""
+        return (k[-1] for k in self._nums)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len({k[0] for k in self._nums})
 
     def __bool__(self) -> bool:
-        return bool(self._data)
+        return bool(self._nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._nums
+
+    def _plus(self, other, sign: int):
+        if type(other) is not type(self):
+            return NotImplemented
+        den = lcm(self._den, other._den)
+        nums = {k: n * (den // self._den) for k, n in self._nums.items()}
+        scale = sign * (den // other._den)
+        for k, n in other._nums.items():
+            nums[k] = nums.get(k, 0) + n * scale
+        # a grade whose old keys all cancel keeps its place while new keys
+        # join it: the zeros are dropped only after the grades are grouped
+        return self._raw(den, _grade_major(nums, self._depth))
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        data = dict(self._data)
-        _iadd(data, other._data.items())
-        return self._raw(data)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        data = dict(self._data)
-        _iadd(data, other._data.items(), -1)
-        return self._raw(data)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return self._raw({k: -v for k, v in self._data.items()})
+        return self._raw(self._den, {k: -n for k, n in self._nums.items()})
 
     def __mul__(self, other):
-        q = other if isinstance(other, Fraction) else Fraction(other)
-        if not q:
-            return self.zero()
-        return self._raw({k: v * q for k, v in self._data.items()})
+        n, d = _ratio(other)
+        return self._raw(self._den * d, {k: v * n for k, v in self._nums.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -194,55 +245,55 @@ class _SparseMap:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._data == other._data
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(frozenset(self._data.items()))
+        return hash((self._den, frozenset(self._nums.items())))
+
+    def __repr__(self) -> str:
+        grades = dict(self.items())
+        return " + ".join(self._format(g, grades[g]) for g in sorted(grades)) or "0"
 
 
 class WordCombo(_SparseMap):
     """Finite formal Q-linear combination of compositions.
 
-    Coefficients are exact :class:`fractions.Fraction` values; zero
-    coefficients are never stored.  Instances are treated as immutable:
-    every operation returns a fresh combination.
+    Coefficients are exact :class:`fractions.Fraction` values when read;
+    zero coefficients are never stored.  Instances are treated as
+    immutable: every operation returns a fresh combination.
     """
 
     __slots__ = ()
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        data: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            _iadd(data, ((as_composition(w), Fraction(q)) for w, q in items))
-        self._data = data
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        super().__init__((as_composition(w), q) for w, q in items)
 
     @classmethod
     def word(cls, c: Iterable, coeff=1) -> "WordCombo":
-        q = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        if not q:
-            return cls.zero()
-        return cls._raw({as_composition(c): q})
+        n, d = _ratio(coeff)
+        return cls._raw(d, {as_composition(c): n})
+
+    def items(self):
+        den = self._den
+        return {w: Fraction(n, den) for w, n in self._nums.items()}.items()
 
     def words(self):
-        return self._data.keys()
+        return self._nums.keys()
+
+    def __len__(self) -> int:
+        return len(self._nums)
 
     def __getitem__(self, word) -> Fraction:
-        return self._data.get(tuple(word), Fraction(0))
+        return Fraction(self._nums.get(tuple(word), 0), self._den)
 
     def __mul__(self, other) -> "WordCombo":
         if isinstance(other, WordCombo):
             return stuffle(self, other)
         return super().__mul__(other)
 
-    def __repr__(self) -> str:
-        if not self._data:
-            return "0"
-        parts = []
-        for w in sorted(self._data):
-            q = self._data[w]
-            parts.append(f"({q})*{_format_word(w)}")
-        return " + ".join(parts)
+    def _format(self, w, q) -> str:
+        return f"({q})*zeta(" + ",".join(map(str, w)) + ")"
 
 
 @lru_cache(maxsize=1 << 16)
@@ -271,17 +322,6 @@ def _stuffle_words(u: Composition, v: Composition):
     return tuple(acc.items())
 
 
-def _numerators(data: dict) -> tuple:
-    """``(D, {key: q D})`` for a {key: Fraction} map, D the common denominator."""
-    D = lcm(*(q.denominator for q in data.values()))
-    return D, {k: q.numerator * (D // q.denominator) for k, q in data.items()}
-
-
-def _fractions(ints: dict, D: int) -> dict:
-    """``{key: Fraction(n, D)}`` over the nonzero values of a {key: int} map."""
-    return {k: Fraction(n, D) for k, n in ints.items() if n}
-
-
 def _add_stuffle(acc: dict, u: dict, v: dict, n: int = 1) -> None:
     """In-place ``acc += n * (u stuffle v)`` over {word: int} maps."""
     for wu, nu in u.items():
@@ -299,11 +339,11 @@ def stuffle(u, v) -> WordCombo:
     identity element.  The integer numerators are multiplied over the
     product of the two common denominators.
     """
-    Du, nu = _numerators(u._data) if isinstance(u, WordCombo) else (1, {as_composition(u): 1})
-    Dv, nv = _numerators(v._data) if isinstance(v, WordCombo) else (1, {as_composition(v): 1})
+    Du, nu = (u._den, u._nums) if isinstance(u, WordCombo) else (1, {as_composition(u): 1})
+    Dv, nv = (v._den, v._nums) if isinstance(v, WordCombo) else (1, {as_composition(v): 1})
     acc: dict = {}
     _add_stuffle(acc, nu, nv)
-    return WordCombo._raw(_fractions(acc, Du * Dv))
+    return WordCombo._raw(Du * Dv, acc)
 
 
 def _star_ints(c: Composition) -> dict:
@@ -330,7 +370,7 @@ def star_expand(c) -> WordCombo:
     contributes the contracted composition with coefficient +1; the empty
     composition expands to itself.
     """
-    return WordCombo._raw(_fractions(_star_ints(as_composition(c)), 1))
+    return WordCombo._raw(1, _star_ints(as_composition(c)))
 
 
 def _weak_compositions(total: int, slots: int) -> Iterator[tuple]:
@@ -370,4 +410,4 @@ def shift_expand(a: int, c) -> WordCombo:
     """
     if a < 0:
         raise ValueError("shift order must be >= 0")
-    return WordCombo._raw(_fractions(_shift_ints(a, as_composition(c)), 1))
+    return WordCombo._raw(1, _shift_ints(a, as_composition(c)))

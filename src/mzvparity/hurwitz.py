@@ -79,8 +79,8 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
-from .harmonic import as_composition, is_admissible, shift_expand
-from .mzv import eval_tpoly
+from .harmonic import _grades, as_composition, is_admissible, shift_expand
+from .mzv import _fraction_to_mp, eval_tpoly
 from .precision import Approx, PrecisionContext
 from .regularization import TPoly, regularize
 from .special import bernoulli
@@ -610,11 +610,11 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
         tau = tau_value(zv, T_value, ctx)
         total = mp.mpf(0)
         bound = mp.mpf(0)
-        for t, combo in tp.items():
+        for t, nums in _grades(tp._nums).items():
             part = mp.mpf(0)
             pbound = mp.mpf(0)
-            for w, q in combo.items():
-                qm = mp.mpf(q.numerator) / q.denominator
+            for w, n in nums.items():
+                qm = _fraction_to_mp(Fraction(n, tp._den))
                 hv = eval_hurwitz_direct(w, zv, ctx)
                 part += qm * hv.value
                 pbound += abs(qm) * hv.bound

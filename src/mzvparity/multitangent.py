@@ -23,6 +23,7 @@ from mpmath import mp
 from .errors import DomainError
 from .harmonic import as_composition, splits
 from .hurwitz import eval_hurwitz_star, _normalize_z
+from .mzv import _fraction_to_mp
 from .precision import Approx, PrecisionContext
 
 __all__ = [
@@ -81,7 +82,7 @@ def _monotangent(s: int, zv, wp: int) -> Approx:
         poly = _mono_poly(s)
         acc = mp.mpf(0)
         for ci in reversed(poly):
-            acc = acc * x + mp.mpf(ci.numerator) / ci.denominator
+            acc = acc * x + _fraction_to_mp(ci)
         val = mp.pi**s * acc
         return Approx(val, mp.mpf(10) ** (-(wp - 6)) * (1 + abs(val)))
 

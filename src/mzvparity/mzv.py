@@ -24,14 +24,14 @@ reused for all of them.  Prefix values are cached by ``(blocks, M, P)``,
 so words share them.  A value is returned as an mpf that carries the guard
 bits.
 
-The expression evaluators sum in integers.  An mpf is an exact dyadic
-man * 2^exp, so a word combination (one grade of an expression) brought to
-the common denominator D of its rational coefficients is the exact integer
-sum of (q D) man 2^(exp - E), with E the smallest exponent; it is rounded
-once, by one division by D at the kernel's precision, so that the guard
-bits the values carry are kept.  Powers of T and pi multiply whole grades,
-and a check at several T values sums each grade once and combines the sums
-per T.
+The expression evaluators sum in integers, and read an expression's
+storage, integer numerators n over one denominator D, as it is.  An mpf is
+an exact dyadic man * 2^exp, so D times a word combination (one grade of
+an expression) is the exact integer sum of n man 2^(exp - E), with E the
+smallest exponent; it is rounded once, by one division by D at the
+kernel's precision, so that the guard bits the values carry are kept.
+Powers of T and pi multiply whole grades, and a check at several T values
+sums each grade once and combines the sums per T.
 The bound stays the per-word estimate 10^-(dps-2) times the sum of |q|,
 plus that estimate once per grade.
 
@@ -46,7 +46,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
 from operator import floordiv, mul, rshift
 from typing import Optional
 
@@ -54,7 +53,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
 from .errors import NonAdmissibleError
-from .harmonic import Composition, as_composition, is_admissible
+from .harmonic import Composition, _grades, as_composition, is_admissible
 from .precision import Approx, PrecisionContext
 from .reduction import PiGradedExpr
 from .regularization import TPoly
@@ -216,7 +215,13 @@ def eval_admissible_mzv(c, ctx: PrecisionContext, dps: Optional[int] = None) -> 
 
 
 def _fraction_to_mp(q: Fraction):
+    """q at the current precision: its numerator rounded, then divided."""
     return mp.mpf(q.numerator) / q.denominator
+
+
+def _piterm_to_mp(term: PiTerm):
+    """q pi^p of a :class:`PiTerm` at the current precision."""
+    return _fraction_to_mp(term.coeff) * mp.pi**term.pi_exp
 
 
 def _sum_prec(dps: int) -> int:
@@ -232,22 +237,20 @@ def _estimate(dps: int):
         return mp.mpf(10) ** (2 - dps)
 
 
-def _combo_sum(combo, ctx: PrecisionContext, dps: int) -> tuple:
-    """(value, sum of |q| over the nonempty words) of a Q-combination of
-    admissible words at dps digits, both rounded once to the current
-    precision.
+def _combo_sum(nums: dict, den: int, ctx: PrecisionContext, dps: int) -> tuple:
+    """(value, sum of |q| over the nonempty words) of the Q-combination
+    ``nums / den`` of admissible words ({word: int}, den > 0) at dps
+    digits, both rounded once to the current precision.
 
-    With D the common denominator of the coefficients and E the smallest
-    exponent of the values man 2^exp, D times the value is the integer
-    sum of (q D) man 2^(exp - E), times 2^E.  A cached value good to dps
-    digits is read from the cache; any other word goes through
-    :func:`eval_admissible_mzv`, which raises for non-admissible words.
+    With E the smallest exponent of the values man 2^exp, den times the
+    value is the integer sum of n man 2^(exp - E), times 2^E.  A cached
+    value good to dps digits is read from the cache; any other word goes
+    through :func:`eval_admissible_mzv`, which raises for non-admissible
+    words.
     """
-    D = lcm(*(q.denominator for _, q in combo.items()))
     const = weight = 0
-    nums, exps = [], []
-    for w, q in combo.items():
-        n = q.numerator * (D // q.denominator)
+    mans, exps = [], []
+    for w, n in nums.items():
         if not w:
             const = n
             continue
@@ -258,19 +261,20 @@ def _combo_sum(combo, ctx: PrecisionContext, dps: int) -> tuple:
         else:
             v = eval_admissible_mzv(w, ctx, dps=dps).value
         sign, man, exp, _ = v._mpf_
-        nums.append(-n * man if sign else n * man)
+        mans.append(-n * man if sign else n * man)
         exps.append(exp)
     E = min([0, *exps])
-    total = sum((m << (e - E) for m, e in zip(nums, exps)), const << -E)
-    prec, den = mp.prec, from_int(D)
-    value = mpf_div(from_man_exp(total, E), den, prec, round_nearest)
-    return mp.make_mpf(value), mp.make_mpf(mpf_div(from_int(weight), den, prec, round_nearest))
+    total = sum((m << (e - E) for m, e in zip(mans, exps)), const << -E)
+    prec, d = mp.prec, from_int(den)
+    value = mpf_div(from_man_exp(total, E), d, prec, round_nearest)
+    return mp.make_mpf(value), mp.make_mpf(mpf_div(from_int(weight), d, prec, round_nearest))
 
 
-def _tpoly_sums(p: TPoly, Ts: list, ctx: PrecisionContext, dps: int) -> list:
-    """[sum_t T^t (combination t) for T in Ts] at the current precision,
-    each T an mpf, as ``Approx``; every grade is summed once, however many
-    T values share it.
+def _tpoly_sums(grades: dict, den: int, Ts: list, ctx: PrecisionContext, dps: int) -> list:
+    """[sum_t T^t (grade t) for T in Ts] of the T-polynomial with grades
+    ``{t: {word: int}}`` over ``den``, at the current precision, each T an
+    mpf, as ``Approx``; every grade is summed once, however many T values
+    share it.
 
     At T = 0 the grades t > 0 are skipped: their terms and their bound
     terms are exactly 0, so the value and the bound are those of grade 0,
@@ -279,11 +283,11 @@ def _tpoly_sums(p: TPoly, Ts: list, ctx: PrecisionContext, dps: int) -> list:
     est = _estimate(dps)
     totals = [mp.zero] * len(Ts)
     bounds = [mp.zero] * len(Ts)
-    for t, combo in p.items():
+    for t, nums in grades.items():
         at = [i for i, T in enumerate(Ts) if T or not t]
         if not at:
             continue
-        value, weight = _combo_sum(combo, ctx, dps)
+        value, weight = _combo_sum(nums, den, ctx, dps)
         for i in at:
             Tp = Ts[i] ** t if t else mp.one
             totals[i] += Tp * value
@@ -295,7 +299,7 @@ def eval_word_combo(combo, ctx: PrecisionContext, dps: Optional[int] = None) -> 
     """Evaluate a Q-combination of admissible words (empty word = 1)."""
     dps_eff = dps if dps is not None else ctx.working_dps
     with mp.workprec(_sum_prec(dps_eff)):
-        value, weight = _combo_sum(combo, ctx, dps_eff)
+        value, weight = _combo_sum(combo._nums, combo._den, ctx, dps_eff)
         est = _estimate(dps_eff)
         return Approx(value, weight * est + est)
 
@@ -309,7 +313,8 @@ def _eval_tpoly_at(p: TPoly, T_values, ctx: PrecisionContext, dps: Optional[int]
     """:func:`eval_tpoly` at each of ``T_values``, summing every grade once."""
     dps_eff = dps if dps is not None else ctx.working_dps
     with mp.workprec(_sum_prec(dps_eff)):
-        return _tpoly_sums(p, [mp.mpmathify(T) for T in T_values], ctx, dps_eff)
+        Ts = [mp.mpmathify(T) for T in T_values]
+        return _tpoly_sums(_grades(p._nums), p._den, Ts, ctx, dps_eff)
 
 
 def eval_pigraded(e: PiGradedExpr, T_value, ctx: PrecisionContext) -> Approx:
@@ -326,9 +331,9 @@ def _eval_pigraded_at(e: PiGradedExpr, T_values, ctx: PrecisionContext) -> list:
         Ts = [mp.mpmathify(T) for T in T_values]
         totals = [mp.zero] * len(Ts)
         bounds = [mp.zero] * len(Ts)
-        for p, tp in e.items():
+        for p, by_t in _grades(e._nums).items():
             pip = pi**p if p else mp.one
-            for i, v in enumerate(_tpoly_sums(tp, Ts, ctx, dps)):
+            for i, v in enumerate(_tpoly_sums(_grades(by_t), e._den, Ts, ctx, dps)):
                 totals[i] += pip * v.value
                 bounds[i] += pip * v.bound
         est = _estimate(dps)
@@ -338,7 +343,7 @@ def _eval_pigraded_at(e: PiGradedExpr, T_values, ctx: PrecisionContext) -> list:
 def eval_piterm(term: PiTerm, ctx: PrecisionContext) -> Approx:
     """Numeric value of an exact rational multiple of a pi power."""
     with mp.workdps(ctx.working_dps + 8):
-        val = _fraction_to_mp(term.coeff) * (+mp.pi) ** term.pi_exp
+        val = _piterm_to_mp(term)
         return Approx(val, mp.mpf(10) ** (-(ctx.working_dps - 2)) * (1 + abs(val)))
 
 

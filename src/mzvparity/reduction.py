@@ -1,11 +1,12 @@
 """Parity reduction: rewrite opposite-parity zeta indices in lower depth.
 
 The central objects are pi^2-graded combinations of T-polynomials
-(:class:`PiGradedExpr`, the outer level of the nested sparse maps:
-pi-exponent -> ``TPoly``, sharing its linear operations with ``TPoly`` and
-``WordCombo``).  Within one pi-grade 2m every term of the double-index
-correction sum has the same rational weight 4^m B_{2m} / (2m)!, up to
-sign, and star, shift and stuffle expansions have integer coefficients.
+(:class:`PiGradedExpr`: terms under keys ``(pi_exp, t, word)`` in the
+integer sparse map that ``TPoly`` and ``WordCombo`` share, read as
+pi-exponent -> ``TPoly``).  Within one pi-grade 2m every term of the
+double-index correction sum has the same rational weight
+4^m B_{2m} / (2m)!, up to sign, and star, shift and stuffle expansions
+have integer coefficients.
 So reductions add the unregularized stuffle words of each grade to an
 integer accumulator ``{m: {word: int}}`` and regularize each grade once
 (regularization is linear), in integers over the grade's largest r!.
@@ -15,8 +16,8 @@ suffix (i >= 1), without that sign, as ``({m: {word: int}}, terms)``, so
 that a sweep computes it once per process; the shift expansions are
 cached too, and :func:`clear_caches` empties both.
 The regularized grades are summed in one flat ``{(pi_exp, t, word): int}``
-map over the common denominator of their rational weights, and each
-coefficient of the expression becomes a ``Fraction`` once, at the end.
+map over the common denominator of their rational weights, which is the
+expression's storage.
 
 :func:`reduce_main` produces, for an admissible
 index whose weight and depth have opposite parity, an exact expression in
@@ -34,14 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterator
 
 from .errors import NonAdmissibleError, ParityError
 from .harmonic import (
     Composition,
-    WordCombo,
     _add_stuffle,
-    _fractions,
     _iadd,
     _shift_ints,
     _SparseMap,
@@ -71,49 +69,33 @@ class PiGradedExpr(_SparseMap):
     """Finite map from even pi-exponents to T-polynomials, exact and pruned."""
 
     __slots__ = ()
+    _view = TPoly
+    _depth = 2
 
     def __init__(self, grades=None):
-        data: dict = {}
-        if grades:
-            for p, tp in grades.items():
-                if p < 0 or p % 2:
-                    raise ValueError(f"pi exponent must be even and >= 0, got {p}")
-                if not isinstance(tp, TPoly):
-                    tp = TPoly(tp)
-                if not tp.is_zero:
-                    data[p] = tp
-        self._data = data
+        terms = []
+        for p, tp in (grades or {}).items():
+            if not isinstance(p, int) or isinstance(p, bool) or p < 0 or p % 2:
+                raise ValueError(f"pi exponent must be an even integer >= 0, got {p!r}")
+            if not isinstance(tp, TPoly):
+                tp = TPoly(tp)
+            terms += (((p, t, w), q) for t, combo in tp.items() for w, q in combo.items())
+        super().__init__(terms)
 
     @classmethod
     def _from_flat(cls, flat: dict) -> "PiGradedExpr":
-        """Build from a flat {(pi_exp, t, word): coeff} accumulator."""
-        grades: dict = {}
-        for (p, t, w), q in flat.items():
-            if q:
-                grades.setdefault(p, {}).setdefault(t, {})[w] = q
-        return cls._raw({
-            p: TPoly._raw({t: WordCombo._raw(terms) for t, terms in by_t.items()})
-            for p, by_t in grades.items()
-        })
+        """Build from a flat {(pi_exp, t, word): Fraction} map."""
+        self = object.__new__(cls)
+        _SparseMap.__init__(self, flat.items())
+        return self
 
     @property
     def t_degree(self):
         """Largest T-exponent in any grade: 0 when T-free, None when zero."""
-        degs = [tp.t_degree for tp in self._data.values() if tp.t_degree]
-        return max(degs) if degs else (0 if self._data else None)
+        return max((k[1] for k in self._nums), default=None)
 
-    def words(self) -> Iterator[Composition]:
-        for tp in self._data.values():
-            yield from tp.words()
-
-    def __repr__(self) -> str:
-        if not self._data:
-            return "0"
-        parts = []
-        for p in sorted(self._data):
-            head = "" if p == 0 else f"pi^{p}*"
-            parts.append(f"{head}({self._data[p]!r})")
-        return " + ".join(parts)
+    def _format(self, p, tp) -> str:
+        return ("" if p == 0 else f"pi^{p}*") + f"({tp!r})"
 
 
 @dataclass(frozen=True)
@@ -236,7 +218,7 @@ def _sum_regularized(parts: list) -> PiGradedExpr:
     Regularization is linear, so each part's integer combination is
     regularized once, in integers over its largest r! R.  The results are
     summed in one flat {(p, t, word): int} map over the common denominator
-    of the q / R, and each coefficient becomes a Fraction once.
+    of the q / R, which is the expression's storage.
     """
     regs = [(p, q / R, acc) for p, q, words in parts for R, acc in [_regularize_ints(words)]]
     D = lcm(*(q.denominator for _, q, _ in regs))
@@ -244,7 +226,7 @@ def _sum_regularized(parts: list) -> PiGradedExpr:
     for p, q, acc in regs:
         items = (((p, t, w), k) for t, terms in acc.items() for w, k in terms.items())
         _iadd(flat, items, q.numerator * (D // q.denominator))
-    return PiGradedExpr._from_flat(_fractions(flat, D))
+    return PiGradedExpr._raw(D, flat)
 
 
 def _reduce_expansion(c, with_all_ones: bool) -> ReductionResult:

@@ -19,19 +19,18 @@ By induction on r, with an admissible word (r = 0) its own regularization,
 (r-1)! reg(v) and (r-1)! reg(u) have integer coefficients (r_u! divides
 (r-1)!), and so does r! reg(w) = (r-1)! (T reg(v) - sum_u n_u reg(u)).
 Each divergent word caches ``(r!, {t: {word: int}})``.  A combination
-sum q_w w is brought to the common denominator D of its q_w and summed in
-integers over the largest r! of its words, R (every r! divides it), and
-each coefficient of the result is divided by D R once.  Its admissible
-words are fixed points of reg and skip the peel: they go straight into
-grade t = 0, scaled by R.  Products multiply integer numerators over the
+sum q_w w, stored over one denominator D, is summed in integers over the
+largest r! of its words, R (every r! divides it), and the result is
+stored over D R.  Its admissible words are fixed points of reg and skip
+the peel: they go straight into grade t = 0, scaled by R.  Products multiply integer numerators over the
 product of the two common denominators.  Over the words of weight <= 10
 the reduced denominator of reg(w) is exactly r!.
 Reference: Ihara, Kaneko and Zagier, Compositio Math. 142 (2006).
 
-:class:`TPoly` is the middle level of the nested sparse maps (T-exponent ->
-:class:`~mzvparity.harmonic.WordCombo`); its linear operations come from the
-shared sparse-map base in :mod:`mzvparity.harmonic`, and it adds only the
-stuffle-based ``TPoly x TPoly`` product and T-specific accessors.
+:class:`TPoly` stores its terms under keys ``(t, word)`` in the shared
+integer sparse map of :mod:`mzvparity.harmonic`, and reads as T-exponent ->
+:class:`~mzvparity.harmonic.WordCombo`; it adds only the stuffle-based
+``TPoly x TPoly`` product and T-specific accessors.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ from .harmonic import (
     Composition,
     WordCombo,
     _add_stuffle,
-    _fractions,
+    _grade_major,
     _iadd,
-    _numerators,
+    _ratio,
     _SparseMap,
     _star_ints,
     _stuffle_words,
@@ -65,75 +64,58 @@ class TPoly(_SparseMap):
     """
 
     __slots__ = ()
+    _view = WordCombo
+    _depth = 1
 
     def __init__(self, coeffs: Union[Mapping, None] = None):
-        data: dict = {}
-        if coeffs:
-            for t, combo in coeffs.items():
-                if not isinstance(t, int) or t < 0:
-                    raise ValueError(f"T-exponent must be an integer >= 0, got {t!r}")
-                if not isinstance(combo, WordCombo):
-                    combo = WordCombo(combo)
-                if combo.is_zero:
-                    continue
-                for w in combo.words():
-                    if not is_admissible(w):
-                        raise ValueError(
-                            f"non-admissible word {w!r} in TPoly coefficient"
-                        )
-                data[t] = combo
-        self._data = data
+        terms = []
+        for t, combo in (coeffs or {}).items():
+            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+                raise ValueError(f"T-exponent must be an integer >= 0, got {t!r}")
+            if not isinstance(combo, WordCombo):
+                combo = WordCombo(combo)
+            for w, q in combo.items():
+                if not is_admissible(w):
+                    raise ValueError(f"non-admissible word {w!r} in TPoly coefficient")
+                terms.append(((t, w), q))
+        super().__init__(terms)
 
     @classmethod
     def one(cls) -> "TPoly":
-        return cls._raw({0: WordCombo.word(())})
+        return cls._raw(1, {(0, ()): 1})
 
     @classmethod
     def from_word(cls, w, coeff=1) -> "TPoly":
         w = as_composition(w)
         if not is_admissible(w):
             raise ValueError(f"word {w!r} is not admissible")
-        combo = WordCombo.word(w, coeff)
-        return cls._raw({0: combo}) if combo else cls.zero()
+        n, d = _ratio(coeff)
+        return cls._raw(d, {(0, w): n})
 
     def coeff(self, t: int) -> WordCombo:
-        return self._data.get(t, WordCombo.zero())
+        return WordCombo._raw(self._den, {w: n for (s, w), n in self._nums.items() if s == t})
 
     @property
     def t_degree(self):
         """Largest T-exponent with nonzero coefficient; None when zero."""
-        return max(self._data) if self._data else None
-
-    def words(self):
-        for combo in self._data.values():
-            yield from combo.words()
+        return max((t for t, _ in self._nums), default=None)
 
     def __mul__(self, other):
         if not isinstance(other, TPoly):
             return super().__mul__(other)
-        Da, a = _numerators({(t, w): q for t, c in self.items() for w, q in c.items()})
-        Db, b = _numerators({(t, w): q for t, c in other.items() for w, q in c.items()})
+        # grade by grade, so that the product's terms come in the order of
+        # a product of the views
+        a, b = (_grade_major(x._nums, 1) for x in (self, other))
         acc: dict = {}
         for (s, wu), nu in a.items():
             for (t, wv), nv in b.items():
-                terms = acc.setdefault(s + t, {})
                 for w, k in _stuffle_words(wu, wv):
-                    terms[w] = terms.get(w, 0) + nu * nv * k
-        return _tpoly(Da * Db, acc)
+                    key = (s + t, w)
+                    acc[key] = acc.get(key, 0) + nu * nv * k
+        return TPoly._raw(self._den * other._den, acc)
 
-    def __repr__(self) -> str:
-        if not self._data:
-            return "0"
-        parts = []
-        for t in sorted(self._data):
-            head = "" if t == 0 else ("T*" if t == 1 else f"T^{t}*")
-            parts.append(f"{head}[{self._data[t]!r}]")
-        return " + ".join(parts)
-
-
-def _tpoly(D: int, acc: dict) -> TPoly:
-    """The TPoly ``acc / D`` of a {t: {word: int}} map."""
-    return TPoly._raw({t: WordCombo._raw(f) for t, ns in acc.items() if (f := _fractions(ns, D))})
+    def _format(self, t, combo) -> str:
+        return ("" if t == 0 else "T*" if t == 1 else f"T^{t}*") + f"[{combo!r}]"
 
 
 def _form(w: Composition) -> tuple:
@@ -193,12 +175,6 @@ def _regularize_divergent(w: Composition) -> tuple:
     return r * f, acc
 
 
-# regularize(w) of a divergent word, which the Hurwitz evaluator calls per word
-@lru_cache(maxsize=1 << 13)
-def _regularized_word(w: Composition) -> TPoly:
-    return _tpoly(*_regularize_divergent(w))
-
-
 def regularize(x) -> TPoly:
     """Stuffle-regularize a composition or combination into a TPoly.
 
@@ -207,12 +183,9 @@ def regularize(x) -> TPoly:
     algebra homomorphism for the stuffle product, and it is linear, so a
     combination is regularized over one common denominator, in integers.
     """
-    if isinstance(x, WordCombo):
-        D, nums = _numerators(x._data)
-        R, acc = _regularize_ints(nums)
-        return _tpoly(D * R, acc)
-    w = as_composition(x)
-    return TPoly.from_word(w) if is_admissible(w) else _regularized_word(w)
+    D, words = (x._den, x._nums) if isinstance(x, WordCombo) else (1, {as_composition(x): 1})
+    R, acc = _regularize_ints(words)
+    return TPoly._raw(D * R, {(t, w): n for t, terms in acc.items() for w, n in terms.items()})
 
 
 def antipode_combo(j: int, c) -> TPoly:
@@ -228,12 +201,11 @@ def antipode_combo(j: int, c) -> TPoly:
     words: dict = {}
     for i in range(j + 1):
         _add_stuffle(words, _star_ints(c[:i]), {c[i:j][::-1]: 1}, -1 if i % 2 else 1)
-    return _tpoly(*_regularize_ints(words))
+    return regularize(WordCombo._raw(1, words))
 
 
 def clear_caches() -> None:
-    """Empty the regularized divergent words, in integer and TPoly form,
-    and the stuffle products of bare words."""
+    """Empty the regularized divergent words and the stuffle products of
+    bare words."""
     _regularize_divergent.cache_clear()
-    _regularized_word.cache_clear()
     _stuffle_words.cache_clear()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .harmonic import as_composition
+from .harmonic import _ratio, as_composition
 
 __all__ = ["PiTerm", "bernoulli", "delta", "even_zeta"]
 
@@ -24,8 +24,7 @@ class PiTerm:
     pi_exp: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", Fraction(*_ratio(self.coeff)))
         if self.pi_exp < 0 or self.pi_exp % 2:
             raise ValueError(f"pi exponent must be even and >= 0, got {self.pi_exp}")
 
@@ -50,7 +49,7 @@ class PiTerm:
         if isinstance(other, PiTerm):
             c = self.coeff * other.coeff
             return PiTerm(c, self.pi_exp + other.pi_exp) if c else PiTerm.zero()
-        c = self.coeff * Fraction(other)
+        c = self.coeff * Fraction(*_ratio(other))
         return PiTerm(c, self.pi_exp) if c else PiTerm.zero()
 
     def __rmul__(self, other):

@@ -53,17 +53,17 @@ from .multitangent import (
     eval_multitangent_direct,
     eval_multitangent_regularized,
 )
-from .mzv import _eval_pigraded_at, _eval_tpoly_at, eval_admissible_mzv, eval_pigraded, eval_tpoly
+from .mzv import _eval_pigraded_at, _eval_tpoly_at, _piterm_to_mp, eval_admissible_mzv
+from .mzv import eval_pigraded, eval_tpoly
 from .precision import PrecisionContext
 from .reduction import (
-    _bernoulli_weight,
     build_main2_identity,
     expand_depth_certificate,
     reduce_main,
     reduce_main3,
 )
 from .regularization import regularize
-from .special import delta
+from .special import PiTerm, delta, even_zeta
 
 __all__ = [
     "IDENTITIES",
@@ -216,8 +216,7 @@ def _slot_sum(c: Composition, T, ctx: PrecisionContext, middle: Callable):
     A zero ``middle(s)`` skips the term before its shifted values are
     evaluated.  Runs at the caller's working precision.
     """
-    dl = delta(c)
-    total = mp.mpf(dl.coeff.numerator) / dl.coeff.denominator * mp.pi**dl.pi_exp
+    total = _piterm_to_mp(delta(c))
     middles = [middle(s) for s in range(max(c) + 1)]
 
     @cache
@@ -233,12 +232,11 @@ def _slot_sum(c: Composition, T, ctx: PrecisionContext, middle: Callable):
 
 
 def _twice_zeta(s: int):
-    """2 zeta(s) = (-1)^(m+1) C_m pi^s for even s = 2m, so 2 zeta(0) = -1,
-    and 0 for odd s: for s >= 1, the z^0 coefficient of Psi_s(z)."""
+    """2 zeta(s) for even s >= 2, 2 zeta(0) = -1, and 0 for odd s: for
+    s >= 1, the z^0 coefficient of Psi_s(z)."""
     if s % 2:
         return 0
-    q = _bernoulli_weight(s // 2) * (1 if s % 4 else -1)
-    return mp.mpf(q.numerator) / q.denominator * mp.pi**s
+    return _piterm_to_mp(2 * even_zeta(s // 2) if s else PiTerm(-1))
 
 
 def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:

@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mzvparity import (
     PiGradedExpr,
+    PiTerm,
     TPoly,
     WordCombo,
     antipode_combo,
@@ -90,6 +91,81 @@ def test_sparse_map_linear_laws(pair, q):
     assert q * x == x * q
     assert (x * 0).is_zero
     assert len(x * q) == len(x)
+
+
+def _assert_canonical(m) -> None:
+    """One positive int denominator and int numerators without zeros, in
+    lowest terms: the storage that makes equal maps store equal data."""
+    assert type(m._den) is int and m._den > 0
+    assert all(type(n) is int and n for n in m._nums.values())
+    assert gcd(m._den, *m._nums.values()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_same_class_pairs, _fractions)
+def test_sparse_map_storage_is_canonical(pair, q):
+    x, y = pair
+    for m in (x, y, x + y, x - y, x * q, -x, x + x):
+        _assert_canonical(m)
+    # equal maps built by different routes store the same data
+    for a, b in [
+        ((x + y) - y, x),
+        (x + x, 2 * x),
+        (type(x)(dict(x.items())), x),
+        ((x * 3) * Fraction(1, 3), x),
+    ]:
+        assert (a._den, a._nums) == (b._den, b._nums)
+        assert a == b and hash(a) == hash(b)
+    # len counts the terms of a WordCombo, and the grades of the others
+    assert len(x) == len(x.items())
+    if isinstance(x, WordCombo):
+        assert len(x) == len(list(x.words()))
+
+
+def test_len_counts_terms_of_a_combination_and_grades_of_the_rest():
+    tp = TPoly({0: {(2,): 1, (3,): 1, (2, 2): 1}, 1: {(2,): 1}})
+    assert len(tp.coeff(0)) == 3
+    assert len(tp) == 2
+    assert len(PiGradedExpr({0: tp, 2: tp})) == 2
+    assert len(PiGradedExpr({4: tp})) == 1
+
+
+def test_sums_keep_the_grade_order_of_their_terms():
+    """A grade whose terms all cancel but which gains new ones keeps its
+    place: grades are summed in floating point in this order."""
+    x = TPoly({0: {(2,): 1}, 1: {(3,): 1}})
+    y = TPoly({0: {(2,): -1, (4,): 1}})
+    assert [t for t, _ in (x + y).items()] == [0, 1]
+    assert [p for p, _ in (PiGradedExpr({0: x, 2: x}) - PiGradedExpr({0: -y})).items()] == [0, 2]
+
+
+def test_exact_layer_refuses_inexact_input():
+    z2 = WordCombo.word((2,))
+    for make in (
+        lambda: z2 * 0.1,
+        lambda: 0.1 * z2,
+        lambda: TPoly.one() * 0.5,
+        lambda: WordCombo({(2,): 0.5}),
+        lambda: WordCombo.word((2,), 0.5),
+        lambda: TPoly.from_word((2,), 1.5),
+        lambda: TPoly({0: {(2,): 0.5}}),
+        lambda: PiGradedExpr({0: {0: {(2,): 0.25}}}),
+        lambda: PiTerm(0.5, 2),
+        lambda: PiTerm(Fraction(1, 2), 2) * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            make()
+    for make in (
+        lambda: TPoly({True: z2}),
+        lambda: TPoly({1.0: z2}),
+        lambda: PiGradedExpr({2.0: TPoly.one()}),
+        lambda: PiGradedExpr({False: TPoly.one()}),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    # exact scalars of any Rational type are taken
+    assert z2 * Fraction(1, 2) == WordCombo({(2,): Fraction(1, 2)})
+    assert PiTerm(1, 2) * Fraction(1, 2) == PiTerm(Fraction(1, 2), 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -325,3 +401,5 @@ def test_public_exact_results_carry_fractions_only():
         combos += [combo for tp in tpolys for _, combo in tp.items()]
         for combo in combos:
             assert all(type(q) is Fraction for _, q in combo.items()), c
+        for m in combos + tpolys + exprs:
+            _assert_canonical(m)

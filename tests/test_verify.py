@@ -1,5 +1,6 @@
 """Verification harness: single identities, sweeps, report semantics."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -110,9 +111,9 @@ def test_checks_at_several_T_sum_each_grade_once(ctx30, monkeypatch):
     calls = []
     original = mzv._combo_sum
 
-    def counting(combo, ctx, dps):
-        calls.append(combo)
-        return original(combo, ctx, dps)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     Ts = (0, 1, Fraction(5, 2))
     for c in [(2, 1, 1, 1), (1, 2, 1), (3, 1, 2), (1, 1, 1, 2)]:
@@ -132,6 +133,27 @@ def test_checks_at_several_T_sum_each_grade_once(ctx30, monkeypatch):
             monkeypatch.setattr(mzv, "_combo_sum", original)
             assert len(calls) == grades, (identity, c)
             assert (rep.residual, rep.lhs, rep.rhs) == want, (identity, c)
+
+
+# sha256 of the (composition, status, residual, lhs, rhs, bound) rows of a
+# sweep, every number as the _mpf_ tuple of its bits.  Recorded while
+# expressions still stored Fraction coefficients; they pin the order in
+# which the grade sums of an expression are added in floating point.
+_PINNED_REPORT_BITS = {
+    ("main", 7, (0,)): "c2031bc9eab0f415b49012771e13e06386449c678940f1887314c0881858cc29",
+    ("main2", 6, (0, 1)): "04424f359da06ebf9b7a8400a1608b4f2c9aea1497ed286d1033ed36b573bc6f",
+    ("main3", 6, (0, 1)): "87af5425530d3384e436a607045daf86b0106bb120cc3c43c1f8311285860743",
+}
+
+
+def test_report_bits_pinned(ctx30):
+    for (identity, max_weight, T_values), digest in _PINNED_REPORT_BITS.items():
+        rows = [
+            (r.composition, r.status,
+             *(getattr(x, "_mpf_", x) for x in (r.residual, r.lhs, r.rhs, r.bound)))
+            for r in sweep(max_weight, identity, ctx30, T_values=T_values)
+        ]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, identity
 
 
 def test_report_sides_are_those_of_the_residual(ctx30):
