@@ -5,9 +5,11 @@ sum_{0<n_1<...<n_r} prod (z+n_i)^(-k_i) exactly up to a cutoff N and
 handles everything beyond N with Euler-Maclaurin summation applied level by
 level.  Beyond N, the partial sum of each nesting level is an asymptotic
 expansion in monomials u^(-p) log(u)^q, u = z + n, and the rules that carry
-one level's expansion to the next (argument shift, antiderivative,
-derivatives, Bernoulli corrections) are exact rational linear maps that do
-not depend on z.  So the expansion of level j is the sum over i < j of the
+one level's expansion to the next are exact rational linear maps that do
+not depend on z: the argument shift, read from the series of
+log(1 - 1/u)^i; the antiderivative, in closed form per monomial; and the
+Bernoulli corrections, from one chain of odd derivatives of the level's
+summand.  So the expansion of level j is the sum over i < j of the
 constant K_i of level i times the exact expansion of the segment
 (k_{i+1}, ..., k_j), which is built once per segment, with integer
 coefficients over one denominator.  The constants satisfy
@@ -70,7 +72,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import ceil, comb, exp, factorial, fsum, gcd, lcm, log
 from operator import add, mul, rshift, sub
 from typing import NamedTuple, Optional
@@ -79,8 +81,8 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
-from .harmonic import _grades, as_composition, is_admissible, shift_expand
-from .mzv import _fraction_to_mp, eval_tpoly
+from .harmonic import WordCombo, _grades, as_composition, is_admissible, shift_expand
+from .mzv import eval_tpoly
 from .precision import Approx, PrecisionContext
 from .regularization import TPoly, regularize
 from .special import bernoulli
@@ -104,30 +106,42 @@ __all__ = [
 _MAP_CACHE_SIZE = 4096
 
 
-def _frac_items(d: dict) -> tuple:
-    return tuple(sorted(d.items()))
+def _combine(parts) -> tuple:
+    """The sum of n/d times items over parts (n, d, items), with items
+    ((p, q), numerator) pairs, as a reduced (den, {(p, q): numerator})."""
+    parts = list(parts)
+    den = lcm(*(d for _, d, _ in parts))
+    out: dict = {}
+    for n, d, items in parts:
+        n *= den // d
+        for key, m in items:
+            out[key] = out.get(key, 0) + n * m
+    out = {k: v for k, v in out.items() if v}
+    g = gcd(den, *out.values())
+    return den // g, {k: v // g for k, v in out.items()}
 
 
-def _over_common_den(d: dict) -> tuple:
-    """A map of Fractions as (den, ((key, numerator), ...)) over one
-    denominator."""
-    den = lcm(*(c.denominator for c in d.values()))
-    return den, tuple(sorted((k, c.numerator * (den // c.denominator)) for k, c in d.items()))
+def _apply(e: tuple, monomial_map):
+    """An expansion (den, {(p, q): numerator}) pushed through a linear map
+    given per monomial as (den, ((key, numerator), ...)), as parts of a
+    :func:`_combine`."""
+    den, nums = e
+    for (p, q), c in nums.items():
+        mden, items = monomial_map(p, q)
+        yield c, den * mden, items
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _antider_monomial(p: int, q: int) -> tuple:
-    """Antiderivative of u^(-p) log(u)^q as monomials; requires p >= 1."""
-    if p < 1:
-        raise ValueError("antiderivative only needed for p >= 1")
+def _antider_map(p: int, q: int) -> tuple:
+    """Antiderivative of u^(-p) log(u)^q, p >= 1, as (den, ((key,
+    numerator), ...)): log(u)^(q+1) / (q+1) for p = 1, and
+    -sum_{i<=q} q!/(q-i)! log(u)^(q-i) u^(1-p) / (p-1)^(i+1) for p >= 2."""
     if p == 1:
-        return (((0, q + 1), Fraction(1, q + 1)),)
-    acc = {(p - 1, q): Fraction(-1, p - 1)}
-    if q:
-        for (pp, qq), c in _antider_monomial(p, q - 1):
-            key = (pp, qq)
-            acc[key] = acc.get(key, Fraction(0)) + c * Fraction(q, p - 1)
-    return _frac_items(acc)
+        return q + 1, (((0, q + 1), 1),)
+    return (p - 1) ** (q + 1), tuple(
+        ((p - 1, q - i), -(factorial(q) // factorial(q - i)) * (p - 1) ** (q - i))
+        for i in range(q + 1)
+    )
 
 
 def _derivative(e: dict) -> dict:
@@ -144,46 +158,13 @@ def _derivative(e: dict) -> dict:
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _em_monomial_map(p: int, q: int, J: int) -> tuple:
-    """n-dependent part of sum_{m=N+1..n} of the monomial u^(-p) log(u)^q.
-
-    Euler-Maclaurin: antiderivative + half the monomial + Bernoulli times
-    odd derivatives, as (den, ((key, numerator), ...)).  The matching
-    constant part is recovered as g(u_A) - n_part(u_A), u_A = z + N + 1.
-    """
-    acc: dict = {}
-    for key, c in _antider_monomial(p, q):
-        acc[key] = acc.get(key, Fraction(0)) + c
-    acc[(p, q)] = acc.get((p, q), Fraction(0)) + Fraction(1, 2)
-    der = {(p, q): 1}
-    for j in range(1, J + 1):
-        der = _derivative(der) if j == 1 else _derivative(_derivative(der))
-        coeff = bernoulli(2 * j) / factorial(2 * j)
-        for key, c in der.items():
-            acc[key] = acc.get(key, Fraction(0)) + c * coeff
-    return _over_common_den({k: v for k, v in acc.items() if v})
-
-
-def _mul_frac(e1: dict, e2: dict, P: int) -> dict:
-    out: dict = {}
-    for (p1, q1), c1 in e1.items():
-        for (p2, q2), c2 in e2.items():
-            p = p1 + p2
-            if p > P:
-                continue
-            key = (p, q1 + q2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
-@lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _log_shift_pow(i: int, P: int) -> tuple:
-    """(log(u-1) - log u)^i = (-sum_{t>=1} u^(-t)/t)^i truncated at order P."""
-    if i == 0:
-        return (((0, 0), Fraction(1)),)
-    base = {(t, 0): Fraction(-1, t) for t in range(1, P + 1)}
-    acc = dict(_log_shift_pow(i - 1, P))
-    return _frac_items(_mul_frac(acc, base, P))
+def _log1m_pow(i: int, P: int) -> tuple:
+    """The coefficients of x^t, t = 0..P, of log(1 - x)^i, as Fractions:
+    the i-th power of -sum_{t>=1} x^t / t, truncated at order P."""
+    if not i:
+        return (Fraction(1),) + (Fraction(0),) * P
+    prev = _log1m_pow(i - 1, P)
+    return tuple(-sum((prev[t - s] / s for s in range(1, t + 1)), Fraction(0)) for t in range(P + 1))
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
@@ -191,17 +172,16 @@ def _shift_monomial_map(p: int, q: int, P: int) -> tuple:
     """(u-1)^(-p) log(u-1)^q re-expanded around u, truncated at order P, as
     (den, ((key, numerator), ...)).
 
-    log(u-1)^q = sum_i C(q, i) log(u)^i (log(u-1) - log u)^(q-i), and each
+    log(u-1)^q = sum_i C(q, i) log(u)^i log(1 - 1/u)^(q-i), and each
     factor (u-1)^(-1) = sum_{t>=1} u^(-t) turns the coefficients of every
     log power into their prefix sums over p, shifted by one.
     """
     if not p:
-        acc: dict = {}
-        for i in range(q + 1):
-            for (pp, qq), c in _log_shift_pow(q - i, P):
-                key = (pp, qq + i)
-                acc[key] = acc.get(key, Fraction(0)) + c * comb(q, i)
-        return _over_common_den({k: v for k, v in acc.items() if v})
+        den, nums = _combine(
+            (c.numerator * comb(q, i), c.denominator, [((t, i), 1)])
+            for i in range(q + 1) for t, c in enumerate(_log1m_pow(q - i, P)) if c
+        )
+        return den, tuple(sorted(nums.items()))
     den, items = _shift_monomial_map(p - 1, q, P)
     rows: dict = {}
     for (pp, qq), c in items:
@@ -214,26 +194,6 @@ def _shift_monomial_map(p: int, q: int, P: int) -> tuple:
                 out[(pp, qq)] = run
             run += row.get(pp, 0)
     return den, tuple(sorted(out.items()))
-
-
-def _reduced(den: int, nums: dict) -> tuple:
-    nums = {k: v for k, v in nums.items() if v}
-    g = gcd(den, *nums.values())
-    return den // g, {k: v // g for k, v in nums.items()}
-
-
-def _apply(e: tuple, monomial_map) -> tuple:
-    """Push an expansion (den, {(p, q): numerator}) through a linear map
-    given per monomial as (den, ((key, numerator), ...))."""
-    den, nums = e
-    parts = [(c, monomial_map(p, q)) for (p, q), c in nums.items()]
-    common = lcm(*(m[0] for _, m in parts))
-    out: dict = {}
-    for c, (mden, items) in parts:
-        c *= common // mden
-        for key, m in items:
-            out[key] = out.get(key, 0) + c * m
-    return _reduced(den * common, out)
 
 
 class _Segment(NamedTuple):
@@ -253,33 +213,37 @@ def _segment(s: tuple, J: int, order: int) -> _Segment:
     g = u^(-k) F(u - 1) is the summand of the segment's last level, with F
     the expansion of the level below re-expanded around u up to ``order``;
     the level's expansion beyond N is EM(g), its Euler-Maclaurin sum with J
-    Bernoulli terms.  ``omitted`` holds the sizes of what that leaves out,
-    as monomials whose sum is the estimate at u_A: the Bernoulli term J + 1
-    of g, and the first term of F(u - 1) beyond ``order`` of every
-    monomial of F, summed over n > N (its antiderivative, u^(1-p) / (p-1)).
+    Bernoulli terms: the antiderivative of g, plus g / 2, plus
+    B_2j / (2j)! g^(2j-1) for j <= J, read from one chain of odd
+    derivatives g', g''', ..., g^(2J+1).  ``omitted`` holds the sizes of
+    what that leaves out, as monomials whose sum is the estimate at u_A:
+    the Bernoulli term J + 1 of g (the chain's last link), and the first
+    term of F(u - 1) beyond ``order`` of every monomial of F, summed over
+    n > N (its antiderivative, u^(1-p) / (p-1)).
     """
     prev = _segment(s[:-1], J, order).level if len(s) > 1 else (1, {(0, 0): 1})
     k = s[-1]
-    gden, shifted = _apply(prev, lambda p, q: _shift_monomial_map(p, q, order))
+    gden, shifted = _combine(_apply(prev, lambda p, q: _shift_monomial_map(p, q, order)))
     g = {(p + k, q): c for (p, q), c in shifted.items()}
-    level = _apply((gden, g), lambda p, q: _em_monomial_map(p, q, J))
+    odd = [_derivative(g)]
+    for _ in range(J):
+        odd.append(_derivative(_derivative(odd[-1])))
+    weights = (bernoulli(2 * j) / factorial(2 * j) for j in range(1, J + 1))
+    level = _combine(chain(
+        _apply((gden, g), _antider_map),
+        [(1, 2 * gden, g.items())],
+        ((w.numerator, w.denominator * gden, der.items()) for w, der in zip(weights, odd)),
+    ))
 
-    den = lcm(gden, level[0])
-    d = {key: c * (den // gden) for key, c in g.items()}
-    for key, c in level[1].items():
-        d[key] = d.get(key, 0) - c * (den // level[0])
+    den, d = _combine([(1, gden, g.items()), (-1, level[0], level[1].items())])
     by_p: dict = {}
     for (p, q), c in d.items():
-        if c:
-            by_p.setdefault(p, {})[q] = c
+        by_p.setdefault(p, {})[q] = c
     rows = tuple((p, tuple(by_p[p].get(q, 0) for q in range(max(by_p[p]) + 1))) for p in sorted(by_p))
     sizes = tuple((p, q, abs(c) / den) for p, row in by_p.items() for q, c in row.items())
 
-    der = g
-    for _ in range(2 * J + 1):
-        der = _derivative(der)
     scale = abs(bernoulli(2 * J + 2)) / factorial(2 * J + 2) / gden
-    omitted = [(p, q, float(abs(c) * scale)) for (p, q), c in der.items()]
+    omitted = [(p, q, float(abs(c) * scale)) for (p, q), c in odd[J].items()]
     pden, pnums = prev
     for (p, q), c in pnums.items():
         if (p, q) == (0, 0):
@@ -606,15 +570,16 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
     with mp.workdps(wp):
         if abs(zv) > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
             raise DomainError("regularized Hurwitz values are evaluated for |z| <= 1/2")
-        tp = x if isinstance(x, TPoly) else regularize(x)
+        if not isinstance(x, TPoly):  # a word reads the cache of eval_shifted
+            x = regularize(x) if isinstance(x, WordCombo) else shifted_tpoly(x, 0)
         tau = tau_value(zv, T_value, ctx)
         total = mp.mpf(0)
         bound = mp.mpf(0)
-        for t, nums in _grades(tp._nums).items():
+        for t, nums in _grades(x._nums).items():
             part = mp.mpf(0)
             pbound = mp.mpf(0)
             for w, n in nums.items():
-                qm = _fraction_to_mp(Fraction(n, tp._den))
+                qm = mp.mpf(n) / x._den
                 hv = eval_hurwitz_direct(w, zv, ctx)
                 part += qm * hv.value
                 pbound += abs(qm) * hv.bound
@@ -644,7 +609,6 @@ def clear_caches() -> None:
     and monomial maps."""
     for cached in (
         _direct, _psi_gamma, _shifted_tpoly, _segment, _inverse_powers, _monomials,
-        _size_bounds, _antider_monomial, _em_monomial_map, _log_shift_pow,
-        _shift_monomial_map,
+        _size_bounds, _antider_map, _log1m_pow, _shift_monomial_map,
     ):
         cached.cache_clear()

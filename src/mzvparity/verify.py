@@ -53,8 +53,7 @@ from .multitangent import (
     eval_multitangent_direct,
     eval_multitangent_regularized,
 )
-from .mzv import _eval_pigraded_at, _eval_tpoly_at, _piterm_to_mp, eval_admissible_mzv
-from .mzv import eval_pigraded, eval_tpoly
+from .mzv import _eval_pigraded_at, _eval_tpoly_at, _piterm_to_mp, eval_admissible_mzv, eval_tpoly
 from .precision import PrecisionContext
 from .reduction import (
     build_main2_identity,
@@ -312,7 +311,7 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
     t_built = time.perf_counter()
     value = eval_admissible_mzv(c, ctx).value
     residual, lhs, rhs = _worst(
-        (value, eval_pigraded(red.expanded, T, ctx).value) for T in T_values
+        (value, v.value) for v in _eval_pigraded_at(red.expanded, T_values, ctx)
     )
     reason = None
     if not t_free:

@@ -1,5 +1,7 @@
 """Hurwitz multiple zeta values: direct, Taylor, and regularized routes."""
 
+import hashlib
+
 import pytest
 from mpmath import mp
 
@@ -7,6 +9,7 @@ from mzvparity import (
     DomainError,
     PrecisionContext,
     NonAdmissibleError,
+    compositions_up_to,
     eval_admissible_mzv,
     eval_hurwitz_direct,
     eval_hurwitz_star,
@@ -223,6 +226,48 @@ def test_stuffle_law_against_mpmath_depth_one():
                     lhs_bound = mp.mpf(10) ** -(wp - 2) * abs(lhs)
                     gap = abs(lhs - sum(h.value for h in rhs))
                     assert gap <= lhs_bound + sum(h.bound for h in rhs), (a, b, z, digits, gap)
+
+
+def test_segment_tail_data_pinned():
+    # sha256 of the exact tail data of every segment of weight <= 7,
+    # recorded from the recursive per-monomial antiderivative, shift and
+    # Euler-Maclaurin maps that the closed forms replaced
+    digest = hashlib.sha256()
+    for c in compositions_up_to(7):
+        s = hurwitz._segment(c, hurwitz._EM_TERMS, hurwitz._EXPANSION_ORDER)
+        digest.update(repr((c, s.level[0], sorted(s.level[1].items()), s.den, s.rows)).encode())
+    assert digest.hexdigest() == "92e5f741cf309716f072016a0732e79aa230647329fb82ed9803e92f6e30b14e"
+
+
+def test_closed_form_antiderivative_is_exact():
+    for p in range(1, 41):
+        for q in range(13):
+            den, items = hurwitz._antider_map(p, q)
+            derivative = hurwitz._derivative(dict(items))
+            assert {k: v for k, v in derivative.items() if v} == {(p, q): den}, (p, q)
+
+
+def test_log1m_series_matches_mpmath():
+    # -log(1 - x) / x = sum x^s / (s + 1) is below (1 - x)^(-1/2) coefficient
+    # by coefficient, so the tail of log(1 - x)^i beyond x^28 is below that
+    # of x^i (1 - x)^(-i/2); dropping the x^28 term exceeds it 14-fold
+    with mp.workdps(80):
+        x = mp.ldexp(1, -6)
+        for i in range(13):
+            series = mp.fsum(mp.mpf(c.numerator) / c.denominator * x**t
+                             for t, c in enumerate(hurwitz._log1m_pow(i, 28)))
+            head = mp.fsum(mp.binomial(m + mp.mpf(i) / 2 - 1, m) * x**m for m in range(29 - i))
+            tail = x**i * ((1 - x) ** (-mp.mpf(i) / 2) - head)
+            assert abs(series - mp.log(1 - x) ** i) <= tail, i
+
+
+def test_star_regularizes_a_word_once(ctx30):
+    # a word's regularization is the order-0 shifted expansion that
+    # eval_shifted caches, read once for every T value
+    hurwitz.clear_caches()
+    for T in (0, 1):
+        eval_hurwitz_star((2, 1), mp.mpf("0.3"), T, ctx30)
+    assert hurwitz._shifted_tpoly.cache_info().misses == 1
 
 
 def _module_caches():

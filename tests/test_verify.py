@@ -17,6 +17,8 @@ from mzvparity import (
     VerificationFailure,
     compositions_up_to,
     eval_admissible_mzv,
+    is_admissible,
+    reduce_main,
     sweep,
     verify_bouillot,
     verify_fund_eq2,
@@ -106,8 +108,9 @@ def _grades(expr) -> int:
 
 
 def test_checks_at_several_T_sum_each_grade_once(ctx30, monkeypatch):
-    """main2 and main3 sum every grade of their expressions once for all T
-    values, and report the values of one evaluation per T, bit for bit."""
+    """main, main2 and main3 sum every grade of their expressions once for
+    all T values, and report the values of one evaluation per T, bit for
+    bit."""
     calls = []
     original = mzv._combo_sum
 
@@ -119,17 +122,20 @@ def test_checks_at_several_T_sum_each_grade_once(ctx30, monkeypatch):
     for c in [(2, 1, 1, 1), (1, 2, 1), (3, 1, 2), (1, 1, 1, 2)]:
         main2, main3, reg = build_main2_identity(c), reduce_main3(c).expanded, regularize(c)
         cases = {
-            "main2": (_grades(main2), lambda T: (eval_pigraded(main2, T, ctx30).value, mp.zero)),
-            "main3": (_grades(main3) + len(list(reg.items())), lambda T: (
+            "main2": (Ts, _grades(main2), lambda T: (eval_pigraded(main2, T, ctx30).value, mp.zero)),
+            "main3": (Ts, _grades(main3) + len(list(reg.items())), lambda T: (
                 eval_tpoly(reg, T, ctx30).value, eval_pigraded(main3, T, ctx30).value,
             )),
         }
-        for identity, (grades, sides) in cases.items():
-            rows = [(abs(lhs - rhs), lhs, rhs) for lhs, rhs in map(sides, Ts)]
+        if is_admissible(c):  # the reduction is T-free: its grades are summed once, not per T
+            main, value = reduce_main(c).expanded, eval_admissible_mzv(c, ctx30).value
+            cases["main"] = ((0, 2), _grades(main), lambda T: (value, eval_pigraded(main, T, ctx30).value))
+        for identity, (T_values, grades, sides) in cases.items():
+            rows = [(abs(lhs - rhs), lhs, rhs) for lhs, rhs in map(sides, T_values)]
             want = max(rows, key=lambda row: row[0])
             monkeypatch.setattr(mzv, "_combo_sum", counting)
             calls.clear()
-            rep = IDENTITIES[identity](c, ctx=ctx30, T_values=Ts)
+            rep = IDENTITIES[identity](c, ctx=ctx30, T_values=T_values)
             monkeypatch.setattr(mzv, "_combo_sum", original)
             assert len(calls) == grades, (identity, c)
             assert (rep.residual, rep.lhs, rep.rhs) == want, (identity, c)
