@@ -119,11 +119,11 @@ def _emit(text: str, path: Optional[str]) -> None:
 def _cmd_reduce(args) -> int:
     c = _parse_composition(args.composition)
     ctx = _context(args)
+    T = _parse_T(args.T, ctx)
     try:
         result = reduce_main3(c) if args.allow_nonadmissible else reduce_main(c)
-    except MzvError as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
-    T = _parse_T(args.T, ctx)
     val = eval_pigraded(result.expanded, T if T is not None else 0, ctx)
     if args.format == "json":
         _emit(json.dumps(reduction_to_json(result, ctx, value=val.value), indent=2), args.output)

@@ -12,12 +12,13 @@ integer accumulator ``{m: {word: int}}`` and regularize each grade once
 (regularization is linear), in integers over the grade's largest r!.
 The sum over the slots of a suffix c[i:] depends only on that suffix, up
 to the head parity (-1)^(i + k_1 + ... + k_i): it is cached per proper
-suffix (i >= 1), without that sign, as ``({m: {word: int}}, terms)``, so
+suffix (i >= 1), without that sign, as ``{m: {word: int}}`` alone, so
 that a sweep computes it once per process; the shift expansions are
 cached too, and :func:`clear_caches` empties both.
 The regularized grades are summed in one flat ``{(pi_exp, t, word): int}``
 map over the common denominator of their rational weights, which is the
-expression's storage.
+expression's storage.  The unexpanded display form of a reduction is
+not built with it: :attr:`ReductionResult.display` derives it on read.
 
 :func:`reduce_main` produces, for an admissible
 index whose weight and depth have opposite parity, an exact expression in
@@ -115,14 +116,36 @@ class DisplayTerm:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """A reduction in both expanded (canonical) and display form."""
+    """A reduction ``(composition, expanded)``: the exact expansion, with
+    the unexpanded display form derived from the composition on read."""
 
     composition: Composition
     expanded: PiGradedExpr
-    display: tuple
+
+    @property
+    def display(self) -> tuple:
+        """The :class:`DisplayTerm` of every term, in expansion order: the
+        halved plain and star values, then the all-ones corrections and the
+        double-index correction sum, scaled by -1/2."""
+        c, half = self.composition, Fraction(1, 2)
+        terms = [DisplayTerm(half, 0, (("word", c),)), DisplayTerm(-half, 0, (("star", c),))]
+        terms += (
+            DisplayTerm(-half, 0, (("star", c[:i]), ("delta", c[i:])))
+            for i in range(len(c))
+            if not delta(c[i:]).is_zero
+        )
+        scaled = [-half * _bernoulli_weight(m) for m in range(max(c) // 2 + 1)]
+        for i in range(len(c)):
+            h = -1 if (i + weight(c[:i])) % 2 else 1
+            head = (("star", c[:i]),) if i else ()
+            for mid, a, m, b, tail, sign in _even_slots(c[i:]):
+                shifts = tuple(("shift", e, w) for e, w in ((a, mid), (b, tail)) if w)
+                coeff = scaled[m] if h == sign else -scaled[m]
+                terms.append(DisplayTerm(coeff, 2 * m, head + shifts))
+        return tuple(terms)
 
 
-# Called once per display term; m <= 6 within the sweep cap.
+# Called per grade of a build and per m of a display form; m <= 6 at the sweep cap.
 @lru_cache(maxsize=64)
 def _bernoulli_weight(m: int) -> Fraction:
     """C_m = 4^m B_{2m} / (2m)!, the rational part of (2 pi)^(2m) B_{2m} / (2m)!."""
@@ -134,34 +157,32 @@ def _bernoulli_weight(m: int) -> Fraction:
 _shift = lru_cache(maxsize=1 << 13)(_shift_ints)
 
 
-def _suffix_slot_sum(c: Composition) -> tuple:
-    """``({m: {word: int}}, terms)``: the slot sum of a suffix, without the
-    head parity.
+def _even_slots(c: Composition):
+    """The nonzero terms of the slot sum of c: ``(mid, a, m, b, tail, sign)``.
 
-    For every slot ``c = rev(mid) + (k_j,) + tail`` and every split
-    a + 2m + b of k_j (the even-s entries of :func:`slot_splits`), adds
-    ``sign * shift_a(mid) * shift_b(tail)`` to grade m, as unregularized
-    stuffle words, with sign = (-1)^m times the sign of :func:`slot_splits`,
-    (-1)^(a + weight of the parts of the suffix before the slot).
-    ``terms`` holds ``(mid, tail, a, m, b, sign)`` for every term, in
-    expansion order.
+    These are the entries of :func:`slot_splits` with an even middle
+    s = 2m, in its order, with sign = (-1)^m times its sign,
+    (-1)^(a + weight of the parts of c before the slot).  A shift of the
+    empty word is zero unless its order is 0, so such terms are left out.
     """
-    by_m: dict = {}
-    terms = []
     for mid, a, s, b, tail, sign in slot_splits(c):
-        if s % 2:
-            continue
-        u = _shift(a, mid)
-        if not u:
-            continue
-        v = _shift(b, tail)
-        if not v:
+        if s % 2 or (a and not mid) or (b and not tail):
             continue
         m = s // 2
-        term_sign = -sign if m % 2 else sign
-        _add_stuffle(by_m.setdefault(m, {}), u, v, term_sign)
-        terms.append((mid, tail, a, m, b, term_sign))
-    return by_m, tuple(terms)
+        yield mid, a, m, b, tail, -sign if m % 2 else sign
+
+
+def _suffix_slot_sum(c: Composition) -> dict:
+    """``{m: {word: int}}``: the slot sum of a suffix, without the head parity.
+
+    For every term of :func:`_even_slots` adds
+    ``sign * shift_a(mid) * shift_b(tail)`` to grade m, as unregularized
+    stuffle words.
+    """
+    by_m: dict = {}
+    for mid, a, m, b, tail, sign in _even_slots(c):
+        _add_stuffle(by_m.setdefault(m, {}), _shift(a, mid), _shift(b, tail), sign)
+    return by_m
 
 
 # A sweep reaches each proper suffix from many indices, and the whole index
@@ -171,8 +192,8 @@ def _suffix_slot_sum(c: Composition) -> tuple:
 _proper_suffix_slot_sum = lru_cache(maxsize=1 << 11)(_suffix_slot_sum)
 
 
-def _triple_terms(c: Composition, grades: dict) -> list:
-    """Add the double-index correction sum to ``grades``; return its terms.
+def _triple_terms(c: Composition, grades: dict) -> None:
+    """Add the double-index correction sum to ``grades``.
 
     The term of an index 0 <= i < d, a slot of c[i:] and a split
     a + 2m + b of its part is
@@ -182,34 +203,25 @@ def _triple_terms(c: Composition, grades: dict) -> list:
     multiplied by the star head and by the head parity
     (-1)^(i + k_1 + ... + k_i), and its grade m is added to the integer
     accumulator ``grades[m]`` ({word: int}); the caller applies C_m.
-    Returns ``(i, mid, tail, a, m, b, sign)`` for every term, in expansion
-    order.
     """
-    terms = []
     for i in range(len(c)):
         slot_sum = _proper_suffix_slot_sum if i else _suffix_slot_sum
-        by_m, suffix_terms = slot_sum(c[i:])
         h = -1 if (i + weight(c[:i])) % 2 else 1
         head = _star_ints(c[:i])
-        for m, words in by_m.items():
+        for m, words in slot_sum(c[i:]).items():
             _add_stuffle(grades.setdefault(m, {}), head, words, h)
-        terms += ((i, mid, tail, a, m, b, h * sign) for mid, tail, a, m, b, sign in suffix_terms)
-    return terms
 
 
-def _add_all_ones(parts: list, c: Composition, coeff) -> list:
-    """parts += coeff * sum_i star(c[:i]) delta(c[i:]); return the i of nonzero terms.
+def _add_all_ones(parts: list, c: Composition, coeff) -> None:
+    """parts += coeff * sum_i star(c[:i]) delta(c[i:]).
 
     delta(c[i:]) is zero unless c[i:] is an even number d - i of ones, and
     its pi-exponent d - i gives each term a grade of its own.
     """
-    cuts = []
     for i in range(len(c)):
         dl = delta(c[i:])
         if not dl.is_zero:
             parts.append((dl.pi_exp, coeff * dl.coeff, _star_ints(c[:i])))
-            cuts.append(i)
-    return cuts
 
 
 def _sum_regularized(parts: list) -> PiGradedExpr:
@@ -229,7 +241,8 @@ def _sum_regularized(parts: list) -> PiGradedExpr:
     return PiGradedExpr._raw(D, flat)
 
 
-def _reduce_expansion(c, with_all_ones: bool) -> ReductionResult:
+def _opposite_parity(c) -> Composition:
+    """c, refused unless nonempty with weight and depth of opposite parity."""
     c = as_composition(c)
     if not c:
         raise ValueError("the empty composition cannot be reduced")
@@ -237,38 +250,7 @@ def _reduce_expansion(c, with_all_ones: bool) -> ReductionResult:
         raise ParityError(
             f"weight {weight(c)} and depth {depth(c)} of {c!r} have the same parity"
         )
-    if not (with_all_ones or is_admissible(c)):
-        raise NonAdmissibleError(f"{c!r} is not admissible (last part must be >= 2)")
-    scale = Fraction(-1, 2)
-    parts: list = []
-    display = []
-
-    # (plain - star)/2: the depth-d words cancel, leaving the proper
-    # contractions, which join grade 0 of the correction sum (C_0 = 1)
-    # under the common scale -1/2.
-    grades = {0: _star_ints(c)}
-    del grades[0][c]
-    display.append(DisplayTerm(-scale, 0, (("word", c),)))
-    display.append(DisplayTerm(scale, 0, (("star", c),)))
-
-    if with_all_ones:
-        for i in _add_all_ones(parts, c, scale):
-            display.append(DisplayTerm(scale, 0, (("star", c[:i]), ("delta", c[i:]))))
-
-    # double-index correction sum, scaled by -1/2
-    for i, mid, tail, a, m, b, sign in _triple_terms(c, grades):
-        factors = []
-        if i > 0:
-            factors.append(("star", c[:i]))
-        if mid or a > 0:
-            factors.append(("shift", a, mid))
-        if tail or b > 0:
-            factors.append(("shift", b, tail))
-        coeff = scale * sign * _bernoulli_weight(m)
-        display.append(DisplayTerm(coeff, 2 * m, tuple(factors)))
-    parts += ((2 * m, scale * _bernoulli_weight(m), words) for m, words in grades.items())
-
-    return ReductionResult(c, _sum_regularized(parts), tuple(display))
+    return c
 
 
 def reduce_main3(c) -> ReductionResult:
@@ -279,17 +261,33 @@ def reduce_main3(c) -> ReductionResult:
     cancel), the correction sum over all-ones tails, and the double-index
     correction sum with (2 pi)^(2m) Bernoulli coefficients.
     """
-    return _reduce_expansion(c, with_all_ones=True)
+    c = _opposite_parity(c)
+    scale = Fraction(-1, 2)
+    parts: list = []
+    if not is_admissible(c):  # else no tail is all ones
+        _add_all_ones(parts, c, scale)
+
+    # (plain - star)/2: the depth-d words cancel, leaving the proper
+    # contractions, which join grade 0 of the correction sum (C_0 = 1)
+    # under the common scale -1/2.
+    grades = {0: _star_ints(c)}
+    del grades[0][c]
+    _triple_terms(c, grades)
+    parts += ((2 * m, scale * _bernoulli_weight(m), words) for m, words in grades.items())
+    return ReductionResult(c, _sum_regularized(parts))
 
 
 def reduce_main(c) -> ReductionResult:
     """Reduce an admissible opposite-parity index to depth <= d-1 words.
 
-    Same expansion as :func:`reduce_main3` with the all-ones correction sum
-    omitted (it vanishes term by term when the last part is >= 2); the
-    result is T-free and every word has depth at most d-1.
+    :func:`reduce_main3` behind an admissibility check: its all-ones
+    correction sum is empty when the last part is >= 2, so the result is
+    T-free and every word has depth at most d-1.
     """
-    return _reduce_expansion(c, with_all_ones=False)
+    c = _opposite_parity(c)
+    if not is_admissible(c):
+        raise NonAdmissibleError(f"{c!r} is not admissible (last part must be >= 2)")
+    return reduce_main3(c)
 
 
 def build_main2_identity(c) -> PiGradedExpr:

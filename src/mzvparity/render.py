@@ -23,117 +23,91 @@ __all__ = [
 
 
 def format_composition(c: Composition) -> str:
-    return ",".join(str(k) for k in c)
-
-
-def _coeff_str(q: Fraction) -> str:
-    return str(q)
-
-
-def _factor_text(factor: tuple) -> str:
-    kind = factor[0]
-    if kind == "word":
-        return f"zeta*({format_composition(factor[1])})"
-    if kind == "star":
-        return f"zeta-star({format_composition(factor[1])})"
-    if kind == "shift":
-        return f"zeta*_{factor[1]}({format_composition(factor[2])})"
-    if kind == "delta":
-        return f"delta({format_composition(factor[1])})"
-    raise ValueError(f"unknown factor kind {kind!r}")
-
-
-def render_display_text(result: ReductionResult) -> str:
-    lines = []
-    for term in result.display:
-        if not term.coeff:
-            continue
-        pieces = [_coeff_str(term.coeff)]
-        if term.pi_exp:
-            pieces.append(f"pi^{term.pi_exp}")
-        pieces.extend(_factor_text(f) for f in term.factors)
-        lines.append(" * ".join(pieces))
-    return "\n  + ".join(lines) if lines else "0"
-
-
-def _sorted_flat(e: PiGradedExpr):
-    rows = []
-    for p, tp in e.items():
-        for t, combo in tp.items():
-            for w, q in combo.items():
-                rows.append((p, t, w, q))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
-
-
-def render_expanded_text(e: PiGradedExpr) -> str:
-    rows = _sorted_flat(e)
-    if not rows:
-        return "0"
-    pieces = []
-    for p, t, w, q in rows:
-        s = _coeff_str(q)
-        if p:
-            s += f" * pi^{p}"
-        if t:
-            s += " * T" if t == 1 else f" * T^{t}"
-        if w:
-            s += f" * zeta({format_composition(w)})"
-        pieces.append(s)
-    return "\n  + ".join(pieces)
+    return ",".join(map(str, c))
 
 
 def _latex_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
-    sign = "-" if q < 0 else ""
+    sign = "-" if q.numerator < 0 else ""
     return rf"{sign}\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
-def _factor_latex(factor: tuple) -> str:
-    kind = factor[0]
-    if kind == "word":
-        return rf"\zeta^{{*}}({format_composition(factor[1])})"
-    if kind == "star":
-        return rf"\zeta^{{\star,*}}({format_composition(factor[1])})"
-    if kind == "shift":
-        return rf"\zeta^{{*}}_{{{factor[1]}}}({format_composition(factor[2])})"
-    if kind == "delta":
-        return rf"\delta^{{{format_composition(factor[1])}}}"
-    raise ValueError(f"unknown factor kind {kind!r}")
+# How each format writes a rational, a product, a sum, a power, a zeta
+# value of the expansion, and each factor kind of a display term.
+_TEXT = {
+    "q": str, "times": " * ", "plus": "\n  + ", "pow": "{}^{}", "pi": "pi", "zeta": "zeta({})",
+    "factors": {
+        "word": "zeta*({})", "star": "zeta-star({})", "shift": "zeta*_{}({})", "delta": "delta({})",
+    },
+}
+_LATEX = {
+    "q": _latex_rational, "times": r"\,", "plus": " + ", "pow": "{}^{{{}}}", "pi": r"\pi",
+    "zeta": r"\zeta({})",
+    "factors": {
+        "word": r"\zeta^{{*}}({})",
+        "star": r"\zeta^{{\star,*}}({})",
+        "shift": r"\zeta^{{*}}_{{{}}}({})",
+        "delta": r"\delta^{{{}}}",
+    },
+}
+
+
+def _product(style: dict, q: Fraction, p: int, factors: list) -> str:
+    """q * pi^p * factors in ``style``."""
+    pi = [style["pow"].format(style["pi"], p)] if p else []
+    return style["times"].join([style["q"](q), *pi, *factors])
+
+
+def _factor(style: dict, kind: str, *args) -> str:
+    """A factor ``(kind, [order,] word)`` of a display term in ``style``."""
+    form = style["factors"].get(kind)
+    if form is None:
+        raise ValueError(f"unknown factor kind {kind!r}")
+    return form.format(*args[:-1], format_composition(args[-1]))
+
+
+def _display(result: ReductionResult, style: dict) -> str:
+    products = [
+        _product(style, term.coeff, term.pi_exp, [_factor(style, *f) for f in term.factors])
+        for term in result.display
+    ]
+    return style["plus"].join(products) or "0"
+
+
+def _sorted_flat(e: PiGradedExpr):
+    """(p, t, word, q) for every term, sorted."""
+    return sorted(
+        (p, t, w, q) for p, tp in e.items() for t, combo in tp.items() for w, q in combo.items()
+    )
+
+
+def _expansion(e: PiGradedExpr, style: dict) -> str:
+    products = []
+    for p, t, w, q in _sorted_flat(e):
+        factors = ["T" if t == 1 else style["pow"].format("T", t)] if t else []
+        if w:
+            factors.append(style["zeta"].format(format_composition(w)))
+        products.append(_product(style, q, p, factors))
+    return style["plus"].join(products) or "0"
+
+
+def render_display_text(result: ReductionResult) -> str:
+    return _display(result, _TEXT)
+
+
+def render_expanded_text(e: PiGradedExpr) -> str:
+    return _expansion(e, _TEXT)
 
 
 def latex_reduction(result: ReductionResult) -> str:
     """LaTeX for the display form, then the expanded form."""
     comp = format_composition(result.composition)
-    parts = []
-    for term in result.display:
-        if not term.coeff:
-            continue
-        piece = _latex_rational(term.coeff)
-        if term.pi_exp:
-            piece += rf"\,\pi^{{{term.pi_exp}}}"
-        for f in term.factors:
-            piece += r"\," + _factor_latex(f)
-        parts.append(piece)
-    display = " + ".join(parts) if parts else "0"
-    pieces = []
-    for p, t, w, q in _sorted_flat(result.expanded):
-        s = _latex_rational(q)
-        if p:
-            s += rf"\,\pi^{{{p}}}"
-        if t:
-            s += r"\,T" if t == 1 else rf"\,T^{{{t}}}"
-        if w:
-            s += rf"\,\zeta({format_composition(w)})"
-        pieces.append(s)
-    expanded = " + ".join(pieces) if pieces else "0"
+    display, expanded = _display(result, _LATEX), _expansion(result.expanded, _LATEX)
     return rf"\zeta({comp}) &= {display} \\" + "\n" + rf"&= {expanded}"
 
 
-def reduction_to_json(
-    result: ReductionResult, ctx: PrecisionContext, value=None
-) -> dict:
+def reduction_to_json(result: ReductionResult, ctx: PrecisionContext, value=None) -> dict:
     """JSON form of one reduction: exact expansion plus its numeric value.
 
     Rational coefficients are serialized as numerator/denominator strings so
@@ -165,9 +139,7 @@ def table_entries(results, ctx: PrecisionContext) -> list:
 
 
 def latex_table(results, ctx: PrecisionContext) -> str:
-    lines = [
-        r"\begin{align*}",
-    ]
+    lines = [r"\begin{align*}"]
     for r in results:
         value = eval_pigraded(r.expanded, 0, ctx).value
         lines.append(latex_reduction(r) + r" \\")

@@ -1,12 +1,19 @@
 """CLI contract: exit codes, output formats, JSON round-trip."""
 
+import hashlib
 import json
 import math
 
 import pytest
 from mpmath import mp
 
-from mzvparity import IDENTITIES, PrecisionContext, ResidualReport, eval_admissible_mzv
+from mzvparity import (
+    IDENTITIES,
+    PrecisionContext,
+    ResidualReport,
+    eval_admissible_mzv,
+    is_admissible,
+)
 from mzvparity.cli import main
 
 
@@ -37,6 +44,64 @@ def test_reduce_bad_composition_exits_two(capsys):
     assert main(["reduce", "1,x"]) == 2
     assert main(["reduce", "0,2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [[], ["--allow-nonadmissible"]])
+def test_reduce_empty_index_exits_two(capsys, extra):
+    assert main(["reduce", ",", *extra]) == 2
+    assert "empty composition" in capsys.readouterr().err
+
+
+# sha256 of the stdout of `reduce <index> --format <format> --digits 30`;
+# an admissible index prints the same bytes with and without
+# `--allow-nonadmissible --T 1`, a non-admissible one is run with them only
+_PINNED_REDUCE = {
+    ("1,2", "text"): "8d6c109729a8b3f13bf7882085e937137f5ecd5afb52f36814aac7f45a24855a",
+    ("1,2", "latex"): "a1aa562d34a1220aa3a607c74bd095c63cd4fd98c2b92473a9b80544498f538d",
+    ("1,2", "json"): "84f003bd904d7ce72f617ffe79f5599fd21f13968b433ce8cc253dfcf46aea90",
+    ("2,1,1,1", "text"): "7a1131434971f22fcfecb77300b31dc48225bc52c70cda56b59810d123caa756",
+    ("2,1,1,1", "latex"): "663d5ea1021a114c4a8d9abc732129039abce01af7881c1bc53e09a78c11f45f",
+    ("2,1,1,1", "json"): "a9e40d3d23f297d6b9541e970a80105a79953156ff66b5a5e8cac312059d2afa",
+    ("1,1,1,1,2", "text"): "c7108edf141776b1c1e3d76498eb0d204b885c3089576e914693ff0d4c3ab658",
+    ("1,1,1,1,2", "latex"): "0abeccb8c0abb393518827e239814ae0e6825314b88bf416bdb2c454215b8962",
+    ("1,1,1,1,2", "json"): "674460326b5c3d76e90c34483acd67864f1590b39701605cb2081fae383f7d85",
+    ("3,1,2", "text"): "b06093f3744b9ed7e6fa3d95cd42daf92c01fe3d3c32fdbb8c4b9208f63cd665",
+    ("3,1,2", "latex"): "dfbfeefbea29446ffe78cfd6e28faaf9e31e1c9e0036aae341b5857893413898",
+    ("3,1,2", "json"): "2b2d401c477a73a89edcca552a8e6e01b8bde79f8b88da3d2924a4c708676229",
+    ("2,3,1,1,1", "text"): "e028a4416f904ce41af06887fa97676e2e451fde1b2b5a02f172c2c4ab85d1d1",
+    ("2,3,1,1,1", "latex"): "6af11900f5e9296a270872ec088fddaaf6b4dc0532d5ad9b79febb3ee2aa950c",
+    ("2,3,1,1,1", "json"): "a730ce864f169823a87e58eff35e149f353c0355bf3fb77213bf133be1388b69",
+    ("1,1,1,2", "text"): "b72a0c0c33f25e2c62215c4aecd7f9d31d41c9ebd3bd219f2eca36dbd453ad7c",
+    ("1,1,1,2", "latex"): "9631e7fbe1150adcff2b605bf9c29ba8cf3aee6472855ef7b40387978ed01373",
+    ("1,1,1,2", "json"): "7e13fd8cb6049b11bd9a7b6303b66bbadd2c41794dce14e2e994e46bbda221a2",
+}
+
+# sha256 of the stdout of `table --max-weight 8 --format <format> --digits 30`
+_PINNED_TABLE = {
+    "json": "5d67711559a2ce1ee535e98ac36750ad29a1eec530d03b59b21c7db8fdc60b80",
+    "latex": "a7140805ce1a321cac6dc7f7137c377721281f9b7a3389012d24d57b9986a3eb",
+}
+
+
+def _stdout_sha256(capsys, argv) -> str:
+    assert main([*argv, "--digits", "30"]) == 0, argv
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("index, fmt", sorted(_PINNED_REDUCE))
+def test_reduce_output_pinned(capsys, index, fmt):
+    argv = ["reduce", index, "--format", fmt]
+    modes = [["--allow-nonadmissible", "--T", "1"]]
+    if is_admissible(tuple(int(k) for k in index.split(","))):
+        modes.append([])
+    for extra in modes:
+        assert _stdout_sha256(capsys, argv + extra) == _PINNED_REDUCE[index, fmt], extra
+
+
+@pytest.mark.parametrize("fmt", sorted(_PINNED_TABLE))
+def test_table_output_pinned(capsys, fmt):
+    argv = ["table", "--max-weight", "8", "--format", fmt]
+    assert _stdout_sha256(capsys, argv) == _PINNED_TABLE[fmt]
 
 
 def test_usage_error_from_argparse():

@@ -29,7 +29,7 @@ from mzvparity import (
     weight,
 )
 from mzvparity import reduction, regularization
-from mzvparity.render import render_display_text, render_expanded_text
+from mzvparity.render import latex_reduction, render_display_text, render_expanded_text
 from mzvparity.special import delta
 
 
@@ -71,6 +71,19 @@ def test_reduce_main_equals_main3_on_admissible():
         if not is_admissible(c) or weight(c) % 2 == depth(c) % 2:
             continue
         assert reduce_main(c).expanded == reduce_main3(c).expanded, c
+        assert reduce_main(c).display == reduce_main3(c).display, c
+
+
+def test_exact_builds_make_no_display_terms(monkeypatch, ctx30):
+    """The display form is derived on read: the verifiers never build it."""
+    def refuse(*args):
+        raise AssertionError("a display term was built")
+
+    monkeypatch.setattr(reduction, "DisplayTerm", refuse)
+    for identity in ("main", "main2", "main3"):
+        assert all(r.status != "fail" for r in sweep(6, identity, ctx30)), identity
+    for c in compositions_up_to(6):
+        build_main2_identity(c)
 
 
 def test_reduce_main_structural_guarantees():
@@ -249,3 +262,12 @@ def test_display_terms_well_formed():
     text = render_display_text(red)
     assert "zeta" in text
     assert render_expanded_text(red.expanded).startswith("1 * zeta(3)")
+
+
+def test_unknown_display_factor_is_refused(monkeypatch):
+    red = reduce_main((1, 2))
+    bogus = reduction.DisplayTerm(Fraction(1), 0, (("bogus", (1,)),))
+    monkeypatch.setattr(reduction.ReductionResult, "display", (bogus,))
+    for render in (render_display_text, latex_reduction):
+        with pytest.raises(ValueError, match="unknown factor kind"):
+            render(red)
