@@ -331,10 +331,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MzvError as exc:
+    except (UsageError, MzvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial, lcm
 
 from .errors import NonAdmissibleError, ParityError
@@ -49,6 +50,7 @@ from .harmonic import (
     depth,
     is_admissible,
     slot_splits,
+    splits,
     weight,
 )
 from .regularization import TPoly, _regularize_ints
@@ -320,6 +322,24 @@ def build_main2_identity(c) -> PiGradedExpr:
     _add_all_ones(parts, c, sign_d)
 
     return _sum_regularized(parts)
+
+
+def _fund_eq2_sides(c: Composition) -> tuple:
+    """``(lhs, rhs)`` of the reflection identity for the z^0 coefficient.
+
+    lhs sums sign * reg(rev_head * tail) over the d+1 cuts of :func:`splits`.
+    rhs is delta(c) plus the slot sum of c with the middle 2 zeta(s), where
+    2 zeta(2m) = -(-1)^m C_m pi^(2m), 2 zeta(0) = -1 = -C_0, and the (-1)^m
+    is in the signs of :func:`_even_slots`: delta(c) - sum_m C_m pi^(2m) S_m,
+    with S_m the regularized grade m of :func:`_suffix_slot_sum`.
+    """
+    cuts: dict = {}
+    for rev_head, _, tail, sign in islice(splits(c), len(c) + 1):
+        _add_stuffle(cuts, {rev_head: 1}, {tail: 1}, sign)
+    dl = delta(c)
+    parts = [] if dl.is_zero else [(dl.pi_exp, dl.coeff, {(): 1})]
+    parts += ((2 * m, -_bernoulli_weight(m), words) for m, words in _suffix_slot_sum(c).items())
+    return _sum_regularized([(0, Fraction(1), cuts)]), _sum_regularized(parts)
 
 
 def expand_depth_certificate(e: PiGradedExpr, d: int) -> bool:

@@ -44,7 +44,6 @@ from .harmonic import (
     _add_stuffle,
     _grade_major,
     _iadd,
-    _ratio,
     _SparseMap,
     _star_ints,
     _stuffle_words,
@@ -83,14 +82,6 @@ class TPoly(_SparseMap):
     @classmethod
     def one(cls) -> "TPoly":
         return cls._raw(1, {(0, ()): 1})
-
-    @classmethod
-    def from_word(cls, w, coeff=1) -> "TPoly":
-        w = as_composition(w)
-        if not is_admissible(w):
-            raise ValueError(f"word {w!r} is not admissible")
-        n, d = _ratio(coeff)
-        return cls._raw(d, {(0, w): n})
 
     def coeff(self, t: int) -> WordCombo:
         return WordCombo._raw(self._den, {w: n for (s, w), n in self._nums.items() if s == t})

@@ -27,23 +27,21 @@ def format_composition(c: Composition) -> str:
 
 
 def _latex_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q.numerator < 0 else ""
-    return rf"{sign}\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    return str(q) if q.denominator == 1 else rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
 
 
-# How each format writes a rational, a product, a sum, a power, a zeta
-# value of the expansion, and each factor kind of a display term.
+# How each format writes a positive rational, a product, a signed sum, a
+# power, a zeta value of the expansion, and each factor kind of a display term.
 _TEXT = {
-    "q": str, "times": " * ", "plus": "\n  + ", "pow": "{}^{}", "pi": "pi", "zeta": "zeta({})",
+    "q": str, "times": " * ", "plus": "\n  + ", "minus": "\n  - ", "pow": "{}^{}", "pi": "pi",
+    "zeta": "zeta({})",
     "factors": {
         "word": "zeta*({})", "star": "zeta-star({})", "shift": "zeta*_{}({})", "delta": "delta({})",
     },
 }
 _LATEX = {
-    "q": _latex_rational, "times": r"\,", "plus": " + ", "pow": "{}^{{{}}}", "pi": r"\pi",
-    "zeta": r"\zeta({})",
+    "q": _latex_rational, "times": r"\,", "plus": " + ", "minus": " - ", "pow": "{}^{{{}}}",
+    "pi": r"\pi", "zeta": r"\zeta({})",
     "factors": {
         "word": r"\zeta^{{*}}({})",
         "star": r"\zeta^{{\star,*}}({})",
@@ -53,10 +51,22 @@ _LATEX = {
 }
 
 
-def _product(style: dict, q: Fraction, p: int, factors: list) -> str:
-    """q * pi^p * factors in ``style``."""
-    pi = [style["pow"].format(style["pi"], p)] if p else []
-    return style["times"].join([style["q"](q), *pi, *factors])
+def _product(style: dict, q: Fraction, p: int, factors: list) -> tuple:
+    """``(q < 0, |q| * pi^p * factors)`` in ``style``; a unit |q| is left
+    out unless the product is a bare constant."""
+    rest = ([style["pow"].format(style["pi"], p)] if p else []) + factors
+    head = [] if abs(q) == 1 and rest else [style["q"](abs(q))]
+    return q < 0, style["times"].join(head + rest)
+
+
+def _sum(style: dict, products: list) -> str:
+    """The products ``(negative, body)`` as a signed sum in ``style``; 0 if none."""
+    if not products:
+        return "0"
+    (negative, first), rest = products[0], products[1:]
+    return ("-" if negative else "") + first + "".join(
+        style["minus" if neg else "plus"] + body for neg, body in rest
+    )
 
 
 def _factor(style: dict, kind: str, *args) -> str:
@@ -72,7 +82,7 @@ def _display(result: ReductionResult, style: dict) -> str:
         _product(style, term.coeff, term.pi_exp, [_factor(style, *f) for f in term.factors])
         for term in result.display
     ]
-    return style["plus"].join(products) or "0"
+    return _sum(style, products)
 
 
 def _sorted_flat(e: PiGradedExpr):
@@ -89,7 +99,7 @@ def _expansion(e: PiGradedExpr, style: dict) -> str:
         if w:
             factors.append(style["zeta"].format(format_composition(w)))
         products.append(_product(style, q, p, factors))
-    return style["plus"].join(products) or "0"
+    return _sum(style, products)
 
 
 def render_display_text(result: ReductionResult) -> str:

@@ -15,13 +15,14 @@ regularization variable T; the residual is the largest over them, and
 empty ``T_values`` raises :class:`ValueError`.  Every report's ``T`` is the
 tuple of T values it used, and its ``lhs`` and ``rhs`` are those of the T
 value with the largest residual (the first on a tie).  Reports of ``main``,
-``main2`` and ``main3`` carry ``stages``, the seconds of the exact build
-(reduction and regularization) and of the numeric evaluation.
+``main2``, ``main3`` and ``fundeq2`` carry ``stages``, the seconds of the
+exact build (reduction and regularization) and of the numeric evaluation.
 
-``bouillot`` and ``fundeq2`` share one right-hand side, a sum over the
-entries of :func:`harmonic.slot_splits` with Psi_s(z) in the middle; the
-middle of ``fundeq2`` is its z^0 coefficient, so ``fundeq2`` is the z^0
-case of ``bouillot``.
+``fundeq2`` is the z^0 case of ``bouillot``.  The right-hand side of
+``bouillot`` is a sum over the entries of :func:`harmonic.slot_splits` with
+Psi_s(z) in the middle, evaluated from numeric shifted values; that of
+``fundeq2`` is its z^0 coefficient, built exactly from the slot sum of the
+whole index, as is its left-hand side.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -37,14 +37,11 @@ from mpmath import mp
 from .errors import DomainError
 from .harmonic import (
     Composition,
-    WordCombo,
     as_composition,
     compositions_up_to,
     depth,
     is_admissible,
     slot_splits,
-    splits,
-    stuffle,
     weight,
 )
 from .hurwitz import eval_shifted
@@ -53,16 +50,17 @@ from .multitangent import (
     eval_multitangent_direct,
     eval_multitangent_regularized,
 )
-from .mzv import _eval_pigraded_at, _eval_tpoly_at, _piterm_to_mp, eval_admissible_mzv, eval_tpoly
+from .mzv import _eval_pigraded_at, _eval_tpoly_at, _piterm_to_mp, eval_admissible_mzv
 from .precision import PrecisionContext
 from .reduction import (
+    _fund_eq2_sides,
     build_main2_identity,
     expand_depth_certificate,
     reduce_main,
     reduce_main3,
 )
 from .regularization import regularize
-from .special import PiTerm, delta, even_zeta
+from .special import delta
 
 __all__ = [
     "IDENTITIES",
@@ -96,8 +94,8 @@ class ResidualReport:
     lhs: object = None
     rhs: object = None
     wall_time: float = 0.0
-    # {"build": s, "evaluate": s} for main, main2 and main3: the exact
-    # reduction and regularization, then the numeric evaluation
+    # {"build": s, "evaluate": s} for main, main2, main3 and fundeq2: the
+    # exact reduction and regularization, then the numeric evaluation
     stages: Optional[dict] = field(default=None, compare=False)
 
     @property
@@ -207,16 +205,16 @@ def _worst(sides) -> tuple:
     return max(rows, key=lambda row: row[0])
 
 
-def _slot_sum(c: Composition, T, ctx: PrecisionContext, middle: Callable):
-    """delta(c) + sum of sign * zeta_a(rev_head) * zeta_b(tail) * middle(s).
+def _slot_sum(c: Composition, z, T, ctx: PrecisionContext):
+    """delta(c) + sum of sign * zeta_a(rev_head) * zeta_b(tail) * Psi_s(z).
 
     The sum runs over the entries ``(rev_head, a, s, b, tail, sign)`` of
-    :func:`slot_splits`, with shifted values at ``T``, each evaluated once.
-    A zero ``middle(s)`` skips the term before its shifted values are
-    evaluated.  Runs at the caller's working precision.
+    :func:`slot_splits`, with shifted values at ``T``, each evaluated once,
+    and Psi_0 = 0.  A zero middle skips the term before its shifted values
+    are evaluated.  Runs at the caller's working precision.
     """
     total = _piterm_to_mp(delta(c))
-    middles = [middle(s) for s in range(max(c) + 1)]
+    middles = [eval_monotangent(s, z, ctx).value if s else 0 for s in range(max(c) + 1)]
 
     @cache
     def shifted(word: Composition, order: int):
@@ -230,37 +228,21 @@ def _slot_sum(c: Composition, T, ctx: PrecisionContext, middle: Callable):
     return total
 
 
-def _twice_zeta(s: int):
-    """2 zeta(s) for even s >= 2, 2 zeta(0) = -1, and 0 for odd s: for
-    s >= 1, the z^0 coefficient of Psi_s(z)."""
-    if s % 2:
-        return 0
-    return _piterm_to_mp(2 * even_zeta(s // 2) if s else PiTerm(-1))
-
-
 def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
-    """Residual of the reflection identity for the z^0 coefficient.
-
-    LHS: sum over cuts of (-1)^(weight of head) (reversed head) * (tail),
-    regularized.  RHS: the z^0 coefficient of the ``bouillot`` RHS, that
-    is :func:`_slot_sum` with the middle 2 zeta(s) of even s.
-    """
+    """Residual of the reflection identity for the z^0 coefficient, the
+    z^0 case of ``bouillot``, with both sides built exactly by
+    :func:`reduction._fund_eq2_sides`."""
     c = as_composition(c)
     if not c:
         raise ValueError("the identity needs a nonempty composition")
     T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
-
-    def sides(T):
-        lhs = mp.mpf(0)
-        for rev_head, _, tail, sign in islice(splits(c), len(c) + 1):  # the cuts
-            prod = stuffle(WordCombo.word(rev_head), WordCombo.word(tail))
-            lhs += sign * eval_tpoly(regularize(prod), T, ctx).value
-        return lhs, _slot_sum(c, T, ctx, _twice_zeta)
-
-    with mp.workdps(ctx.working_dps + 5):
-        residual, lhs, rhs = _worst(map(sides, T_values))
-    return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, T=T_values)
+    lhs, rhs = _fund_eq2_sides(c)
+    t_built = time.perf_counter()
+    lhs_at = _eval_pigraded_at(lhs, T_values, ctx)
+    rhs_at = _eval_pigraded_at(rhs, T_values, ctx)
+    residual, lhs, rhs = _worst((l.value, r.value) for l, r in zip(lhs_at, rhs_at))
+    return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, T=T_values, t_built=t_built)
 
 
 def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -338,11 +320,8 @@ def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualRe
     T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
 
-    def monotangent(s: int):
-        return eval_monotangent(s, z, ctx).value if s else 0
-
     def sides(T):
-        return eval_multitangent_regularized(c, z, T, ctx).value, _slot_sum(c, T, ctx, monotangent)
+        return eval_multitangent_regularized(c, z, T, ctx).value, _slot_sum(c, z, T, ctx)
 
     with mp.workdps(ctx.working_dps + 5):
         residual, lhs, rhs = _worst(map(sides, T_values))

@@ -56,30 +56,30 @@ def test_reduce_empty_index_exits_two(capsys, extra):
 # an admissible index prints the same bytes with and without
 # `--allow-nonadmissible --T 1`, a non-admissible one is run with them only
 _PINNED_REDUCE = {
-    ("1,2", "text"): "8d6c109729a8b3f13bf7882085e937137f5ecd5afb52f36814aac7f45a24855a",
-    ("1,2", "latex"): "a1aa562d34a1220aa3a607c74bd095c63cd4fd98c2b92473a9b80544498f538d",
-    ("1,2", "json"): "84f003bd904d7ce72f617ffe79f5599fd21f13968b433ce8cc253dfcf46aea90",
-    ("2,1,1,1", "text"): "7a1131434971f22fcfecb77300b31dc48225bc52c70cda56b59810d123caa756",
-    ("2,1,1,1", "latex"): "663d5ea1021a114c4a8d9abc732129039abce01af7881c1bc53e09a78c11f45f",
-    ("2,1,1,1", "json"): "a9e40d3d23f297d6b9541e970a80105a79953156ff66b5a5e8cac312059d2afa",
-    ("1,1,1,1,2", "text"): "c7108edf141776b1c1e3d76498eb0d204b885c3089576e914693ff0d4c3ab658",
-    ("1,1,1,1,2", "latex"): "0abeccb8c0abb393518827e239814ae0e6825314b88bf416bdb2c454215b8962",
-    ("1,1,1,1,2", "json"): "674460326b5c3d76e90c34483acd67864f1590b39701605cb2081fae383f7d85",
-    ("3,1,2", "text"): "b06093f3744b9ed7e6fa3d95cd42daf92c01fe3d3c32fdbb8c4b9208f63cd665",
-    ("3,1,2", "latex"): "dfbfeefbea29446ffe78cfd6e28faaf9e31e1c9e0036aae341b5857893413898",
-    ("3,1,2", "json"): "2b2d401c477a73a89edcca552a8e6e01b8bde79f8b88da3d2924a4c708676229",
-    ("2,3,1,1,1", "text"): "e028a4416f904ce41af06887fa97676e2e451fde1b2b5a02f172c2c4ab85d1d1",
-    ("2,3,1,1,1", "latex"): "6af11900f5e9296a270872ec088fddaaf6b4dc0532d5ad9b79febb3ee2aa950c",
-    ("2,3,1,1,1", "json"): "a730ce864f169823a87e58eff35e149f353c0355bf3fb77213bf133be1388b69",
-    ("1,1,1,2", "text"): "b72a0c0c33f25e2c62215c4aecd7f9d31d41c9ebd3bd219f2eca36dbd453ad7c",
-    ("1,1,1,2", "latex"): "9631e7fbe1150adcff2b605bf9c29ba8cf3aee6472855ef7b40387978ed01373",
-    ("1,1,1,2", "json"): "7e13fd8cb6049b11bd9a7b6303b66bbadd2c41794dce14e2e994e46bbda221a2",
+    ("1,2", "text"): "dcd58ae7efd5b42fb5c0716e269f18434f105b75c0e9d4225d137c0b7939030d",
+    ("1,2", "latex"): "74b3cbd1f275ffc242d742939b007cb0cad68d4fa8e4f0cb1c59463bb619f74f",
+    ("1,2", "json"): "43688258a22eda711e304464a1eec9d762c0ec341ffec72fc62b184f317d72f4",
+    ("2,1,1,1", "text"): "1e7f53b1972308c841e4c41f78109a1613b41cad8fd2e24cd9994def60a0bbc7",
+    ("2,1,1,1", "latex"): "9453021c8f6418c77f8c2f9d74171be595a51a04ebd60be0fd69a88b0e84092d",
+    ("2,1,1,1", "json"): "52becf3cec20d05870a6af001a15fe785a99af75ac963f21fa77067129b5f37d",
+    ("1,1,1,1,2", "text"): "aa976e95c27a8bc234001d246f2022e2999078c30a9b2aa7f776e5f54143e876",
+    ("1,1,1,1,2", "latex"): "17fb124ea92a34345f30c0f936a3981e0a91890a1ee7ee9e47ac946de3799bc7",
+    ("1,1,1,1,2", "json"): "fe7f73ec824d5ec63a6c80941c8956259f49d12c067e1fdc1bd2a1ebcc3804f6",
+    ("3,1,2", "text"): "1de2036c0af4831a4987df9b40c652deb44514a636ffabcf8723cea0b7797a78",
+    ("3,1,2", "latex"): "e3f90c62a20467db6f9b025280cfb7b1cbaf1f7df63be671215c5f5c84ef1b0c",
+    ("3,1,2", "json"): "df517564b26810e2a97222e2cb212190fa3fd042b4bebc763c93d59ef59524b6",
+    ("2,3,1,1,1", "text"): "0f44e95e841fc81639dd18cd9e5181fb5cf0f85639b48f8f2300cb88f26b07aa",
+    ("2,3,1,1,1", "latex"): "786a89aeebd0efae97593cae08a96512c94164870c8b468581054c9a1a2c0035",
+    ("2,3,1,1,1", "json"): "60c806640aa4d742bedcc1ff2b01725d6b728440899aa57447a137ce856314ea",
+    ("1,1,1,2", "text"): "36c73beed9fa524916932b626add5a75d419537580f473a2caf2d7128fbe3252",
+    ("1,1,1,2", "latex"): "72f45eea143c3d62ed4a2477dbd6b9d65c42883406e9b4ef2ab0c346be629676",
+    ("1,1,1,2", "json"): "874af8decf74bf9a075cbffe899abdfd572379082413ff5a7201dc7fff67f11e",
 }
 
 # sha256 of the stdout of `table --max-weight 8 --format <format> --digits 30`
 _PINNED_TABLE = {
-    "json": "5d67711559a2ce1ee535e98ac36750ad29a1eec530d03b59b21c7db8fdc60b80",
-    "latex": "a7140805ce1a321cac6dc7f7137c377721281f9b7a3389012d24d57b9986a3eb",
+    "json": "6a50fe14c0f7defdd62ce1c7af6c57cef6258728d3edd1e8401504fe2cedd8a6",
+    "latex": "bec3924a4ecbbd0161fbefd42d4e618900699c089eeaa550e2f50427637f358d",
 }
 
 
@@ -317,11 +317,11 @@ def test_verify_json_stage_times(capsys):
         assert main([identity if a == "{}" else a for a in args]) == 0
         rows = json.loads(capsys.readouterr().out)
         for row in rows:
-            if identity in ("fundeq2", "bouillot") or row["status"] == "skip":
+            if identity == "bouillot" or row["status"] == "skip":
                 assert row["stages"] is None, (identity, row)
                 continue
             stages = row["stages"]
             assert set(stages) == {"build", "evaluate"}
             assert min(stages.values()) >= 0
             assert sum(stages.values()) <= row["wall_time"]
-        assert any(row["stages"] for row in rows) == (identity in ("main", "main2", "main3"))
+        assert any(row["stages"] for row in rows) == (identity != "bouillot")

@@ -261,7 +261,17 @@ def test_display_terms_well_formed():
             assert f[0] in kinds
     text = render_display_text(red)
     assert "zeta" in text
-    assert render_expanded_text(red.expanded).startswith("1 * zeta(3)")
+    assert render_expanded_text(red.expanded) == "zeta(3)"
+
+
+def test_render_signs_and_unit_coefficients():
+    """A negative term follows a minus sign, a unit coefficient is left out
+    before a factor, and a bare constant keeps its number."""
+    e = PiGradedExpr({0: {0: {(3,): -1, (): Fraction(-1, 2)}, 1: {(2,): 1}}, 2: {0: {(): 1}}})
+    assert render_expanded_text(e) == "-1/2\n  - zeta(3)\n  + T * zeta(2)\n  + pi^2"
+    latex = latex_reduction(reduce_main((1, 2)))
+    assert latex.endswith(r"&= \zeta(3)") and r" - \frac{1}{2}\,\zeta^{\star,*}(1,2)" in latex
+    assert "+ -" not in latex and "+ -" not in render_display_text(reduce_main((1, 2)))
 
 
 def test_unknown_display_factor_is_refused(monkeypatch):

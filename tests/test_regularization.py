@@ -49,7 +49,7 @@ def test_tpoly_rejects_divergent_words():
 def test_tpoly_ring_ops():
     one = TPoly.one()
     T = regularize((1,))
-    z2 = TPoly.from_word((2,))
+    z2 = TPoly({0: {(2,): 1}})
     assert one * z2 == z2
     assert (z2 - z2).is_zero
     assert T * T * z2 == TPoly({2: WordCombo.word((2,))})
@@ -147,7 +147,6 @@ def test_exact_layer_refuses_inexact_input():
         lambda: TPoly.one() * 0.5,
         lambda: WordCombo({(2,): 0.5}),
         lambda: WordCombo.word((2,), 0.5),
-        lambda: TPoly.from_word((2,), 1.5),
         lambda: TPoly({0: {(2,): 0.5}}),
         lambda: PiGradedExpr({0: {0: {(2,): 0.25}}}),
         lambda: PiTerm(0.5, 2),
@@ -176,7 +175,7 @@ def test_sparse_maps_of_different_classes_never_equal(a, b, c):
 
 
 def test_regularize_admissible_is_identity():
-    assert regularize((3, 2)) == TPoly.from_word((3, 2))
+    assert regularize((3, 2)) == TPoly({0: {(3, 2): 1}})
     assert regularize(()) == TPoly.one()
 
 

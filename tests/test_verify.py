@@ -9,8 +9,12 @@ from mpmath import mp
 from mzvparity import (
     IDENTITIES,
     build_main2_identity,
+    delta,
     eval_pigraded,
+    eval_piterm,
+    eval_shifted,
     eval_tpoly,
+    even_zeta,
     reduce_main3,
     regularize,
     ResidualReport,
@@ -19,6 +23,7 @@ from mzvparity import (
     eval_admissible_mzv,
     is_admissible,
     reduce_main,
+    stuffle,
     sweep,
     verify_bouillot,
     verify_fund_eq2,
@@ -27,7 +32,8 @@ from mzvparity import (
     verify_main3,
     weight,
 )
-from mzvparity import mzv
+from mzvparity import mzv, reduction
+from mzvparity.harmonic import slot_splits, splits
 
 
 def test_fund_eq2_cases(ctx30):
@@ -39,6 +45,34 @@ def test_fund_eq2_cases(ctx30):
     for c in compositions_up_to(7):
         rep = verify_fund_eq2(c, ctx30, T_values=(0, 1))
         assert rep.passed, rep.describe()
+
+
+def test_fund_eq2_sides_match_the_numeric_route(ctx30):
+    """The exact sides of fundeq2 agree with the numeric route, kept here as
+    a reference: the regularized cut products, and delta(c) plus the slot
+    sum of sign * zeta_a(rev_head) * zeta_b(tail) * 2 zeta(s) over shifted
+    values, with 2 zeta(s) = 0 for odd s and 2 zeta(0) = -1."""
+    bound = ctx30.residual_bound()
+    twice_zeta = [mp.mpf(-1)] + [
+        0 if s % 2 else eval_piterm(2 * even_zeta(s // 2), ctx30).value for s in range(1, 6)
+    ]
+    for c in compositions_up_to(5):
+        cuts = list(splits(c))[: len(c) + 1]
+        for T in (0, 1):
+            lhs, rhs = (eval_pigraded(e, T, ctx30).value for e in reduction._fund_eq2_sides(c))
+            with mp.workdps(ctx30.working_dps + 5):
+                want_lhs = sum(
+                    sign * eval_tpoly(regularize(stuffle(rev_head, tail)), T, ctx30).value
+                    for rev_head, _, tail, sign in cuts
+                )
+                want_rhs = eval_piterm(delta(c), ctx30).value
+                for rev_head, a, s, b, tail, sign in slot_splits(c):
+                    if twice_zeta[s]:
+                        va = eval_shifted(rev_head, a, T, ctx30).value
+                        vb = eval_shifted(tail, b, T, ctx30).value
+                        want_rhs += sign * va * vb * twice_zeta[s]
+            assert abs(lhs - want_lhs) <= bound, (c, T)
+            assert abs(rhs - want_rhs) <= bound, (c, T)
 
 
 def test_main_euler_cases(ctx30):
@@ -108,9 +142,9 @@ def _grades(expr) -> int:
 
 
 def test_checks_at_several_T_sum_each_grade_once(ctx30, monkeypatch):
-    """main, main2 and main3 sum every grade of their expressions once for
-    all T values, and report the values of one evaluation per T, bit for
-    bit."""
+    """main, main2, main3 and fundeq2 sum every grade of their expressions
+    once for all T values, and report the values of one evaluation per T,
+    bit for bit."""
     calls = []
     original = mzv._combo_sum
 
@@ -121,10 +155,14 @@ def test_checks_at_several_T_sum_each_grade_once(ctx30, monkeypatch):
     Ts = (0, 1, Fraction(5, 2))
     for c in [(2, 1, 1, 1), (1, 2, 1), (3, 1, 2), (1, 1, 1, 2)]:
         main2, main3, reg = build_main2_identity(c), reduce_main3(c).expanded, regularize(c)
+        fund_lhs, fund_rhs = reduction._fund_eq2_sides(c)
         cases = {
             "main2": (Ts, _grades(main2), lambda T: (eval_pigraded(main2, T, ctx30).value, mp.zero)),
             "main3": (Ts, _grades(main3) + len(list(reg.items())), lambda T: (
                 eval_tpoly(reg, T, ctx30).value, eval_pigraded(main3, T, ctx30).value,
+            )),
+            "fundeq2": (Ts, _grades(fund_lhs) + _grades(fund_rhs), lambda T: (
+                eval_pigraded(fund_lhs, T, ctx30).value, eval_pigraded(fund_rhs, T, ctx30).value,
             )),
         }
         if is_admissible(c):  # the reduction is T-free: its grades are summed once, not per T
@@ -149,6 +187,8 @@ _PINNED_REPORT_BITS = {
     ("main", 7, (0,)): "c2031bc9eab0f415b49012771e13e06386449c678940f1887314c0881858cc29",
     ("main2", 6, (0, 1)): "04424f359da06ebf9b7a8400a1608b4f2c9aea1497ed286d1033ed36b573bc6f",
     ("main3", 6, (0, 1)): "87af5425530d3384e436a607045daf86b0106bb120cc3c43c1f8311285860743",
+    # recorded when fundeq2 moved to the exact sides of reduction._fund_eq2_sides
+    ("fundeq2", 6, (0, 1)): "8728bca70aaee0cb4d1bbcc9ae98d43e02a3a41d9ca2f45b5fb7a669dc1bcb5c",
 }
 
 
