@@ -112,8 +112,15 @@ def _emit(text: str, path: Optional[str]) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout.  What is still buffered goes to devnull,
+        # so that the flush at exit does not raise again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _cmd_reduce(args) -> int:

@@ -13,13 +13,24 @@ share.  All three store one positive int denominator and one flat
 evaluators work on that storage; a ``Fraction`` is built only when a
 coefficient is read.  Coefficients from outside must be exact: int or
 ``Fraction``.
+
+Inside that storage, and everywhere in the exact layer, a word is one int:
+the binary digits of its two-letter word, most significant first, part k
+written as a 1 followed by k-1 zeros (``_encode``).  So (2,) is 0b10,
+(1, 2) is 0b110 and () is 0; the bit length is the weight, ``bit_count()``
+the depth, and a word is admissible iff its int is even.  When the last
+part is 1, ``w >> 1`` is w[:-1], and the number of trailing 1 bits is the
+number r of trailing ones.  The public face (``items()``, ``words()``,
+``repr``, the arguments and results of the public functions) speaks in
+composition tuples and decodes on read (``_decode``), as it builds
+``Fraction``s on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import comb, gcd, lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Union
@@ -112,6 +123,20 @@ def compositions_up_to(max_weight: int) -> Iterator[Composition]:
         yield from compositions_of(w)
 
 
+def _encode(c: Composition) -> int:
+    """The int key of a composition (see the module docstring)."""
+    w = 0
+    for k in c:
+        w = (w << k) | (1 << (k - 1))
+    return w
+
+
+def _decode(w: int) -> Composition:
+    """The composition of an int key: one part per 1 bit, as long as the
+    run of letters that the 1 bit opens."""
+    return tuple(len(run) + 1 for run in bin(w)[2:].split("1")[1:])
+
+
 def _ratio(q) -> tuple:
     """``(numerator, denominator)`` of an exact coefficient, as ints; a float
     would enter as the rational value of its rounding, and raises."""
@@ -202,7 +227,7 @@ class _SparseMap:
 
     def words(self):
         """The word of every term, once per grade that holds it."""
-        return (k[-1] for k in self._nums)
+        return (_decode(k[-1]) for k in self._nums)
 
     def __len__(self) -> int:
         return len({k[0] for k in self._nums})
@@ -267,25 +292,25 @@ class WordCombo(_SparseMap):
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        super().__init__((as_composition(w), q) for w, q in items)
+        super().__init__((_encode(as_composition(w)), q) for w, q in items)
 
     @classmethod
     def word(cls, c: Iterable, coeff=1) -> "WordCombo":
         n, d = _ratio(coeff)
-        return cls._raw(d, {as_composition(c): n})
+        return cls._raw(d, {_encode(as_composition(c)): n})
 
     def items(self):
         den = self._den
-        return {w: Fraction(n, den) for w, n in self._nums.items()}.items()
+        return {_decode(w): Fraction(n, den) for w, n in self._nums.items()}.items()
 
     def words(self):
-        return self._nums.keys()
+        return map(_decode, self._nums)
 
     def __len__(self) -> int:
         return len(self._nums)
 
     def __getitem__(self, word) -> Fraction:
-        return Fraction(self._nums.get(tuple(word), 0), self._den)
+        return Fraction(self._nums.get(_encode(as_composition(word)), 0), self._den)
 
     def __mul__(self, other) -> "WordCombo":
         if isinstance(other, WordCombo):
@@ -297,28 +322,26 @@ class WordCombo(_SparseMap):
 
 
 @lru_cache(maxsize=1 << 16)
-def _stuffle_words(u: Composition, v: Composition):
+def _stuffle_words(u: int, v: int):
     """Stuffle product of two bare words as a tuple of (word, int) pairs.
 
     Recursion on the leading parts: with a = u[0], b = v[0],
-    u * v = a.(u' * v) + b.(u * v') + (a+b).(u' * v').
+    u * v = a.(u' * v) + b.(u * v') + (a+b).(u' * v').  Every word of a
+    product has weight wt(u) + wt(v), so each branch prepends its part to
+    a word w with one OR, ``top | w`` with top = 2^(wt(u) + wt(v) - 1);
+    u' is u without its top bit.
     """
     if not u:
         return ((v, 1),)
     if not v:
         return ((u, 1),)
-    a = u[0]
-    b = v[0]
+    top = 1 << (u.bit_length() + v.bit_length() - 1)
+    u1 = u ^ (1 << (u.bit_length() - 1))
+    v1 = v ^ (1 << (v.bit_length() - 1))
     acc: dict = {}
-    for w, n in _stuffle_words(u[1:], v):
-        key = (a,) + w
-        acc[key] = acc.get(key, 0) + n
-    for w, n in _stuffle_words(u, v[1:]):
-        key = (b,) + w
-        acc[key] = acc.get(key, 0) + n
-    for w, n in _stuffle_words(u[1:], v[1:]):
-        key = (a + b,) + w
-        acc[key] = acc.get(key, 0) + n
+    for w, n in chain(_stuffle_words(u1, v), _stuffle_words(u, v1), _stuffle_words(u1, v1)):
+        w |= top
+        acc[w] = acc.get(w, 0) + n
     return tuple(acc.items())
 
 
@@ -332,6 +355,11 @@ def _add_stuffle(acc: dict, u: dict, v: dict, n: int = 1) -> None:
                     acc[w] = acc.get(w, 0) + s * k
 
 
+def _storage(x) -> tuple:
+    """``(den, {word: int})`` of a combination, or of one composition."""
+    return (x._den, x._nums) if isinstance(x, WordCombo) else (1, {_encode(as_composition(x)): 1})
+
+
 def stuffle(u, v) -> WordCombo:
     """Stuffle (quasi-shuffle) product; accepts compositions or combinations.
 
@@ -339,28 +367,23 @@ def stuffle(u, v) -> WordCombo:
     identity element.  The integer numerators are multiplied over the
     product of the two common denominators.
     """
-    Du, nu = (u._den, u._nums) if isinstance(u, WordCombo) else (1, {as_composition(u): 1})
-    Dv, nv = (v._den, v._nums) if isinstance(v, WordCombo) else (1, {as_composition(v): 1})
+    Du, nu = _storage(u)
+    Dv, nv = _storage(v)
     acc: dict = {}
     _add_stuffle(acc, nu, nv)
     return WordCombo._raw(Du * Dv, acc)
 
 
-def _star_ints(c: Composition) -> dict:
-    """{word: int} form of :func:`star_expand` (distinct separators, distinct words)."""
-    d = len(c)
-    if d == 0:
-        return {(): 1}
-    acc: dict = {}
-    for mask in range(1 << (d - 1)):
-        parts = [c[0]]
-        for i in range(1, d):
-            if (mask >> (i - 1)) & 1:
-                parts[-1] += c[i]
-            else:
-                parts.append(c[i])
-        acc[tuple(parts)] = 1
-    return acc
+def _star_ints(w: int) -> dict:
+    """{word: 1} form of :func:`star_expand`: a contraction merges a part
+    into the one before it, which clears that part's leading 1 bit."""
+    stars = [w]
+    rest = w ^ (1 << w.bit_length() >> 1)  # w without its top bit
+    while rest:  # the leading bits of parts 2, ..., d
+        bit = 1 << (rest.bit_length() - 1)
+        stars += [x ^ bit for x in stars]
+        rest ^= bit
+    return dict.fromkeys(stars, 1)
 
 
 def star_expand(c) -> WordCombo:
@@ -370,7 +393,7 @@ def star_expand(c) -> WordCombo:
     contributes the contracted composition with coefficient +1; the empty
     composition expands to itself.
     """
-    return WordCombo._raw(1, _star_ints(as_composition(c)))
+    return WordCombo._raw(1, _star_ints(_encode(as_composition(c))))
 
 
 def _weak_compositions(total: int, slots: int) -> Iterator[tuple]:
@@ -387,15 +410,16 @@ def _weak_compositions(total: int, slots: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def _shift_ints(a: int, c: Composition) -> dict:
+def _shift_ints(a: int, w: int) -> dict:
     """{word: int} form of :func:`shift_expand` (distinct shifts, distinct words)."""
+    c = _decode(w)
     sign = -1 if a % 2 else 1
     acc: dict = {}
     for extra in _weak_compositions(a, len(c)):
         coeff = sign
         for k, e in zip(c, extra):
             coeff *= comb(k - 1 + e, e)
-        acc[tuple(k + e for k, e in zip(c, extra))] = coeff
+        acc[_encode([k + e for k, e in zip(c, extra)])] = coeff
     return acc
 
 
@@ -410,4 +434,4 @@ def shift_expand(a: int, c) -> WordCombo:
     """
     if a < 0:
         raise ValueError("shift order must be >= 0")
-    return WordCombo._raw(1, _shift_ints(a, as_composition(c)))
+    return WordCombo._raw(1, _shift_ints(a, _encode(as_composition(c))))

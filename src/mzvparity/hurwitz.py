@@ -81,7 +81,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
-from .harmonic import WordCombo, _grades, as_composition, is_admissible, shift_expand
+from .harmonic import WordCombo, _decode, _grades, as_composition, is_admissible, shift_expand
 from .mzv import eval_tpoly
 from .precision import Approx, PrecisionContext
 from .regularization import TPoly, regularize
@@ -580,7 +580,7 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
             pbound = mp.mpf(0)
             for w, n in nums.items():
                 qm = mp.mpf(n) / x._den
-                hv = eval_hurwitz_direct(w, zv, ctx)
+                hv = eval_hurwitz_direct(_decode(w), zv, ctx)
                 part += qm * hv.value
                 pbound += abs(qm) * hv.bound
             tpow = tau**t if t else mp.mpf(1)

@@ -35,9 +35,11 @@ sums each grade once and combines the sums per T.
 The bound stays the per-word estimate 10^-(dps-2) times the sum of |q|,
 plus that estimate once per grade.
 
-The value, prefix and power caches are bounded, with caps that no sweep
-reaches; :func:`clear_caches` empties them.  The independent cross-checks
-of the kernel are in :mod:`mzvparity.oracles`.
+Values are cached by the int key of the word (:mod:`mzvparity.harmonic`),
+which is the word's letters as binary digits.  The value, prefix and power
+caches are bounded, with caps that no sweep reaches; :func:`clear_caches`
+empties them.  The independent cross-checks of the kernel are in
+:mod:`mzvparity.oracles`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
 from .errors import NonAdmissibleError
-from .harmonic import Composition, _grades, as_composition, is_admissible
+from .harmonic import _decode, _encode, _grades, as_composition, is_admissible
 from .precision import Approx, PrecisionContext
 from .reduction import PiGradedExpr
 from .regularization import TPoly
@@ -91,7 +93,7 @@ class _BoundedCache(dict):
         super().__setitem__(key, value)
 
 
-# best value computed so far per composition: comp -> (dps, mpf).  The Taylor
+# best value computed so far per word: int key -> (dps, mpf).  The Taylor
 # oracle of the Hurwitz values, ``oracles.eval_hurwitz_taylor``, fills 97,000.
 _MZV_CACHE = _BoundedCache(1 << 17)
 # (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M);
@@ -102,13 +104,11 @@ _PREFIX_CACHE = _BoundedCache(1 << 19)
 _MIN_DPS = 14
 
 
-def _word_bits(c: Composition) -> tuple:
-    """Two-letter word of an index, bottom (innermost summation) first."""
-    bits = []
-    for k in c:
-        bits.append(1)
-        bits.extend([0] * (k - 1))
-    return tuple(bits)
+def _word_bits(w: int) -> tuple:
+    """Two-letter word of a nonempty index, bottom (innermost summation)
+    first: the binary digits of its int key, most significant first (part
+    k reads 1 followed by k-1 zeros)."""
+    return tuple(map(int, bin(w)[2:]))
 
 
 def _terms(dps: int) -> int:
@@ -181,11 +181,11 @@ def _prefix_values(bits: tuple, dps: int) -> list:
     return values
 
 
-def _holder(c: Composition, dps: int):
+def _holder(w: int, dps: int):
     """Path-splitting evaluation: sum over the cuts k of the word of the
     series of its first k letters times the series of the dual of the rest,
     read from the right."""
-    bits = _word_bits(c)
+    bits = _word_bits(w)
     P = _fraction_bits(dps, len(bits))
     left = _prefix_values(bits, dps)
     right = _prefix_values(tuple(1 - b for b in reversed(bits)), dps)
@@ -206,11 +206,12 @@ def eval_admissible_mzv(c, ctx: PrecisionContext, dps: Optional[int] = None) -> 
     if not is_admissible(c):
         raise NonAdmissibleError(f"{c!r} is not admissible (last part must be >= 2)")
     dps_req = dps if dps is not None else ctx.working_dps
-    cached = _MZV_CACHE.get(c)
+    w = _encode(c)
+    cached = _MZV_CACHE.get(w)
     if cached is None or cached[0] < dps_req:
         dps_run = max(dps_req, _MIN_DPS)
-        cached = (dps_run, _holder(c, dps_run))
-        _MZV_CACHE[c] = cached
+        cached = (dps_run, _holder(w, dps_run))
+        _MZV_CACHE[w] = cached
     return Approx(cached[1], _estimate(dps_req))
 
 
@@ -259,7 +260,7 @@ def _combo_sum(nums: dict, den: int, ctx: PrecisionContext, dps: int) -> tuple:
         if hit is not None and hit[0] >= dps:
             v = hit[1]
         else:
-            v = eval_admissible_mzv(w, ctx, dps=dps).value
+            v = eval_admissible_mzv(_decode(w), ctx, dps=dps).value
         sign, man, exp, _ = v._mpf_
         mans.append(-n * man if sign else n * man)
         exps.append(exp)

@@ -10,6 +10,9 @@ have integer coefficients.
 So reductions add the unregularized stuffle words of each grade to an
 integer accumulator ``{m: {word: int}}`` and regularize each grade once
 (regularization is linear), in integers over the grade's largest r!.
+Every word of the build, in the accumulators and in the cache keys and
+values, is the int key of :mod:`mzvparity.harmonic`; the suffix c[i:] of
+an index is the low bits of its key, and the head c[:i] the bits above.
 The sum over the slots of a suffix c[i:] depends only on that suffix, up
 to the head parity (-1)^(i + k_1 + ... + k_i): it is cached per proper
 suffix (i >= 1), without that sign, as ``{m: {word: int}}`` alone, so
@@ -42,6 +45,8 @@ from .errors import NonAdmissibleError, ParityError
 from .harmonic import (
     Composition,
     _add_stuffle,
+    _decode,
+    _encode,
     _iadd,
     _shift_ints,
     _SparseMap,
@@ -82,14 +87,14 @@ class PiGradedExpr(_SparseMap):
                 raise ValueError(f"pi exponent must be an even integer >= 0, got {p!r}")
             if not isinstance(tp, TPoly):
                 tp = TPoly(tp)
-            terms += (((p, t, w), q) for t, combo in tp.items() for w, q in combo.items())
+            terms += (((p, t, _encode(w)), q) for t, combo in tp.items() for w, q in combo.items())
         super().__init__(terms)
 
     @classmethod
     def _from_flat(cls, flat: dict) -> "PiGradedExpr":
         """Build from a flat {(pi_exp, t, word): Fraction} map."""
         self = object.__new__(cls)
-        _SparseMap.__init__(self, flat.items())
+        _SparseMap.__init__(self, (((p, t, _encode(w)), q) for (p, t, w), q in flat.items()))
         return self
 
     @property
@@ -174,16 +179,17 @@ def _even_slots(c: Composition):
         yield mid, a, m, b, tail, -sign if m % 2 else sign
 
 
-def _suffix_slot_sum(c: Composition) -> dict:
+def _suffix_slot_sum(s: int) -> dict:
     """``{m: {word: int}}``: the slot sum of a suffix, without the head parity.
 
-    For every term of :func:`_even_slots` adds
+    For every term of :func:`_even_slots` of the suffix (keyed by s) adds
     ``sign * shift_a(mid) * shift_b(tail)`` to grade m, as unregularized
     stuffle words.
     """
     by_m: dict = {}
-    for mid, a, m, b, tail, sign in _even_slots(c):
-        _add_stuffle(by_m.setdefault(m, {}), _shift(a, mid), _shift(b, tail), sign)
+    for mid, a, m, b, tail, sign in _even_slots(_decode(s)):
+        shift_mid, shift_tail = _shift(a, _encode(mid)), _shift(b, _encode(tail))
+        _add_stuffle(by_m.setdefault(m, {}), shift_mid, shift_tail, sign)
     return by_m
 
 
@@ -194,7 +200,7 @@ def _suffix_slot_sum(c: Composition) -> dict:
 _proper_suffix_slot_sum = lru_cache(maxsize=1 << 11)(_suffix_slot_sum)
 
 
-def _triple_terms(c: Composition, grades: dict) -> None:
+def _triple_terms(w: int, grades: dict) -> None:
     """Add the double-index correction sum to ``grades``.
 
     The term of an index 0 <= i < d, a slot of c[i:] and a split
@@ -205,13 +211,18 @@ def _triple_terms(c: Composition, grades: dict) -> None:
     multiplied by the star head and by the head parity
     (-1)^(i + k_1 + ... + k_i), and its grade m is added to the integer
     accumulator ``grades[m]`` ({word: int}); the caller applies C_m.
+    The suffix c[i:] is w below its (i+1)-th highest 1 bit, that bit
+    included, and the head is w above it.
     """
-    for i in range(len(c)):
+    suffix = w
+    for i in range(w.bit_count()):
+        n = suffix.bit_length()
         slot_sum = _proper_suffix_slot_sum if i else _suffix_slot_sum
-        h = -1 if (i + weight(c[:i])) % 2 else 1
-        head = _star_ints(c[:i])
-        for m, words in slot_sum(c[i:]).items():
+        h = -1 if (i + w.bit_length() - n) % 2 else 1
+        head = _star_ints(w >> n)
+        for m, words in slot_sum(suffix).items():
             _add_stuffle(grades.setdefault(m, {}), head, words, h)
+        suffix ^= 1 << (n - 1)
 
 
 def _add_all_ones(parts: list, c: Composition, coeff) -> None:
@@ -223,7 +234,7 @@ def _add_all_ones(parts: list, c: Composition, coeff) -> None:
     for i in range(len(c)):
         dl = delta(c[i:])
         if not dl.is_zero:
-            parts.append((dl.pi_exp, coeff * dl.coeff, _star_ints(c[:i])))
+            parts.append((dl.pi_exp, coeff * dl.coeff, _star_ints(_encode(c[:i]))))
 
 
 def _sum_regularized(parts: list) -> PiGradedExpr:
@@ -272,9 +283,10 @@ def reduce_main3(c) -> ReductionResult:
     # (plain - star)/2: the depth-d words cancel, leaving the proper
     # contractions, which join grade 0 of the correction sum (C_0 = 1)
     # under the common scale -1/2.
-    grades = {0: _star_ints(c)}
-    del grades[0][c]
-    _triple_terms(c, grades)
+    w = _encode(c)
+    grades = {0: _star_ints(w)}
+    del grades[0][w]
+    _triple_terms(w, grades)
     parts += ((2 * m, scale * _bernoulli_weight(m), words) for m, words in grades.items())
     return ReductionResult(c, _sum_regularized(parts))
 
@@ -311,10 +323,11 @@ def build_main2_identity(c) -> PiGradedExpr:
     # The RHS contains (-1)^w times the double-index sum, so every grade of
     # LHS - RHS carries the scale -(-1)^w.  The LHS
     # (-1)^d star(c) - (-1)^w plain(c) joins grade 0 divided by that scale.
-    lhs = {word: -sign_w * sign_d for word in _star_ints(c)}
-    lhs[c] += 1
+    key = _encode(c)
+    lhs = {word: -sign_w * sign_d for word in _star_ints(key)}
+    lhs[key] += 1
     grades = {0: lhs}
-    _triple_terms(c, grades)
+    _triple_terms(key, grades)
     parts += ((2 * m, -sign_w * _bernoulli_weight(m), words) for m, words in grades.items())
 
     # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail),
@@ -335,16 +348,17 @@ def _fund_eq2_sides(c: Composition) -> tuple:
     """
     cuts: dict = {}
     for rev_head, _, tail, sign in islice(splits(c), len(c) + 1):
-        _add_stuffle(cuts, {rev_head: 1}, {tail: 1}, sign)
+        _add_stuffle(cuts, {_encode(rev_head): 1}, {_encode(tail): 1}, sign)
     dl = delta(c)
-    parts = [] if dl.is_zero else [(dl.pi_exp, dl.coeff, {(): 1})]
-    parts += ((2 * m, -_bernoulli_weight(m), words) for m, words in _suffix_slot_sum(c).items())
+    parts = [] if dl.is_zero else [(dl.pi_exp, dl.coeff, {0: 1})]
+    slot_sum = _suffix_slot_sum(_encode(c))
+    parts += ((2 * m, -_bernoulli_weight(m), words) for m, words in slot_sum.items())
     return _sum_regularized([(0, Fraction(1), cuts)]), _sum_regularized(parts)
 
 
 def expand_depth_certificate(e: PiGradedExpr, d: int) -> bool:
     """True iff every word occurring in the expansion has depth <= d-1."""
-    return all(len(w) <= d - 1 for w in e.words())
+    return all(k[-1].bit_count() <= d - 1 for k in e._nums)
 
 
 def clear_caches() -> None:

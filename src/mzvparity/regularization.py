@@ -18,7 +18,9 @@ reg is a homomorphism with reg((1)) = T,
 By induction on r, with an admissible word (r = 0) its own regularization,
 (r-1)! reg(v) and (r-1)! reg(u) have integer coefficients (r_u! divides
 (r-1)!), and so does r! reg(w) = (r-1)! (T reg(v) - sum_u n_u reg(u)).
-Each divergent word caches ``(r!, {t: {word: int}})``.  A combination
+Words are the int keys of :mod:`mzvparity.harmonic`: w is divergent iff
+its key is odd, and the peel v = w[:-1] is ``w >> 1``.  Each divergent
+word caches ``(r!, {t: {word: int}})`` under its key.  A combination
 sum q_w w, stored over one denominator D, is summed in integers over the
 largest r! of its words, R (every r! divides it), and the result is
 stored over D R.  Its admissible words are fixed points of reg and skip
@@ -39,13 +41,14 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .harmonic import (
-    Composition,
     WordCombo,
     _add_stuffle,
+    _encode,
     _grade_major,
     _iadd,
     _SparseMap,
     _star_ints,
+    _storage,
     _stuffle_words,
     as_composition,
     is_admissible,
@@ -76,12 +79,12 @@ class TPoly(_SparseMap):
             for w, q in combo.items():
                 if not is_admissible(w):
                     raise ValueError(f"non-admissible word {w!r} in TPoly coefficient")
-                terms.append(((t, w), q))
+                terms.append(((t, _encode(w)), q))
         super().__init__(terms)
 
     @classmethod
     def one(cls) -> "TPoly":
-        return cls._raw(1, {(0, ()): 1})
+        return cls._raw(1, {(0, 0): 1})
 
     def coeff(self, t: int) -> WordCombo:
         return WordCombo._raw(self._den, {w: n for (s, w), n in self._nums.items() if s == t})
@@ -109,9 +112,9 @@ class TPoly(_SparseMap):
         return ("" if t == 0 else "T*" if t == 1 else f"T^{t}*") + f"[{combo!r}]"
 
 
-def _form(w: Composition) -> tuple:
+def _form(w: int) -> tuple:
     """``(r!, r! reg(w))`` for a word w with r trailing ones."""
-    return (1, {0: {w: 1}}) if is_admissible(w) else _regularize_divergent(w)
+    return _regularize_divergent(w) if w & 1 else (1, {0: {w: 1}})
 
 
 def _acc_regularized(acc: dict, forms, R: int) -> None:
@@ -139,7 +142,7 @@ def _regularize_ints(words: dict) -> tuple:
     for w, n in words.items():
         if not n:
             continue
-        if is_admissible(w):
+        if not w & 1:  # admissible
             if not grade0:
                 forms.append((1, (1, {0: grade0})))
             grade0[w] = n
@@ -154,11 +157,11 @@ def _regularize_ints(words: dict) -> tuple:
 # Admissible words take no entry, and there are 2,048 divergent words of
 # weight <= 12, the sweep cap.
 @lru_cache(maxsize=1 << 13)
-def _regularize_divergent(w: Composition) -> tuple:
-    # The peel of the module docstring: v has r - 1 trailing ones, so its
-    # form carries f = (r-1)!.
-    v = w[:-1]
-    prod = dict(_stuffle_words(v, (1,)))
+def _regularize_divergent(w: int) -> tuple:
+    # The peel of the module docstring: v = w >> 1 has r - 1 trailing
+    # ones, so its form carries f = (r-1)!; (1,) is the key 1.
+    v = w >> 1
+    prod = dict(_stuffle_words(v, 1))
     r = prod.pop(w)
     f, by_t = _form(v)
     acc = {t + 1: dict(terms) for t, terms in by_t.items()}
@@ -174,7 +177,7 @@ def regularize(x) -> TPoly:
     algebra homomorphism for the stuffle product, and it is linear, so a
     combination is regularized over one common denominator, in integers.
     """
-    D, words = (x._den, x._nums) if isinstance(x, WordCombo) else (1, {as_composition(x): 1})
+    D, words = _storage(x)
     R, acc = _regularize_ints(words)
     return TPoly._raw(D * R, {(t, w): n for t, terms in acc.items() for w, n in terms.items()})
 
@@ -191,7 +194,8 @@ def antipode_combo(j: int, c) -> TPoly:
         raise ValueError(f"j must satisfy 0 <= j <= depth, got j={j} for {c!r}")
     words: dict = {}
     for i in range(j + 1):
-        _add_stuffle(words, _star_ints(c[:i]), {c[i:j][::-1]: 1}, -1 if i % 2 else 1)
+        tail = {_encode(c[i:j][::-1]): 1}
+        _add_stuffle(words, _star_ints(_encode(c[:i])), tail, -1 if i % 2 else 1)
     return regularize(WordCombo._raw(1, words))
 
 

@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import mzvparity
 from mzvparity import (
     IDENTITIES,
     PrecisionContext,
@@ -102,6 +107,21 @@ def test_reduce_output_pinned(capsys, index, fmt):
 def test_table_output_pinned(capsys, fmt):
     argv = ["table", "--max-weight", "8", "--format", fmt]
     assert _stdout_sha256(capsys, argv) == _PINNED_TABLE[fmt]
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe after the first line (``| head -1``)
+    gets no traceback: the command keeps its exit status and writes nothing
+    to stderr.  The 230 kB of output overfill the pipe, so a write meets
+    the closed end."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mzvparity.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "mzvparity.cli", "table", "--max-weight", "8"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_usage_error_from_argparse():

@@ -2,7 +2,8 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -24,7 +25,16 @@ from mzvparity import (
     stuffle,
     weight,
 )
-from mzvparity.harmonic import _stuffle_words, slot_splits, splits
+from mzvparity.harmonic import (
+    _decode,
+    _encode,
+    _shift_ints,
+    _star_ints,
+    _stuffle_words,
+    slot_splits,
+    splits,
+)
+from mzvparity.mzv import _word_bits
 
 
 @st.composite
@@ -101,12 +111,73 @@ def _stuffle_by_surjections(u, v):
     return out
 
 
+def test_int_key_round_trip_and_bit_identities():
+    """The int key of every word of weight <= 12: its binary digits are the
+    two-letter word, it decodes back, and the bit facts the exact layer
+    relies on hold."""
+    words = [(), *compositions_up_to(12)]
+    keys = [_encode(c) for c in words]
+    assert len(words) == len(set(keys)) == 4096
+    assert (_encode(()), _encode((2,)), _encode((1, 2))) == (0, 0b10, 0b110)
+    for c, w in zip(words, keys):
+        assert _decode(w) == c
+        assert w.bit_length() == weight(c) and w.bit_count() == depth(c)
+        assert (w % 2 == 0) == is_admissible(c)
+        ones = next((i for i, k in enumerate(reversed(c)) if k != 1), len(c))
+        assert (w ^ (w + 1)).bit_length() - 1 == ones, c  # trailing 1 bits
+        if c and c[-1] == 1:
+            assert w >> 1 == _encode(c[:-1])
+        if c:
+            assert _word_bits(w) == sum(((1,) + (0,) * (k - 1) for k in c), ())
+
+
+def _star_by_masks(c: tuple) -> dict:
+    """star_expand as tuples: bit i-1 of the mask merges part i into the
+    part before it, masks in ascending order."""
+    if not c:
+        return {(): 1}
+    out = {}
+    for mask in range(1 << (len(c) - 1)):
+        parts = [c[0]]
+        for i in range(1, len(c)):
+            if (mask >> (i - 1)) & 1:
+                parts[-1] += c[i]
+            else:
+                parts.append(c[i])
+        out[tuple(parts)] = 1
+    return out
+
+
+def _shift_by_extras(a: int, c: tuple) -> dict:
+    """shift_expand as tuples, the shifts of the parts in lexicographic order."""
+    out = {}
+    for extra in product(range(a + 1), repeat=len(c)):
+        if sum(extra) == a:
+            coeff = (-1) ** a * prod(comb(k - 1 + e, e) for k, e in zip(c, extra))
+            out[tuple(k + e for k, e in zip(c, extra))] = coeff
+    return out
+
+
+def test_star_and_shift_ints_match_the_tuple_definitions():
+    """Same words, same coefficients and the same insertion order, for
+    every word of weight <= 8 and every shift order a <= 4."""
+    def encoded(terms: dict) -> list:
+        return [(_encode(w), n) for w, n in terms.items()]
+
+    for c in [(), *compositions_up_to(8)]:
+        w = _encode(c)
+        assert list(_star_ints(w).items()) == encoded(_star_by_masks(c)), c
+        for a in range(5):
+            assert list(_shift_ints(a, w).items()) == encoded(_shift_by_extras(a, c)), (a, c)
+
+
 def test_stuffle_words_match_the_surjection_definition():
     words = [(), *compositions_up_to(7)]
     pairs = [(u, v) for u in words for v in words if weight(u) + weight(v) <= 7]
     assert len(pairs) == 576
     for u, v in pairs:
-        assert dict(_stuffle_words(u, v)) == _stuffle_by_surjections(u, v), (u, v)
+        got = {_decode(w): n for w, n in _stuffle_words(_encode(u), _encode(v))}
+        assert got == _stuffle_by_surjections(u, v), (u, v)
 
 
 def test_stuffle_2_3_exact():

@@ -26,6 +26,7 @@ from mzvparity import (
     weight,
 )
 from mzvparity import mzv, regularization
+from mzvparity.harmonic import _decode
 from mzvparity.oracles import mzv_em_oracle, mzv_truncation_oracle
 
 
@@ -130,7 +131,7 @@ def test_t_grades_are_skipped_at_t_zero(ctx30, T):
         assert only_t_positive
         mzv.clear_caches()
         got = evaluate(expr, T, ctx30)
-        assert not only_t_positive & mzv._MZV_CACHE.keys()
+        assert not only_t_positive & {_decode(w) for w in mzv._MZV_CACHE}
         want = evaluate(t_free, T, ctx30)
         assert got.value._mpf_ == want.value._mpf_ and got.bound._mpf_ == want.bound._mpf_
 

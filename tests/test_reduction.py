@@ -29,6 +29,7 @@ from mzvparity import (
     weight,
 )
 from mzvparity import reduction, regularization
+from mzvparity.harmonic import _encode
 from mzvparity.render import latex_reduction, render_display_text, render_expanded_text
 from mzvparity.special import delta
 
@@ -96,15 +97,17 @@ def test_reduce_main_structural_guarantees():
         assert all(p % 2 == 0 and p <= weight(c) for p, _ in red.expanded.items())
 
 
-def _pinned_rows(indices, build):
-    """Sorted (c, p, t, word, numerator, denominator) rows of every term."""
+def _pinned_rows(indices, build, ordered=False):
+    """Sorted (c, p, t, word, numerator, denominator) rows of every term,
+    or ``ordered``: in the order in which the expressions store them."""
     rows = []
     for c in indices:
         for p, tp in build(c).items():
             for t, combo in tp.items():
                 for word, q in combo.items():
                     rows.append((c, p, t, word, q.numerator, q.denominator))
-    rows.sort()
+    if not ordered:
+        rows.sort()
     return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
@@ -133,6 +136,22 @@ def test_exact_output_pinned():
     assert _pinned_rows(compositions_up_to(7), build_main2_identity) == _PINNED_MAIN2
 
 
+# (rows, sha256) of the terms in stored order: reduce_main3 on every
+# opposite-parity index up to weight 8 and main2 up to weight 7, recorded
+# before the words of the exact layer became int keys.
+_ORDER_MAIN3 = (3644, "413b5fd83b6f02bcce5607db35c53cc0f4e9d8dcb82a6cd3f72d72a60790d99d")
+_ORDER_MAIN2 = (1963, "c8373cf4bd7ebedcca0c725a35310c8f9abc619b1e536889a826364818e1cff9")
+
+
+def test_term_order_pinned():
+    """The terms are stored in the order in which the accumulators first
+    reach them.  The evaluators sum a grade exactly, in integers, so no
+    pinned float shows the order within a grade; this test holds it."""
+    indices = [c for c in compositions_up_to(8) if weight(c) % 2 != depth(c) % 2]
+    assert _pinned_rows(indices, lambda c: reduce_main3(c).expanded, ordered=True) == _ORDER_MAIN3
+    assert _pinned_rows(compositions_up_to(7), build_main2_identity, ordered=True) == _ORDER_MAIN2
+
+
 def test_clear_caches_rebuilds_the_pinned_output():
     reduction.clear_caches()
     for cached in (reduction._proper_suffix_slot_sum, reduction._shift, reduction._bernoulli_weight):
@@ -148,14 +167,14 @@ def test_sweep_leaves_shared_cache_entries_unchanged(ctx30):
     """The cached slot sums, shift expansions and regularized words are
     shared dicts: a sweep that reads them must not change them."""
     def entries():
-        suffixes = [reduction._proper_suffix_slot_sum(s) for s in compositions_up_to(6)]
+        suffixes = [reduction._proper_suffix_slot_sum(_encode(s)) for s in compositions_up_to(6)]
         shifts = [
-            reduction._shift(a, w)
+            reduction._shift(a, _encode(w))
             for w in [(), *compositions_up_to(7)]
             for a in range(8 - weight(w))
         ]
         divergent = [
-            regularization._regularize_divergent(w)
+            regularization._regularize_divergent(_encode(w))
             for w in compositions_up_to(7)
             if not is_admissible(w)
         ]
