@@ -5,9 +5,11 @@ stuffle regularization, shifted-value expansion, and parity reductions to
 lower depth with coefficients in Q[pi^2].  Numeric layer: arbitrary
 precision evaluation of multiple zeta values, Hurwitz multiple zeta values,
 monotangent and multitangent functions, plus a verification harness that
-turns every identity into a residual computation.
+turns every identity into a residual computation.  Every cache is bounded;
+:func:`cache_info` lists them and :func:`clear_caches` empties them.
 """
 
+from . import harmonic, hurwitz, multitangent, mzv, reduction, regularization
 from .errors import DomainError, MzvError, NonAdmissibleError, ParityError
 from .harmonic import (
     Composition,
@@ -67,6 +69,30 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+
+def _caches() -> dict:
+    """Every module-level object with a ``cache_clear``, once, under its
+    first module-global name (a module may import another's cache)."""
+    found = {}
+    for module in (harmonic, regularization, reduction, mzv, hurwitz, multitangent):
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and not isinstance(obj, type):
+                found.setdefault(id(obj), (f"{module.__name__.partition('.')[2]}.{name}", obj))
+    return dict(found.values())
+
+
+def clear_caches() -> None:
+    """Empty every cache of the package; values computed again are the same."""
+    for cached in _caches().values():
+        cached.cache_clear()
+
+
+def cache_info() -> dict:
+    """``{"module.name": (currsize, maxsize)}`` for every cache of the package."""
+    infos = {name: cached.cache_info() for name, cached in _caches().items()}
+    return {name: (info.currsize, info.maxsize) for name, info in infos.items()}
+
+
 __all__ = [
     "Approx",
     "Composition",
@@ -88,6 +114,8 @@ __all__ = [
     "as_composition",
     "bernoulli",
     "build_main2_identity",
+    "cache_info",
+    "clear_caches",
     "compositions_of",
     "compositions_up_to",
     "delta",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including skipped verifications), 1 when a
 verification fails, 2 on usage errors (bad index, parity violation,
-missing T for a divergent index, unknown identity, bad z, out-of-range order).
+missing T for a divergent index, unknown identity, a z or T that is not a
+finite decimal, out-of-range order, a weight above the sweep cap).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .render import (
     render_expanded_text,
     table_entries,
 )
-from .verify import _dispatch, sweep
+from .verify import _check_weight, _dispatch, sweep
 
 __all__ = ["main"]
 
@@ -68,9 +69,11 @@ def _parse_z(text: Optional[str], ctx: PrecisionContext):
         with mp.workdps(ctx.working_dps):
             re = mp.mpf(parts[0])
             im = mp.mpf(parts[1]) if len(parts) > 1 else mp.mpf(0)
+            if not (mp.isfinite(re) and mp.isfinite(im)):
+                raise ValueError("not finite")
             return re if im == 0 else mp.mpc(re, im)
     except ValueError:
-        raise UsageError(f"invalid z {text!r}: expected decimals 're' or 're,im'") from None
+        raise UsageError(f"invalid z {text!r}: expected finite decimals 're' or 're,im'") from None
 
 
 def _parse_T(text: Optional[str], ctx: PrecisionContext):
@@ -79,15 +82,12 @@ def _parse_T(text: Optional[str], ctx: PrecisionContext):
         return None
     try:
         with mp.workdps(ctx.working_dps):
-            return mp.mpf(text)
+            T = mp.mpf(text)
+            if not mp.isfinite(T):
+                raise ValueError("not finite")
+            return T
     except ValueError:
-        raise UsageError(f"invalid T {text!r}: expected a decimal") from None
-
-
-def _parse_T_values(text: Optional[str], ctx: PrecisionContext):
-    if text is None:
-        return None
-    return tuple(_parse_T(p, ctx) for p in text.split(","))
+        raise UsageError(f"invalid T {text!r}: expected a finite decimal") from None
 
 
 def _default_digits() -> int:
@@ -229,7 +229,7 @@ def _margin_digits(r, ctx: PrecisionContext) -> Optional[float]:
 def _cmd_verify(args) -> int:
     ctx = _context(args)
     z = _parse_z(args.z, ctx) if args.z is not None else None
-    T_values = _parse_T_values(args.T, ctx)
+    T_values = None if args.T is None else tuple(_parse_T(p, ctx) for p in args.T.split(","))
     if (args.k is None) == (args.max_weight is None):
         raise UsageError("verify needs exactly one of --k and --max-weight")
     try:
@@ -275,6 +275,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     ctx = _context(args)
+    try:
+        _check_weight(args.max_weight)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     results = []
     for c in compositions_up_to(args.max_weight):
         if not is_admissible(c) or weight(c) % 2 == depth(c) % 2:

@@ -63,8 +63,8 @@ words, and substituting T -> T - psi(1+z) - euler_gamma (the regularized
 depth-1 generating value) together with direct values of the admissible
 words yields the generating value of the shifted-index Taylor series.
 
-Every cache of the module is a bounded ``lru_cache``; :func:`clear_caches`
-empties them all.
+Every cache of the module is a bounded ``lru_cache``;
+:func:`mzvparity.clear_caches` empties them all.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ from .regularization import TPoly, regularize
 from .special import bernoulli
 
 __all__ = [
-    "clear_caches",
     "eval_hurwitz_direct",
     "eval_hurwitz_star",
     "eval_shifted",
@@ -404,13 +403,12 @@ def _normalize_z(z, wp: int):
         return zv
 
 
-def _check_no_pole(z, label: str = "z") -> None:
-    if (not isinstance(z, mp.mpc)) or z.imag == 0:
-        zr = z.real if isinstance(z, mp.mpc) else z
-        if zr <= -mp.mpf(1) / 2:
-            near = mp.nint(zr)
-            if near <= -1 and abs(zr - near) < mp.mpf(10) ** (-20):
-                raise DomainError(f"{label} = {zr} hits a pole at a negative integer")
+def _check_no_pole(zv) -> None:
+    # zv is normalized: an mpc has a nonzero imaginary part
+    if not isinstance(zv, mp.mpc) and zv <= -mp.mpf(1) / 2:
+        near = mp.nint(zv)
+        if near <= -1 and abs(zv - near) < mp.mpf(10) ** (-20):
+            raise DomainError(f"z = {zv} hits a pole at a negative integer")
 
 
 # direct evaluation: exact partial sums up to _CUTOFF, then tail expansions
@@ -602,13 +600,3 @@ def _shifted_tpoly(c: tuple, a: int) -> TPoly:
 def eval_shifted(c, a: int, T_value, ctx: PrecisionContext) -> Approx:
     """Numeric order-a shifted value of an index at a given T."""
     return eval_tpoly(shifted_tpoly(c, a), T_value, ctx)
-
-
-def clear_caches() -> None:
-    """Empty every cache of this module: values, tables, exact tail data
-    and monomial maps."""
-    for cached in (
-        _direct, _psi_gamma, _shifted_tpoly, _segment, _inverse_powers, _monomials,
-        _size_bounds, _antider_map, _log1m_pow, _shift_monomial_map,
-    ):
-        cached.cache_clear()

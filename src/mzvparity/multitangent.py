@@ -8,7 +8,8 @@ fixed-size numpy blocks, carrying each level's running sum from block to
 block, while the regularized evaluator splits the summation chain
 at the sign change and assembles the value from regularized Hurwitz
 generating values at z and -z.  Monotangent values are kept in a bounded
-cache per (order, point, working precision); :func:`clear_caches` empties it.
+cache per (order, point, working precision), which
+:func:`mzvparity.clear_caches` empties.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .mzv import _fraction_to_mp
 from .precision import Approx, PrecisionContext
 
 __all__ = [
-    "clear_caches",
     "eval_monotangent",
     "eval_multitangent_direct",
     "eval_multitangent_regularized",
@@ -55,13 +55,6 @@ def _mono_poly(s: int) -> tuple:
     return _MONO_POLYS[s]
 
 
-def _reject_integer_z(zv, wp: int) -> None:
-    if (not isinstance(zv, mp.mpc)) or zv.imag == 0:
-        zr = zv.real if isinstance(zv, mp.mpc) else zv
-        if abs(zr - mp.nint(zr)) < mp.mpf(10) ** (-(wp - 5)):
-            raise DomainError("multitangent functions have poles at integer z")
-
-
 def eval_monotangent(s: int, z, ctx: PrecisionContext) -> Approx:
     """Psi_s(z) = sum_{m in Z} (z+m)^(-s) via the cotangent closed form.
 
@@ -77,7 +70,9 @@ def eval_monotangent(s: int, z, ctx: PrecisionContext) -> Approx:
 def _monotangent(s: int, zv, wp: int) -> Approx:
     """Psi_s(z) at wp digits, computed once per (s, point, wp)."""
     with mp.workdps(wp):
-        _reject_integer_z(zv, wp)
+        # zv is normalized: an mpc has a nonzero imaginary part
+        if not isinstance(zv, mp.mpc) and abs(zv - mp.nint(zv)) < mp.mpf(10) ** (-(wp - 5)):
+            raise DomainError("multitangent functions have poles at integer z")
         x = mp.cot(mp.pi * zv)
         poly = _mono_poly(s)
         acc = mp.mpf(0)
@@ -205,11 +200,6 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
             bound += abs(gap) * (
                 abs(left.value) * right.bound + abs(right.value) * left.bound
             )
-        if (not isinstance(total, mp.mpc)) or total.imag == 0:
-            total = total.real if isinstance(total, mp.mpc) else total
+        if total.imag == 0:  # total is an mpc
+            total = total.real
         return Approx(total, bound + mp.mpf(10) ** (-(wp - 8)))
-
-
-def clear_caches() -> None:
-    """Empty the monotangent values."""
-    _monotangent.cache_clear()

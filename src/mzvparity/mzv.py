@@ -37,9 +37,9 @@ plus that estimate once per grade.
 
 Values are cached by the int key of the word (:mod:`mzvparity.harmonic`),
 which is the word's letters as binary digits.  The value, prefix and power
-caches are bounded, with caps that no sweep reaches; :func:`clear_caches`
-empties them.  The independent cross-checks of the kernel are in
-:mod:`mzvparity.oracles`.
+caches are bounded, with caps that no sweep reaches;
+:func:`mzvparity.clear_caches` empties them.  The independent cross-checks
+of the kernel are in :mod:`mzvparity.oracles`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import floordiv, mul, rshift
+from types import SimpleNamespace
 from typing import Optional
 
 from mpmath import mp
@@ -62,7 +63,6 @@ from .regularization import TPoly
 from .special import PiTerm
 
 __all__ = [
-    "clear_caches",
     "eval_admissible_mzv",
     "eval_pigraded",
     "eval_piterm",
@@ -91,6 +91,12 @@ class _BoundedCache(dict):
         if len(self) >= self.cap and key not in self:
             self.clear()
         super().__setitem__(key, value)
+
+    cache_clear = dict.clear
+
+    def cache_info(self) -> SimpleNamespace:
+        """Its size and cap, named as ``functools.lru_cache`` names them."""
+        return SimpleNamespace(currsize=len(self), maxsize=self.cap)
 
 
 # best value computed so far per word: int key -> (dps, mpf).  The Taylor
@@ -346,12 +352,3 @@ def eval_piterm(term: PiTerm, ctx: PrecisionContext) -> Approx:
     with mp.workdps(ctx.working_dps + 8):
         val = _piterm_to_mp(term)
         return Approx(val, mp.mpf(10) ** (-(ctx.working_dps - 2)) * (1 + abs(val)))
-
-
-def clear_caches() -> None:
-    """Empty every cache of this module: values, prefix values, powers and
-    the derived precisions."""
-    _MZV_CACHE.clear()
-    _PREFIX_CACHE.clear()
-    for cached in (_powers, _fraction_bits, _estimate):
-        cached.cache_clear()

@@ -17,7 +17,7 @@ The sum over the slots of a suffix c[i:] depends only on that suffix, up
 to the head parity (-1)^(i + k_1 + ... + k_i): it is cached per proper
 suffix (i >= 1), without that sign, as ``{m: {word: int}}`` alone, so
 that a sweep computes it once per process; the shift expansions are
-cached too, and :func:`clear_caches` empties both.
+cached too, and :func:`mzvparity.clear_caches` empties both.
 The regularized grades are summed in one flat ``{(pi_exp, t, word): int}``
 map over the common denominator of their rational weights, which is the
 expression's storage.  The unexpanded display form of a reduction is
@@ -66,7 +66,6 @@ __all__ = [
     "PiGradedExpr",
     "ReductionResult",
     "build_main2_identity",
-    "clear_caches",
     "expand_depth_certificate",
     "reduce_main",
     "reduce_main3",
@@ -359,11 +358,3 @@ def _fund_eq2_sides(c: Composition) -> tuple:
 def expand_depth_certificate(e: PiGradedExpr, d: int) -> bool:
     """True iff every word occurring in the expansion has depth <= d-1."""
     return all(k[-1].bit_count() <= d - 1 for k in e._nums)
-
-
-def clear_caches() -> None:
-    """Empty the cached slot sums of suffixes, the shift expansions and the
-    Bernoulli weights."""
-    _proper_suffix_slot_sum.cache_clear()
-    _shift.cache_clear()
-    _bernoulli_weight.cache_clear()

@@ -54,7 +54,7 @@ from .harmonic import (
     is_admissible,
 )
 
-__all__ = ["TPoly", "antipode_combo", "clear_caches", "regularize"]
+__all__ = ["TPoly", "antipode_combo", "regularize"]
 
 
 class TPoly(_SparseMap):
@@ -197,10 +197,3 @@ def antipode_combo(j: int, c) -> TPoly:
         tail = {_encode(c[i:j][::-1]): 1}
         _add_stuffle(words, _star_ints(_encode(c[:i])), tail, -1 if i % 2 else 1)
     return regularize(WordCombo._raw(1, words))
-
-
-def clear_caches() -> None:
-    """Empty the regularized divergent words and the stuffle products of
-    bare words."""
-    _regularize_divergent.cache_clear()
-    _stuffle_words.cache_clear()

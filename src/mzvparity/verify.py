@@ -191,6 +191,9 @@ def _T_values(T_values, default: tuple) -> tuple:
     T_values = tuple(T_values)
     if not T_values:
         raise ValueError("T_values is empty: the identity needs at least one T value")
+    for T in T_values:
+        if not mp.isfinite(T):
+            raise ValueError(f"T value {T} is not finite")
     return T_values
 
 
@@ -360,6 +363,12 @@ IDENTITIES = {
 }
 
 
+def _check_weight(max_weight: int) -> None:
+    """Refuse a weight above :data:`WEIGHT_CAP`, a guard against runaway sweeps."""
+    if max_weight > WEIGHT_CAP:
+        raise ValueError(f"max_weight {max_weight} exceeds the sweep cap {WEIGHT_CAP}")
+
+
 def sweep(
     max_weight: int,
     identity: str,
@@ -378,8 +387,7 @@ def sweep(
     report raises :class:`VerificationFailure` immediately.  Weights above
     :data:`WEIGHT_CAP` are refused, as a guard against runaway sweeps.
     """
-    if max_weight > WEIGHT_CAP:
-        raise ValueError(f"max_weight {max_weight} exceeds the sweep cap {WEIGHT_CAP}")
+    _check_weight(max_weight)
     verifier = _dispatch(identity)
     reports = []
     for c in compositions_up_to(max_weight):

@@ -1,11 +1,15 @@
 """The package API: what ``import mzvparity`` exposes and loads."""
 
+import functools
 import importlib
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
+
+from mpmath import mp
 
 import mzvparity
 from mzvparity import oracles
@@ -41,7 +45,7 @@ def test_import_does_not_load_the_oracles():
 
 def test_top_level_names():
     names = mzvparity.__all__
-    assert len(names) == len(set(names)) == 53
+    assert len(names) == len(set(names)) == 55
     for name in names:
         getattr(mzvparity, name)
     assert not ORACLES & set(names)
@@ -57,6 +61,29 @@ def test_every_module_name_resolves():
         if mod is not oracles:
             assert not ORACLES & set(vars(mod)), mod.__name__
     assert len(oracles.__all__) == 6 and set(oracles.__all__) == ORACLES
+
+
+# the modules that hold caches and how many, in the order of ``cache_info``
+CACHED = {"harmonic": 1, "regularization": 1, "reduction": 3, "mzv": 5, "hurwitz": 10, "multitangent": 1}
+
+
+def test_every_cache_is_listed_bounded_and_cleared(ctx30):
+    modules = {short: importlib.import_module(f"mzvparity.{short}") for short in CACHED}
+    kinds = (type(functools.lru_cache(maxsize=1)(int)), modules["mzv"]._BoundedCache)
+    found = {
+        id(obj): obj for module in modules.values() for obj in vars(module).values()
+        if isinstance(obj, kinds)
+    }
+    mzvparity.verify_main2((2, 1, 1), ctx=ctx30)
+    mzvparity.verify_bouillot((1, 2), ctx=ctx30, z=mp.mpf("0.3"))
+    info = mzvparity.cache_info()
+    listed = {id(getattr(modules[mod], name)) for mod, name in (n.split(".") for n in info)}
+    assert listed == set(found) and len(info) == len(found) == 21
+    assert list(Counter(n.split(".")[0] for n in info).items()) == list(CACHED.items())
+    assert all(isinstance(cap, int) and 0 < size <= cap for size, cap in info.values())
+    mzvparity.clear_caches()
+    assert all(cached.cache_info().currsize == 0 for cached in found.values())
+    assert all(size == 0 for size, _ in mzvparity.cache_info().values())
 
 
 def test_removed_parameters():

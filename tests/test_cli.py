@@ -19,6 +19,7 @@ from mzvparity import (
     eval_admissible_mzv,
     is_admissible,
 )
+from mzvparity import verify
 from mzvparity.cli import main
 
 
@@ -175,6 +176,27 @@ def test_verify_sweep_all_pass(capsys):
 def test_verify_sweep_weight_cap(capsys):
     assert main(["verify", "main", "--max-weight", "99"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_table_weight_cap(capsys, monkeypatch):
+    # a low cap, so that a table without the guard ends at once
+    monkeypatch.setattr(verify, "WEIGHT_CAP", 3)
+    with pytest.raises(ValueError) as refused:
+        verify.sweep(4, "main", PrecisionContext(digits=15))
+    assert main(["table", "--max-weight", "4", "--format", "json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "main2", "--max-weight", "3", "--T", "nan"],
+    ["eval", "monotangent", "2", "--z", "nan"],
+    ["eval", "hurwitz", "2,3", "--z", "inf"],
+    ["reduce", "1,2", "--T", "inf"],
+], ids=["verify-T-nan", "monotangent-z-nan", "hurwitz-z-inf", "reduce-T-inf"])
+def test_non_finite_z_or_T_exits_two(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and repr(argv[-1]) in err
 
 
 def test_verify_unknown_identity(capsys):

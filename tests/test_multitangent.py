@@ -9,6 +9,7 @@ from mpmath import mp
 
 from mzvparity import (
     DomainError,
+    clear_caches,
     eval_monotangent,
     eval_multitangent_direct,
     eval_multitangent_regularized,
@@ -193,14 +194,14 @@ def test_t_dependence_structure(ctx30):
 
 def test_monotangent_cache_is_bounded_and_clearable(ctx30):
     points = (mp.mpf("0.3"), mp.mpc("0.25", "0.2"))
-    multitangent.clear_caches()
+    clear_caches()
     before = [eval_monotangent(s, z, ctx30) for s in range(1, 7) for z in points]
     info = multitangent._monotangent.cache_info()
     assert info.maxsize is not None and info.currsize == info.misses == 12
     again = [eval_monotangent(s, z, ctx30) for s in range(1, 7) for z in points]
     assert multitangent._monotangent.cache_info().misses == 12
     assert all(a is b for a, b in zip(again, before))
-    multitangent.clear_caches()
+    clear_caches()
     assert multitangent._monotangent.cache_info().currsize == 0
     after = [eval_monotangent(s, z, ctx30) for s in range(1, 7) for z in points]
     assert all(a is not b for a, b in zip(after, before))

@@ -12,6 +12,7 @@ from mzvparity import (
     TPoly,
     WordCombo,
     build_main2_identity,
+    clear_caches,
     compositions_up_to,
     depth,
     eval_admissible_mzv,
@@ -129,7 +130,7 @@ def test_t_grades_are_skipped_at_t_zero(ctx30, T):
         grade0 = {w for g in tpolys for w in g.coeff(0).words()}
         only_t_positive = {w for g in tpolys for t, c in g.items() if t for w in c.words()} - grade0
         assert only_t_positive
-        mzv.clear_caches()
+        clear_caches()
         got = evaluate(expr, T, ctx30)
         assert not only_t_positive & {_decode(w) for w in mzv._MZV_CACHE}
         want = evaluate(t_free, T, ctx30)
@@ -263,11 +264,10 @@ def test_word_combo_with_large_coprime_denominators(ctx30):
 
 def test_clear_caches_recomputes_bit_identical_values(ctx30):
     words = [c for c in compositions_up_to(9) if is_admissible(c)]
-    mzv.clear_caches()  # values cached at more digits by earlier tests
+    clear_caches()  # values cached at more digits by earlier tests
     before = [eval_admissible_mzv(c, ctx30).value for c in words]
     tp_before = regularize((2, 1, 1))
-    mzv.clear_caches()
-    regularization.clear_caches()
+    clear_caches()
     assert not mzv._MZV_CACHE and not mzv._PREFIX_CACHE
     after = [eval_admissible_mzv(c, ctx30).value for c in words]
     assert [v._mpf_ for v in after] == [v._mpf_ for v in before]
@@ -279,9 +279,9 @@ def test_caches_stay_within_their_caps(ctx30, monkeypatch):
     # The module caches are emptied when they reach their caps, and the
     # values computed meanwhile are unchanged.
     words = [c for c in compositions_up_to(8) if is_admissible(c)]
-    mzv.clear_caches()
+    clear_caches()
     expected = {c: eval_admissible_mzv(c, ctx30).value for c in words}
-    mzv.clear_caches()
+    clear_caches()
     monkeypatch.setattr(mzv._MZV_CACHE, "cap", 10)
     monkeypatch.setattr(mzv._PREFIX_CACHE, "cap", 50)
     for c in words:

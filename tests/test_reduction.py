@@ -14,6 +14,7 @@ from mzvparity import (
     TPoly,
     WordCombo,
     build_main2_identity,
+    clear_caches,
     compositions_up_to,
     depth,
     eval_admissible_mzv,
@@ -153,7 +154,7 @@ def test_term_order_pinned():
 
 
 def test_clear_caches_rebuilds_the_pinned_output():
-    reduction.clear_caches()
+    clear_caches()
     for cached in (reduction._proper_suffix_slot_sum, reduction._shift, reduction._bernoulli_weight):
         info = cached.cache_info()
         assert info.currsize == 0 and info.maxsize is not None
@@ -180,7 +181,7 @@ def test_sweep_leaves_shared_cache_entries_unchanged(ctx30):
         ]
         return suffixes + shifts + divergent
 
-    reduction.clear_caches()
+    clear_caches()
     sweep(7, "main2", ctx30)
     live = entries()
     before = copy.deepcopy(live)

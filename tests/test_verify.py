@@ -225,6 +225,14 @@ def test_empty_T_values_is_refused(ctx30):
         sweep(2, "main3", ctx30, T_values=())
 
 
+@pytest.mark.parametrize("T", [mp.nan, mp.inf, float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_T_values_is_refused(ctx30, T):
+    z = mp.mpf("0.3")
+    for fn in IDENTITIES.values():
+        with pytest.raises(ValueError, match="not finite"):
+            fn((2,), ctx=ctx30, z=z, T_values=(0, T))
+
+
 def test_sweep_empty_and_order(ctx30):
     assert sweep(0, "main", ctx30) == []
     reps = sweep(3, "main", ctx30)
