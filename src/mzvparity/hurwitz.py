@@ -398,6 +398,8 @@ def _size_bounds(zkey: tuple, kmax: int, N: int) -> tuple:
 def _normalize_z(z, wp: int):
     with mp.workdps(wp):
         zv = mp.mpmathify(z)
+        if not mp.isfinite(zv):
+            raise DomainError(f"z = {zv} is not finite")
         if isinstance(zv, mp.mpc) and zv.imag == 0:
             zv = zv.real
         return zv

@@ -14,6 +14,7 @@ cache per (order, point, working precision), which
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import log
@@ -122,6 +123,8 @@ def eval_multitangent_direct(
             "direct multitangent sums need first and last part >= 2"
         )
     zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise DomainError(f"z = {zc} is not finite")
     if abs(zc.imag) == 0 and abs(zc.real - round(zc.real)) < 1e-12:
         raise DomainError("multitangent functions have poles at integer z")
     M = cutoff

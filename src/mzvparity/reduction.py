@@ -3,21 +3,23 @@
 The central objects are pi^2-graded combinations of T-polynomials
 (:class:`PiGradedExpr`: terms under keys ``(pi_exp, t, word)`` in the
 integer sparse map that ``TPoly`` and ``WordCombo`` share, read as
-pi-exponent -> ``TPoly``).  Within one pi-grade 2m every term of the
-double-index correction sum has the same rational weight
-4^m B_{2m} / (2m)!, up to sign, and star, shift and stuffle expansions
-have integer coefficients.
+pi-exponent -> ``TPoly``).  Within one pi-grade s every term of the
+double-index correction sum has the same rational weight 2^s B_s / s!,
+up to sign, and star, shift and stuffle expansions have integer
+coefficients.
 So reductions add the unregularized stuffle words of each grade to an
-integer accumulator ``{m: {word: int}}`` and regularize each grade once
+integer accumulator ``{s: {word: int}}`` and regularize each grade once
 (regularization is linear), in integers over the grade's largest r!.
 Every word of the build, in the accumulators and in the cache keys and
 values, is the int key of :mod:`mzvparity.harmonic`; the suffix c[i:] of
 an index is the low bits of its key, and the head c[:i] the bits above.
 The sum over the slots of a suffix c[i:] depends only on that suffix, up
 to the head parity (-1)^(i + k_1 + ... + k_i): it is cached per proper
-suffix (i >= 1), without that sign, as ``{m: {word: int}}`` alone, so
+suffix (i >= 1), without that sign, as ``{s: {word: int}}`` alone, so
 that a sweep computes it once per process; the shift expansions are
-cached too, and :func:`mzvparity.clear_caches` empties both.
+cached too, and :func:`mzvparity.clear_caches` empties both.  The same
+slot sum, over every middle order s >= 1 of the whole index, is the
+right-hand side of the multitangent identity, with Psi_s(z) in the middle.
 The regularized grades are summed in one flat ``{(pi_exp, t, word): int}``
 map over the common denominator of their rational weights, which is the
 expression's storage.  The unexpanded display form of a reduction is
@@ -44,6 +46,7 @@ from math import factorial, lcm
 from .errors import NonAdmissibleError, ParityError
 from .harmonic import (
     Composition,
+    WordCombo,
     _add_stuffle,
     _decode,
     _encode,
@@ -58,7 +61,7 @@ from .harmonic import (
     splits,
     weight,
 )
-from .regularization import TPoly, _regularize_ints
+from .regularization import TPoly, _regularize_ints, regularize
 from .special import bernoulli, delta
 
 __all__ = [
@@ -140,22 +143,22 @@ class ReductionResult:
             for i in range(len(c))
             if not delta(c[i:]).is_zero
         )
-        scaled = [-half * _bernoulli_weight(m) for m in range(max(c) // 2 + 1)]
+        scaled = {s: -half * _bernoulli_weight(s) for s in range(0, max(c) + 1, 2)}
         for i in range(len(c)):
             h = -1 if (i + weight(c[:i])) % 2 else 1
             head = (("star", c[:i]),) if i else ()
-            for mid, a, m, b, tail, sign in _even_slots(c[i:]):
+            for mid, a, s, b, tail, sign in _slots(c[i:], even=True):
                 shifts = tuple(("shift", e, w) for e, w in ((a, mid), (b, tail)) if w)
-                coeff = scaled[m] if h == sign else -scaled[m]
-                terms.append(DisplayTerm(coeff, 2 * m, head + shifts))
+                sign *= -h if s % 4 else h  # the head parity and (-1)^(s/2)
+                terms.append(DisplayTerm(sign * scaled[s], s, head + shifts))
         return tuple(terms)
 
 
-# Called per grade of a build and per m of a display form; m <= 6 at the sweep cap.
+# Called per grade of a build and per s of a display form; s <= 12 at the sweep cap.
 @lru_cache(maxsize=64)
-def _bernoulli_weight(m: int) -> Fraction:
-    """C_m = 4^m B_{2m} / (2m)!, the rational part of (2 pi)^(2m) B_{2m} / (2m)!."""
-    return Fraction(4**m) * bernoulli(2 * m) / factorial(2 * m)
+def _bernoulli_weight(s: int) -> Fraction:
+    """C_s = 2^s B_s / s!, the rational part of (2 pi)^s B_s / s!."""
+    return Fraction(2**s) * bernoulli(s) / factorial(s)
 
 
 # Mids and tails recur across the suffixes of an index and across indices.
@@ -163,64 +166,63 @@ def _bernoulli_weight(m: int) -> Fraction:
 _shift = lru_cache(maxsize=1 << 13)(_shift_ints)
 
 
-def _even_slots(c: Composition):
-    """The nonzero terms of the slot sum of c: ``(mid, a, m, b, tail, sign)``.
+def _slots(c: Composition, even: bool):
+    """The nonzero terms ``(mid, a, s, b, tail, sign)`` of the slot sum of c.
 
-    These are the entries of :func:`slot_splits` with an even middle
-    s = 2m, in its order, with sign = (-1)^m times its sign,
-    (-1)^(a + weight of the parts of c before the slot).  A shift of the
-    empty word is zero unless its order is 0, so such terms are left out.
+    These are the entries of :func:`slot_splits`, in its order and with its
+    sign (-1)^(a + weight of the parts of c before the slot), whose middle
+    order s is even if ``even`` (the pi^s of the correction sums) and
+    s >= 1 otherwise (Psi_s(z), with Psi_0 = 0).  A shift of the empty word
+    is zero unless its order is 0, so such terms are left out.
     """
     for mid, a, s, b, tail, sign in slot_splits(c):
-        if s % 2 or (a and not mid) or (b and not tail):
+        if (s % 2 if even else not s) or (a and not mid) or (b and not tail):
             continue
-        m = s // 2
-        yield mid, a, m, b, tail, -sign if m % 2 else sign
+        yield mid, a, s, b, tail, sign
 
 
-def _suffix_slot_sum(s: int) -> dict:
-    """``{m: {word: int}}``: the slot sum of a suffix, without the head parity.
+def _slot_sum(w: int, even: bool = True) -> dict:
+    """``{s: {word: int}}``: the slot sum of the index w, by middle order s.
 
-    For every term of :func:`_even_slots` of the suffix (keyed by s) adds
-    ``sign * shift_a(mid) * shift_b(tail)`` to grade m, as unregularized
-    stuffle words.
+    For every term of :func:`_slots` adds ``sign * shift_a(mid) *
+    shift_b(tail)`` to grade s, as unregularized stuffle words.
     """
-    by_m: dict = {}
-    for mid, a, m, b, tail, sign in _even_slots(_decode(s)):
+    by_s: dict = {}
+    for mid, a, s, b, tail, sign in _slots(_decode(w), even):
         shift_mid, shift_tail = _shift(a, _encode(mid)), _shift(b, _encode(tail))
-        _add_stuffle(by_m.setdefault(m, {}), shift_mid, shift_tail, sign)
-    return by_m
+        _add_stuffle(by_s.setdefault(s, {}), shift_mid, shift_tail, sign)
+    return by_s
 
 
 # A sweep reaches each proper suffix from many indices, and the whole index
 # from only one.  Every proper suffix of an index of weight <= 12, the sweep
 # cap, is one of the 2^11 - 1 compositions of weight <= 11.  The cached
-# dicts are shared: callers only read them.
-_proper_suffix_slot_sum = lru_cache(maxsize=1 << 11)(_suffix_slot_sum)
+# dicts are shared: callers only read them.  Only the even grades are cached.
+_proper_suffix_slot_sum = lru_cache(maxsize=1 << 11)(_slot_sum)
 
 
 def _triple_terms(w: int, grades: dict) -> None:
     """Add the double-index correction sum to ``grades``.
 
     The term of an index 0 <= i < d, a slot of c[i:] and a split
-    a + 2m + b of its part is
-    ``sign * C_m * pi^(2m) * star(k_1..k_i) * shift_a(mid) * shift_b(tail)``
-    with sign = (-1)^(m+i+a+k_1+...+k_j).  For every i the slot sum of the
-    suffix c[i:] (:func:`_suffix_slot_sum`, cached for i >= 1) is
-    multiplied by the star head and by the head parity
-    (-1)^(i + k_1 + ... + k_i), and its grade m is added to the integer
-    accumulator ``grades[m]`` ({word: int}); the caller applies C_m.
+    a + s + b of its part, s even, is
+    ``sign * C_s * pi^s * star(k_1..k_i) * shift_a(mid) * shift_b(tail)``
+    with sign = (-1)^(s/2+i+a+k_1+...+k_j).  For every i the slot sum of
+    the suffix c[i:] (:func:`_slot_sum`, cached for i >= 1) is multiplied
+    by the star head and by the head parity (-1)^(i + k_1 + ... + k_i)
+    times (-1)^(s/2), and its grade s is added to the integer accumulator
+    ``grades[s]`` ({word: int}); the caller applies C_s.
     The suffix c[i:] is w below its (i+1)-th highest 1 bit, that bit
     included, and the head is w above it.
     """
     suffix = w
     for i in range(w.bit_count()):
         n = suffix.bit_length()
-        slot_sum = _proper_suffix_slot_sum if i else _suffix_slot_sum
+        slot_sum = _proper_suffix_slot_sum if i else _slot_sum
         h = -1 if (i + w.bit_length() - n) % 2 else 1
         head = _star_ints(w >> n)
-        for m, words in slot_sum(suffix).items():
-            _add_stuffle(grades.setdefault(m, {}), head, words, h)
+        for s, words in slot_sum(suffix).items():
+            _add_stuffle(grades.setdefault(s, {}), head, words, -h if s % 4 else h)
         suffix ^= 1 << (n - 1)
 
 
@@ -286,7 +288,7 @@ def reduce_main3(c) -> ReductionResult:
     grades = {0: _star_ints(w)}
     del grades[0][w]
     _triple_terms(w, grades)
-    parts += ((2 * m, scale * _bernoulli_weight(m), words) for m, words in grades.items())
+    parts += ((s, scale * _bernoulli_weight(s), words) for s, words in grades.items())
     return ReductionResult(c, _sum_regularized(parts))
 
 
@@ -327,7 +329,7 @@ def build_main2_identity(c) -> PiGradedExpr:
     lhs[key] += 1
     grades = {0: lhs}
     _triple_terms(key, grades)
-    parts += ((2 * m, -sign_w * _bernoulli_weight(m), words) for m, words in grades.items())
+    parts += ((s, -sign_w * _bernoulli_weight(s), words) for s, words in grades.items())
 
     # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail),
     # and (-1)^i = (-1)^d on every nonzero term
@@ -341,18 +343,26 @@ def _fund_eq2_sides(c: Composition) -> tuple:
 
     lhs sums sign * reg(rev_head * tail) over the d+1 cuts of :func:`splits`.
     rhs is delta(c) plus the slot sum of c with the middle 2 zeta(s), where
-    2 zeta(2m) = -(-1)^m C_m pi^(2m), 2 zeta(0) = -1 = -C_0, and the (-1)^m
-    is in the signs of :func:`_even_slots`: delta(c) - sum_m C_m pi^(2m) S_m,
-    with S_m the regularized grade m of :func:`_suffix_slot_sum`.
+    2 zeta(s) = -(-1)^(s/2) C_s pi^s for even s and 2 zeta(0) = -1 = -C_0:
+    delta(c) - sum_s (-1)^(s/2) C_s pi^s S_s, with S_s the regularized
+    grade s of :func:`_slot_sum`.
     """
     cuts: dict = {}
     for rev_head, _, tail, sign in islice(splits(c), len(c) + 1):
         _add_stuffle(cuts, {_encode(rev_head): 1}, {_encode(tail): 1}, sign)
     dl = delta(c)
     parts = [] if dl.is_zero else [(dl.pi_exp, dl.coeff, {0: 1})]
-    slot_sum = _suffix_slot_sum(_encode(c))
-    parts += ((2 * m, -_bernoulli_weight(m), words) for m, words in slot_sum.items())
+    for s, words in _slot_sum(_encode(c)).items():
+        parts.append((s, (1 if s % 4 else -1) * _bernoulli_weight(s), words))
     return _sum_regularized([(0, Fraction(1), cuts)]), _sum_regularized(parts)
+
+
+def _bouillot_grades(c: Composition) -> dict:
+    """``{s: R_s}``: the right-hand side of the multitangent identity is
+    delta(c) + sum_s Psi_s(z) R_s(T), with R_s the regularized grade s of
+    the slot sum of c over every middle order s >= 1 (:func:`_slot_sum`)."""
+    slot_sum = _slot_sum(_encode(c), even=False)
+    return {s: regularize(WordCombo._raw(1, words)) for s, words in slot_sum.items()}
 
 
 def expand_depth_certificate(e: PiGradedExpr, d: int) -> bool:

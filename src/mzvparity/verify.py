@@ -14,22 +14,21 @@ regularization variable T; the residual is the largest over them, and
 ``fundeq2`` and ``bouillot``, ``(0, 1)`` for ``main2`` and ``main3``; an
 empty ``T_values`` raises :class:`ValueError`.  Every report's ``T`` is the
 tuple of T values it used, and its ``lhs`` and ``rhs`` are those of the T
-value with the largest residual (the first on a tie).  Reports of ``main``,
-``main2``, ``main3`` and ``fundeq2`` carry ``stages``, the seconds of the
-exact build (reduction and regularization) and of the numeric evaluation.
+value with the largest residual (the first on a tie).  Every report that
+is not skipped carries ``stages``, the seconds of the exact build
+(reduction and regularization) and of the numeric evaluation.
 
-``fundeq2`` is the z^0 case of ``bouillot``.  The right-hand side of
-``bouillot`` is a sum over the entries of :func:`harmonic.slot_splits` with
-Psi_s(z) in the middle, evaluated from numeric shifted values; that of
-``fundeq2`` is its z^0 coefficient, built exactly from the slot sum of the
-whole index, as is its left-hand side.
+``fundeq2`` is the z^0 case of ``bouillot``.  Both right-hand sides are
+built exactly from the slot sum of the whole index: that of ``bouillot``
+is delta(c) + sum_s Psi_s(z) R_s(T), with one regularized grade R_s per
+monotangent order s, and that of ``fundeq2`` is its z^0 coefficient, as
+exact as its left-hand side.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -41,10 +40,8 @@ from .harmonic import (
     compositions_up_to,
     depth,
     is_admissible,
-    slot_splits,
     weight,
 )
-from .hurwitz import eval_shifted
 from .multitangent import (
     eval_monotangent,
     eval_multitangent_direct,
@@ -53,6 +50,7 @@ from .multitangent import (
 from .mzv import _eval_pigraded_at, _eval_tpoly_at, _piterm_to_mp, eval_admissible_mzv
 from .precision import PrecisionContext
 from .reduction import (
+    _bouillot_grades,
     _fund_eq2_sides,
     build_main2_identity,
     expand_depth_certificate,
@@ -94,8 +92,8 @@ class ResidualReport:
     lhs: object = None
     rhs: object = None
     wall_time: float = 0.0
-    # {"build": s, "evaluate": s} for main, main2, main3 and fundeq2: the
-    # exact reduction and regularization, then the numeric evaluation
+    # {"build": s, "evaluate": s}, None for skipped entries: the exact
+    # reduction and regularization, then the numeric evaluation
     stages: Optional[dict] = field(default=None, compare=False)
 
     @property
@@ -141,11 +139,11 @@ def _finish(
     lhs,
     rhs,
     t0: float,
+    t_built: float,
     z=None,
     T=None,
     extra_ok: bool = True,
     reason: Optional[str] = None,
-    t_built: Optional[float] = None,
 ) -> ResidualReport:
     t_evaluated = time.perf_counter()
     bound = ctx.residual_bound()
@@ -163,9 +161,7 @@ def _finish(
         lhs=lhs,
         rhs=rhs,
         wall_time=time.perf_counter() - t0,
-        stages=None if t_built is None else {
-            "build": t_built - t0, "evaluate": t_evaluated - t_built,
-        },
+        stages={"build": t_built - t0, "evaluate": t_evaluated - t_built},
     )
 
 
@@ -208,29 +204,6 @@ def _worst(sides) -> tuple:
     return max(rows, key=lambda row: row[0])
 
 
-def _slot_sum(c: Composition, z, T, ctx: PrecisionContext):
-    """delta(c) + sum of sign * zeta_a(rev_head) * zeta_b(tail) * Psi_s(z).
-
-    The sum runs over the entries ``(rev_head, a, s, b, tail, sign)`` of
-    :func:`slot_splits`, with shifted values at ``T``, each evaluated once,
-    and Psi_0 = 0.  A zero middle skips the term before its shifted values
-    are evaluated.  Runs at the caller's working precision.
-    """
-    total = _piterm_to_mp(delta(c))
-    middles = [eval_monotangent(s, z, ctx).value if s else 0 for s in range(max(c) + 1)]
-
-    @cache
-    def shifted(word: Composition, order: int):
-        return eval_shifted(word, order, T, ctx).value
-
-    for rev_head, a, s, b, tail, sign in slot_splits(c):
-        if middles[s]:
-            va = shifted(rev_head, a)
-            if va:
-                total += sign * va * shifted(tail, b) * middles[s]
-    return total
-
-
 def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the reflection identity for the z^0 coefficient, the
     z^0 case of ``bouillot``, with both sides built exactly by
@@ -245,7 +218,7 @@ def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Resid
     lhs_at = _eval_pigraded_at(lhs, T_values, ctx)
     rhs_at = _eval_pigraded_at(rhs, T_values, ctx)
     residual, lhs, rhs = _worst((l.value, r.value) for l, r in zip(lhs_at, rhs_at))
-    return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, T=T_values, t_built=t_built)
+    return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, t_built, T=T_values)
 
 
 def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -258,7 +231,7 @@ def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     residual, lhs, rhs = _worst(
         (v.value, mp.zero) for v in _eval_pigraded_at(expr, T_values, ctx)
     )
-    return _finish("main2", c, ctx, residual, lhs, rhs, t0, T=T_values, t_built=t_built)
+    return _finish("main2", c, ctx, residual, lhs, rhs, t0, t_built, T=T_values)
 
 
 def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -274,7 +247,7 @@ def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     lhs_at = _eval_tpoly_at(tp, T_values, ctx)
     rhs_at = _eval_pigraded_at(red.expanded, T_values, ctx)
     residual, lhs, rhs = _worst((l.value, r.value) for l, r in zip(lhs_at, rhs_at))
-    return _finish("main3", c, ctx, residual, lhs, rhs, t0, T=T_values, t_built=t_built)
+    return _finish("main3", c, ctx, residual, lhs, rhs, t0, t_built, T=T_values)
 
 
 def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -304,30 +277,34 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
     elif not cert:
         reason = "depth certificate failed"
     return _finish(
-        "main", c, ctx, residual, lhs, rhs, t0,
-        T=T_values, extra_ok=t_free and cert, reason=reason, t_built=t_built,
+        "main", c, ctx, residual, lhs, rhs, t0, t_built,
+        T=T_values, extra_ok=t_free and cert, reason=reason,
     )
 
 
 def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualReport:
     """Residual of the monotangent reduction of the multitangent.
 
-    LHS: the regularized multitangent.  RHS: :func:`_slot_sum` with the
-    monotangent Psi_s(z) in the middle.  For indices with first and last
-    part >= 2 the reported LHS is also cross-checked against the truncated
-    doubly infinite sum within its stated tail estimate.
+    LHS: the regularized multitangent.  RHS: delta(c) + sum_s Psi_s(z) R_s,
+    with the grades R_s of :func:`reduction._bouillot_grades`, each
+    regularized once and summed once for all T values.  For indices with
+    first and last part >= 2 the reported LHS is also cross-checked against
+    the truncated doubly infinite sum within its stated tail estimate.
     """
     if z is None:
         raise DomainError("the multitangent identity needs an evaluation point z")
     c = as_composition(c)
     T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
-
-    def sides(T):
-        return eval_multitangent_regularized(c, z, T, ctx).value, _slot_sum(c, z, T, ctx)
-
+    grades = _bouillot_grades(c)
+    t_built = time.perf_counter()
     with mp.workdps(ctx.working_dps + 5):
-        residual, lhs, rhs = _worst(map(sides, T_values))
+        rhs = [_piterm_to_mp(delta(c))] * len(T_values)
+        for s, tp in grades.items():
+            psi = eval_monotangent(s, z, ctx).value
+            rhs = [r + psi * v.value for r, v in zip(rhs, _eval_tpoly_at(tp, T_values, ctx))]
+        lhs = (eval_multitangent_regularized(c, z, T, ctx).value for T in T_values)
+        residual, lhs, rhs = _worst(zip(lhs, rhs))
         extra_ok = True
         reason = None
         if c[0] >= 2 and c[-1] >= 2:
@@ -340,7 +317,7 @@ def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualRe
                     f"(tail estimate {mp.nstr(direct.bound, 3)})"
                 )
     return _finish(
-        "bouillot", c, ctx, residual, lhs, rhs, t0,
+        "bouillot", c, ctx, residual, lhs, rhs, t0, t_built,
         z=z, T=T_values, extra_ok=extra_ok, reason=reason,
     )
 

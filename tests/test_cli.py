@@ -359,11 +359,11 @@ def test_verify_json_stage_times(capsys):
         assert main([identity if a == "{}" else a for a in args]) == 0
         rows = json.loads(capsys.readouterr().out)
         for row in rows:
-            if identity == "bouillot" or row["status"] == "skip":
+            if row["status"] == "skip":
                 assert row["stages"] is None, (identity, row)
                 continue
             stages = row["stages"]
-            assert set(stages) == {"build", "evaluate"}
+            assert set(stages) == {"build", "evaluate"}, (identity, row)
             assert min(stages.values()) >= 0
             assert sum(stages.values()) <= row["wall_time"]
-        assert any(row["stages"] for row in rows) == (identity != "bouillot")
+        assert any(row["stages"] for row in rows), identity

@@ -10,10 +10,14 @@ from mpmath import mp
 from mzvparity import (
     DomainError,
     clear_caches,
+    eval_hurwitz_direct,
+    eval_hurwitz_star,
     eval_monotangent,
     eval_multitangent_direct,
     eval_multitangent_regularized,
     PrecisionContext,
+    tau_value,
+    verify_bouillot,
 )
 from mzvparity import multitangent
 from mzvparity.harmonic import compositions_up_to
@@ -143,6 +147,26 @@ def test_multitangent_regularized_domain(ctx30):
         eval_multitangent_regularized((2,), mp.mpf("0.75"), 0, ctx30)
     with pytest.raises(ValueError):
         eval_multitangent_regularized((), mp.mpf("0.3"), 0, ctx30)
+
+
+def test_non_finite_z_is_refused(ctx30):
+    """Every numeric evaluator raises DomainError at a z with an infinite or
+    NaN part, the last two among them instead of running for minutes in
+    mpmath's digamma at z = 0.3 + nan i."""
+    calls = [
+        lambda z: eval_hurwitz_direct((2,), z, ctx30),
+        lambda z: eval_monotangent(2, z, ctx30),
+        lambda z: tau_value(z, 0, ctx30),
+        lambda z: eval_hurwitz_direct((2, 3), z, ctx30),
+        lambda z: eval_multitangent_direct((2, 2), z, ctx30),
+        lambda z: eval_multitangent_regularized((2,), z, 0, ctx30),
+        lambda z: eval_hurwitz_star((2,), z, 0, ctx30),
+        lambda z: verify_bouillot((2, 2), z, ctx30),
+    ]
+    for call in calls:
+        for z in (mp.mpc(0.3, mp.nan), mp.mpc(0.3, mp.inf), mp.nan, mp.inf, -mp.inf):
+            with pytest.raises(DomainError, match="not finite"):
+                call(z)
 
 
 def test_regularized_matches_literal_series():

@@ -21,6 +21,7 @@ from mzvparity import (
     VerificationFailure,
     compositions_up_to,
     eval_admissible_mzv,
+    eval_monotangent,
     is_admissible,
     reduce_main,
     stuffle,
@@ -73,6 +74,30 @@ def test_fund_eq2_sides_match_the_numeric_route(ctx30):
                         want_rhs += sign * va * vb * twice_zeta[s]
             assert abs(lhs - want_lhs) <= bound, (c, T)
             assert abs(rhs - want_rhs) <= bound, (c, T)
+
+
+def test_bouillot_rhs_matches_the_numeric_slot_sum(ctx30):
+    """The exact right-hand side of bouillot agrees with the numeric route,
+    kept here as a reference: delta(c) plus the slot sum of
+    sign * zeta_a(rev_head) * zeta_b(tail) * Psi_s(z) over shifted values,
+    with Psi_0 = 0.  The sides agree relative to the sum of the absolute
+    values of the terms, since some sums cancel to 0: at T = 0 the
+    right-hand side of (1, 2, 1, 1) is Psi_1(z) (zeta(4) - zeta(1, 1, 2))."""
+    tol = mp.mpf(10) ** -ctx30.working_dps
+    for z in (mp.mpf("0.3"), mp.mpc("0.25", "0.2")):
+        for T in (0, 1, Fraction(5, 2)):
+            for c in compositions_up_to(6):
+                with mp.workdps(ctx30.working_dps + 5):
+                    want = eval_piterm(delta(c), ctx30).value
+                    size = abs(want)
+                    for rev_head, a, s, b, tail, sign in slot_splits(c):
+                        if s:
+                            va = eval_shifted(rev_head, a, T, ctx30).value
+                            vb = eval_shifted(tail, b, T, ctx30).value
+                            term = sign * va * vb * eval_monotangent(s, z, ctx30).value
+                            want, size = want + term, size + abs(term)
+                rhs = verify_bouillot(c, z, ctx30, T_values=(T,)).rhs
+                assert abs(rhs - want) <= tol * size, (c, z, T)
 
 
 def test_main_euler_cases(ctx30):
