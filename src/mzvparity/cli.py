@@ -25,7 +25,7 @@ from .harmonic import (
     star_expand,
     weight,
 )
-from .hurwitz import eval_hurwitz_direct, eval_hurwitz_star, eval_shifted, shifted_tpoly
+from .hurwitz import eval_hurwitz_direct, eval_hurwitz_star, shifted_tpoly
 from .multitangent import eval_monotangent, eval_multitangent_regularized
 from .mzv import eval_pigraded, eval_tpoly
 from .precision import PrecisionContext
@@ -163,14 +163,11 @@ def _eval_symbol(args, ctx: PrecisionContext, T):
             raise UsageError("monotangent needs an integer order") from None
         return eval_monotangent(order, _parse_z(args.z, ctx), ctx)
     c = _parse_composition(args.index)
-    if symbol in ("mzv", "star"):
-        tp = regularize(c if symbol == "mzv" else star_expand(c))
+    if symbol in ("mzv", "star", "shifted"):
+        tp = (shifted_tpoly(c, args.a) if symbol == "shifted"
+              else regularize(c if symbol == "mzv" else star_expand(c)))
         _require_T_if_divergent(tp, T)
         return eval_tpoly(tp, T if T is not None else 0, ctx)
-    if symbol == "shifted":
-        tp = shifted_tpoly(c, args.a)
-        _require_T_if_divergent(tp, T)
-        return eval_shifted(c, args.a, T if T is not None else 0, ctx)
     if symbol == "hurwitz":
         z = _parse_z(args.z, ctx)
         if is_admissible(c) and T is None:

@@ -81,8 +81,8 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
-from .harmonic import WordCombo, _decode, _grades, as_composition, is_admissible, shift_expand
-from .mzv import eval_tpoly
+from .harmonic import WordCombo, _decode, as_composition, is_admissible, shift_expand
+from .mzv import _walk, eval_tpoly
 from .precision import Approx, PrecisionContext
 from .regularization import TPoly, regularize
 from .special import bernoulli
@@ -573,19 +573,17 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
         if not isinstance(x, TPoly):  # a word reads the cache of eval_shifted
             x = regularize(x) if isinstance(x, WordCombo) else shifted_tpoly(x, 0)
         tau = tau_value(zv, T_value, ctx)
-        total = mp.mpf(0)
-        bound = mp.mpf(0)
-        for t, nums in _grades(x._nums).items():
-            part = mp.mpf(0)
-            pbound = mp.mpf(0)
+
+        def leaf(nums):
+            part = pbound = mp.zero
             for w, n in nums.items():
                 qm = mp.mpf(n) / x._den
                 hv = eval_hurwitz_direct(_decode(w), zv, ctx)
                 part += qm * hv.value
                 pbound += abs(qm) * hv.bound
-            tpow = tau**t if t else mp.mpf(1)
-            total = total + tpow * part
-            bound += abs(tpow) * pbound
+            return part, pbound
+
+        (total,), (bound,) = _walk(x._nums, [[tau]], leaf, 1)
         return Approx(total, bound + mp.mpf(10) ** (-(wp - 6)))
 
 

@@ -61,8 +61,8 @@ def eval_monotangent(s: int, z, ctx: PrecisionContext) -> Approx:
 
     For s = 1 the symmetric (Eisenstein) summation pi*cot(pi z) is used.
     """
-    if s < 1:
-        raise ValueError("monotangent order must be >= 1")
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+        raise ValueError(f"monotangent order must be an int >= 1, got {s!r}")
     wp = ctx.working_dps + 10
     return _monotangent(s, _normalize_z(z, wp), wp)
 

@@ -30,10 +30,15 @@ an exact dyadic man * 2^exp, so D times a word combination (one grade of
 an expression) is the exact integer sum of n man 2^(exp - E), with E the
 smallest exponent; it is rounded once, by one division by D at the
 kernel's precision, so that the guard bits the values carry are kept.
-Powers of T and pi multiply whole grades, and a check at several T values
-sums each grade once and combines the sums per T.
+One walker, :func:`_walk`, substitutes numbers for the grade levels of
+every expression class, pi and then T, multiplying whole grades by their
+powers; a check at several T values walks each grade once and combines
+the sums per T, and at T = 0 the grades t > 0 are not walked.
+:func:`_eval_at` is the walk behind all three public expression
+evaluators, and :mod:`mzvparity.hurwitz` walks with tau(z) in place of T.
 The bound stays the per-word estimate 10^-(dps-2) times the sum of |q|,
-plus that estimate once per grade.
+plus that estimate once per grade, and once more for a pi-graded
+expression.
 
 Values are cached by the int key of the word (:mod:`mzvparity.harmonic`),
 which is the word's letters as binary digits.  The value, prefix and power
@@ -277,74 +282,70 @@ def _combo_sum(nums: dict, den: int, ctx: PrecisionContext, dps: int) -> tuple:
     return mp.make_mpf(value), mp.make_mpf(mpf_div(from_int(weight), d, prec, round_nearest))
 
 
-def _tpoly_sums(grades: dict, den: int, Ts: list, ctx: PrecisionContext, dps: int) -> list:
-    """[sum_t T^t (grade t) for T in Ts] of the T-polynomial with grades
-    ``{t: {word: int}}`` over ``den``, at the current precision, each T an
-    mpf, as ``Approx``; every grade is summed once, however many T values
-    share it.
+def _walk(nums: dict, levels: list, leaf, n: int) -> tuple:
+    """(totals, bounds) at n points of a {key: int} map with one grade
+    level above the word per entry of ``levels``, outermost first: entry l
+    holds the value x of level l at each point.
 
-    At T = 0 the grades t > 0 are skipped: their terms and their bound
-    terms are exactly 0, so the value and the bound are those of grade 0,
-    and a grade t > 0 is not summed unless some T is nonzero.
+    A level adds x^g * value and |x^g| * bound over its grades g, each
+    grade walked once for all points.  At a point where x = 0 the grades
+    g > 0 are skipped: their terms are exactly 0, and a grade is not walked
+    unless some point keeps it.  Below the last level, ``leaf(nums)`` is
+    the (value, bound) of one word combination, the same at every point.
     """
-    est = _estimate(dps)
-    totals = [mp.zero] * len(Ts)
-    bounds = [mp.zero] * len(Ts)
-    for t, nums in grades.items():
-        at = [i for i, T in enumerate(Ts) if T or not t]
+    if not levels:
+        value, bound = leaf(nums)
+        return [value] * n, [bound] * n
+    xs, below = levels[0], levels[1:]
+    totals, bounds = [mp.zero] * n, [mp.zero] * n
+    for g, sub in _grades(nums).items():
+        at = [i for i, x in enumerate(xs) if x or not g]
         if not at:
             continue
-        value, weight = _combo_sum(nums, den, ctx, dps)
+        values, errs = _walk(sub, below, leaf, n)
         for i in at:
-            Tp = Ts[i] ** t if t else mp.one
-            totals[i] += Tp * value
-            bounds[i] += abs(Tp) * (weight * est + est)
-    return [Approx(v, b) for v, b in zip(totals, bounds)]
+            xg = xs[i] ** g if g else mp.one
+            totals[i] += xg * values[i]
+            bounds[i] += abs(xg) * errs[i]
+    return totals, bounds
+
+
+def _eval_at(expr, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -> list:
+    """A ``WordCombo``, ``TPoly`` or ``PiGradedExpr`` at each of
+    ``T_values``, as ``Approx``: one :func:`_walk` over its pi and T grades
+    sums every word combination once for all T values.  A word combination
+    is bounded by est times the sum of its |q| plus est, with est the
+    per-word estimate; a pi-graded expression adds est once more."""
+    dps = dps if dps is not None else ctx.working_dps
+    with mp.workprec(_sum_prec(dps)):
+        est = _estimate(dps)
+        Ts = [mp.mpmathify(T) for T in T_values]
+        # the pi level, where there is one, sits above the T level
+        levels = [[+mp.pi] * len(Ts), Ts][2 - expr._depth:]
+
+        def leaf(nums):
+            value, weight = _combo_sum(nums, expr._den, ctx, dps)
+            return value, weight * est + est
+
+        totals, bounds = _walk(expr._nums, levels, leaf, len(Ts))
+        if expr._depth == 2:
+            bounds = [b + est for b in bounds]
+        return list(map(Approx, totals, bounds))
 
 
 def eval_word_combo(combo, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Evaluate a Q-combination of admissible words (empty word = 1)."""
-    dps_eff = dps if dps is not None else ctx.working_dps
-    with mp.workprec(_sum_prec(dps_eff)):
-        value, weight = _combo_sum(combo._nums, combo._den, ctx, dps_eff)
-        est = _estimate(dps_eff)
-        return Approx(value, weight * est + est)
+    return _eval_at(combo, (0,), ctx, dps)[0]
 
 
 def eval_tpoly(p: TPoly, T_value, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Substitute a numeric T into a T-polynomial and evaluate all words."""
-    return _eval_tpoly_at(p, (T_value,), ctx, dps)[0]
-
-
-def _eval_tpoly_at(p: TPoly, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -> list:
-    """:func:`eval_tpoly` at each of ``T_values``, summing every grade once."""
-    dps_eff = dps if dps is not None else ctx.working_dps
-    with mp.workprec(_sum_prec(dps_eff)):
-        Ts = [mp.mpmathify(T) for T in T_values]
-        return _tpoly_sums(_grades(p._nums), p._den, Ts, ctx, dps_eff)
+    return _eval_at(p, (T_value,), ctx, dps)[0]
 
 
 def eval_pigraded(e: PiGradedExpr, T_value, ctx: PrecisionContext) -> Approx:
     """Substitute numeric pi and T into a pi-graded expression."""
-    return _eval_pigraded_at(e, (T_value,), ctx)[0]
-
-
-def _eval_pigraded_at(e: PiGradedExpr, T_values, ctx: PrecisionContext) -> list:
-    """:func:`eval_pigraded` at each of ``T_values``, summing every grade
-    once: a check at several T values shares the grades' integer sums."""
-    dps = ctx.working_dps
-    with mp.workprec(_sum_prec(dps)):
-        pi = +mp.pi
-        Ts = [mp.mpmathify(T) for T in T_values]
-        totals = [mp.zero] * len(Ts)
-        bounds = [mp.zero] * len(Ts)
-        for p, by_t in _grades(e._nums).items():
-            pip = pi**p if p else mp.one
-            for i, v in enumerate(_tpoly_sums(_grades(by_t), e._den, Ts, ctx, dps)):
-                totals[i] += pip * v.value
-                bounds[i] += pip * v.bound
-        est = _estimate(dps)
-        return [Approx(v, b + est) for v, b in zip(totals, bounds)]
+    return _eval_at(e, (T_value,), ctx)[0]
 
 
 def eval_piterm(term: PiTerm, ctx: PrecisionContext) -> Approx:

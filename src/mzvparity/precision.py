@@ -33,10 +33,12 @@ class PrecisionContext:
     guard_digits: int = 15
 
     def __post_init__(self):
-        if self.digits < 10:
-            raise ValueError("digits must be >= 10")
-        if self.guard_digits < 10:
-            raise ValueError("guard_digits must be >= 10")
+        for name in ("digits", "guard_digits"):
+            n = getattr(self, name)
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"{name} must be an int, got {n!r}")
+            if n < 10:
+                raise ValueError(f"{name} must be >= 10")
 
     @property
     def working_dps(self) -> int:

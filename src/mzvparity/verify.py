@@ -47,9 +47,10 @@ from .multitangent import (
     eval_multitangent_direct,
     eval_multitangent_regularized,
 )
-from .mzv import _eval_pigraded_at, _eval_tpoly_at, _piterm_to_mp, eval_admissible_mzv
+from .mzv import _eval_at, _piterm_to_mp, eval_admissible_mzv
 from .precision import PrecisionContext
 from .reduction import (
+    PiGradedExpr,
     _bouillot_grades,
     _fund_eq2_sides,
     build_main2_identity,
@@ -142,12 +143,13 @@ def _finish(
     t_built: float,
     z=None,
     T=None,
-    extra_ok: bool = True,
     reason: Optional[str] = None,
 ) -> ResidualReport:
+    """The report of a check; it fails on a residual above the tolerance
+    or on a ``reason``, a failed guarantee besides the residual."""
     t_evaluated = time.perf_counter()
     bound = ctx.residual_bound()
-    ok = bool(residual <= bound) and extra_ok
+    ok = bool(residual <= bound) and reason is None
     return ResidualReport(
         identity=identity,
         composition=c,
@@ -155,7 +157,7 @@ def _finish(
         residual=residual,
         bound=bound,
         status="pass" if ok else "fail",
-        reason=reason if not ok else None,
+        reason=reason,
         z=z,
         T=T,
         lhs=lhs,
@@ -204,6 +206,27 @@ def _worst(sides) -> tuple:
     return max(rows, key=lambda row: row[0])
 
 
+def _exact_check(identity: str, c: Composition, ctx: PrecisionContext, T_values, build):
+    """The report of an identity whose sides are built exactly.
+
+    ``build()`` is the timed ``build`` stage.  It returns (lhs, rhs,
+    reason): each side a ``WordCombo``, ``TPoly`` or ``PiGradedExpr``,
+    evaluated by :func:`mzv._eval_at` at every T value, or a callable whose
+    value holds at every T; ``reason`` names a failed structural guarantee,
+    or is None.
+    """
+    t0 = time.perf_counter()
+    lhs, rhs, reason = build()
+    t_built = time.perf_counter()
+    lhs_at, rhs_at = (
+        [side()] * len(T_values) if callable(side)
+        else [v.value for v in _eval_at(side, T_values, ctx)]
+        for side in (lhs, rhs)
+    )
+    residual, lhs, rhs = _worst(zip(lhs_at, rhs_at))
+    return _finish(identity, c, ctx, residual, lhs, rhs, t0, t_built, T=T_values, reason=reason)
+
+
 def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the reflection identity for the z^0 coefficient, the
     z^0 case of ``bouillot``, with both sides built exactly by
@@ -212,26 +235,16 @@ def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Resid
     if not c:
         raise ValueError("the identity needs a nonempty composition")
     T_values = _T_values(T_values, (0,))
-    t0 = time.perf_counter()
-    lhs, rhs = _fund_eq2_sides(c)
-    t_built = time.perf_counter()
-    lhs_at = _eval_pigraded_at(lhs, T_values, ctx)
-    rhs_at = _eval_pigraded_at(rhs, T_values, ctx)
-    residual, lhs, rhs = _worst((l.value, r.value) for l, r in zip(lhs_at, rhs_at))
-    return _finish("fundeq2", c, ctx, residual, lhs, rhs, t0, t_built, T=T_values)
+    return _exact_check("fundeq2", c, ctx, T_values, lambda: (*_fund_eq2_sides(c), None))
 
 
 def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the star/plain alternating identity at each T value."""
     c = as_composition(c)
     T_values = _T_values(T_values, (0, 1))
-    t0 = time.perf_counter()
-    expr = build_main2_identity(c)
-    t_built = time.perf_counter()
-    residual, lhs, rhs = _worst(
-        (v.value, mp.zero) for v in _eval_pigraded_at(expr, T_values, ctx)
+    return _exact_check(
+        "main2", c, ctx, T_values, lambda: (build_main2_identity(c), PiGradedExpr.zero(), None)
     )
-    return _finish("main2", c, ctx, residual, lhs, rhs, t0, t_built, T=T_values)
 
 
 def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -240,14 +253,9 @@ def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
     T_values = _T_values(T_values, (0, 1))
     if weight(c) % 2 == depth(c) % 2:
         return _skip("main3", c, ctx, "weight and depth have the same parity")
-    t0 = time.perf_counter()
-    red = reduce_main3(c)
-    tp = regularize(c)
-    t_built = time.perf_counter()
-    lhs_at = _eval_tpoly_at(tp, T_values, ctx)
-    rhs_at = _eval_pigraded_at(red.expanded, T_values, ctx)
-    residual, lhs, rhs = _worst((l.value, r.value) for l, r in zip(lhs_at, rhs_at))
-    return _finish("main3", c, ctx, residual, lhs, rhs, t0, t_built, T=T_values)
+    return _exact_check(
+        "main3", c, ctx, T_values, lambda: (regularize(c), reduce_main3(c).expanded, None)
+    )
 
 
 def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
@@ -262,24 +270,17 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
         return _skip("main", c, ctx, "not admissible (last part must be >= 2)")
     if weight(c) % 2 == depth(c) % 2:
         return _skip("main", c, ctx, "weight and depth have the same parity")
-    t0 = time.perf_counter()
-    red = reduce_main(c)
-    t_free = red.expanded.t_degree in (None, 0)
-    cert = expand_depth_certificate(red.expanded, depth(c))
-    t_built = time.perf_counter()
-    value = eval_admissible_mzv(c, ctx).value
-    residual, lhs, rhs = _worst(
-        (value, v.value) for v in _eval_pigraded_at(red.expanded, T_values, ctx)
-    )
-    reason = None
-    if not t_free:
-        reason = f"reduction has T-degree {red.expanded.t_degree}"
-    elif not cert:
-        reason = "depth certificate failed"
-    return _finish(
-        "main", c, ctx, residual, lhs, rhs, t0, t_built,
-        T=T_values, extra_ok=t_free and cert, reason=reason,
-    )
+
+    def build():
+        rhs = reduce_main(c).expanded
+        reason = None
+        if rhs.t_degree not in (None, 0):
+            reason = f"reduction has T-degree {rhs.t_degree}"
+        elif not expand_depth_certificate(rhs, depth(c)):
+            reason = "depth certificate failed"
+        return lambda: eval_admissible_mzv(c, ctx).value, rhs, reason
+
+    return _exact_check("main", c, ctx, T_values, build)
 
 
 def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualReport:
@@ -302,23 +303,21 @@ def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualRe
         rhs = [_piterm_to_mp(delta(c))] * len(T_values)
         for s, tp in grades.items():
             psi = eval_monotangent(s, z, ctx).value
-            rhs = [r + psi * v.value for r, v in zip(rhs, _eval_tpoly_at(tp, T_values, ctx))]
+            rhs = [r + psi * v.value for r, v in zip(rhs, _eval_at(tp, T_values, ctx))]
         lhs = (eval_multitangent_regularized(c, z, T, ctx).value for T in T_values)
         residual, lhs, rhs = _worst(zip(lhs, rhs))
-        extra_ok = True
         reason = None
         if c[0] >= 2 and c[-1] >= 2:
             direct = eval_multitangent_direct(c, z, ctx)
             gap = abs(lhs - direct.value)
             if gap > direct.bound + ctx.residual_bound():
-                extra_ok = False
                 reason = (
                     f"direct-series cross-check off by {mp.nstr(gap, 3)} "
                     f"(tail estimate {mp.nstr(direct.bound, 3)})"
                 )
     return _finish(
         "bouillot", c, ctx, residual, lhs, rhs, t0, t_built,
-        z=z, T=T_values, extra_ok=extra_ok, reason=reason,
+        z=z, T=T_values, reason=reason,
     )
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
 from mpmath import mp
 
 import mzvparity
@@ -89,3 +90,11 @@ def test_every_cache_is_listed_bounded_and_cleared(ctx30):
 def test_removed_parameters():
     assert "dps" not in inspect.signature(eval_shifted).parameters
     assert "expanded" not in inspect.signature(latex_reduction).parameters
+
+
+@pytest.mark.parametrize("field", ["digits", "guard_digits"])
+@pytest.mark.parametrize("value", [30.5, 30.0, "30", True, None])
+def test_precision_context_refuses_a_non_int_precision(field, value):
+    # a float would run every evaluator at a fractional dps
+    with pytest.raises(ValueError, match=field):
+        mzvparity.PrecisionContext(**{field: value})

@@ -50,6 +50,13 @@ def test_monotangent_rejects_integers(ctx30):
         eval_monotangent(0, mp.mpf("0.3"), ctx30)
 
 
+@pytest.mark.parametrize("order", [2.5, 2.0, "2", True, False])
+def test_monotangent_refuses_a_non_int_order(ctx30, order):
+    # True would be evaluated as order 1, and 2.5 fail on a list index
+    with pytest.raises(ValueError, match="order"):
+        eval_monotangent(order, mp.mpf("0.3"), ctx30)
+
+
 def test_depth_one_multitangent_is_monotangent(ctx30):
     for k in (2, 3, 4, 5, 6):
         for z in (mp.mpf("0.3"), mp.mpf("0.5"), mp.mpc("0.25", "0.2")):

@@ -103,6 +103,26 @@ def test_eval_word_combo_empty_word_is_one(ctx30):
         assert abs(v.value - expected) < mp.mpf(10) ** -30
 
 
+@pytest.mark.parametrize("T", [0, 1, Fraction(5, 2)])
+def test_public_evaluators_are_one_evaluation(ctx30, T):
+    """A word combination has the same value bits as a WordCombo, as grade 0
+    of a TPoly and as grade (0, 0) of a PiGradedExpr; the pi-graded bound
+    is the TPoly bound plus the per-word estimate."""
+    est = mzv._estimate(ctx30.working_dps)
+    for c in [
+        WordCombo.word((2,)),
+        WordCombo({(): Fraction(3, 2), (3, 2): Fraction(-1, 7), (2, 1, 2): 5}),
+        regularize((1, 1, 2)).coeff(0),
+    ]:
+        combo = eval_word_combo(c, ctx30)
+        tpoly = eval_tpoly(TPoly({0: c}), T, ctx30)
+        pigraded = eval_pigraded(PiGradedExpr({0: {0: c}}), T, ctx30)
+        assert combo.value._mpf_ == tpoly.value._mpf_ == pigraded.value._mpf_
+        assert combo.bound._mpf_ == tpoly.bound._mpf_
+        with mp.workprec(mzv._sum_prec(ctx30.working_dps)):
+            assert pigraded.bound._mpf_ == (tpoly.bound + est)._mpf_
+
+
 def test_eval_tpoly_substitution(ctx30):
     tp = TPoly({0: WordCombo.word((2,))})
     assert abs(eval_tpoly(tp, 5, ctx30).value - eval_tpoly(tp, 0, ctx30).value) == 0

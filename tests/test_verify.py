@@ -33,7 +33,7 @@ from mzvparity import (
     verify_main3,
     weight,
 )
-from mzvparity import mzv, reduction
+from mzvparity import clear_caches, mzv, reduction
 from mzvparity.harmonic import slot_splits, splits
 
 
@@ -225,6 +225,22 @@ def test_report_bits_pinned(ctx30):
             for r in sweep(max_weight, identity, ctx30, T_values=T_values)
         ]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, identity
+
+
+# The same digest for bouillot over weight <= 5 at T = 0, 1, at both points
+# z in turn, a complex number as the _mpc_ pair of its parts' bits.
+_PINNED_BOUILLOT_BITS = "3069537a2515e76be4541441690f6ec651a1754cccc3d05f2b8551402a7fba4e"
+
+
+def test_bouillot_report_bits_pinned(ctx30):
+    clear_caches()  # no value of an earlier test at a higher precision is read
+    rows = [
+        (r.composition, r.status,
+         *(getattr(x, "_mpc_", getattr(x, "_mpf_", x)) for x in (r.residual, r.lhs, r.rhs, r.bound)))
+        for z in (mp.mpf("0.3"), mp.mpc("0.25", "0.2"))
+        for r in sweep(5, "bouillot", ctx30, z=z, T_values=(0, 1))
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PINNED_BOUILLOT_BITS
 
 
 def test_report_sides_are_those_of_the_residual(ctx30):
