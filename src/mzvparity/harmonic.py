@@ -54,11 +54,16 @@ __all__ = [
 ]
 
 
+def _is_int(n, least: int) -> bool:
+    """True iff n is an int, not a bool, and n >= least."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= least
+
+
 def as_composition(parts: Iterable) -> Composition:
     """Normalize an index into a composition tuple, validating all parts."""
     c = tuple(parts)
     for k in c:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not _is_int(k, 1):
             raise ValueError(f"composition parts must be integers >= 1, got {c!r}")
     return c
 
@@ -432,6 +437,6 @@ def shift_expand(a: int, c) -> WordCombo:
     nested index chain.  For the empty composition the result is 1 when
     a = 0 and 0 otherwise.
     """
-    if a < 0:
-        raise ValueError("shift order must be >= 0")
+    if not _is_int(a, 0):
+        raise ValueError(f"shift order must be an int >= 0, got {a!r}")
     return WordCombo._raw(1, _shift_ints(a, _encode(as_composition(c))))

@@ -23,7 +23,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import DomainError
-from .harmonic import as_composition, splits
+from .harmonic import _is_int, as_composition, splits
 from .hurwitz import eval_hurwitz_star, _normalize_z
 from .mzv import _fraction_to_mp
 from .precision import Approx, PrecisionContext
@@ -61,7 +61,7 @@ def eval_monotangent(s: int, z, ctx: PrecisionContext) -> Approx:
 
     For s = 1 the symmetric (Eisenstein) summation pi*cot(pi z) is used.
     """
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+    if not _is_int(s, 1):
         raise ValueError(f"monotangent order must be an int >= 1, got {s!r}")
     wp = ctx.working_dps + 10
     return _monotangent(s, _normalize_z(z, wp), wp)

@@ -41,10 +41,11 @@ plus that estimate once per grade, and once more for a pi-graded
 expression.
 
 Values are cached by the int key of the word (:mod:`mzvparity.harmonic`),
-which is the word's letters as binary digits.  The value, prefix and power
-caches are bounded, with caps that no sweep reaches;
-:func:`mzvparity.clear_caches` empties them.  The independent cross-checks
-of the kernel are in :mod:`mzvparity.oracles`.
+which is the word's letters as binary digits, together with the precision
+the kernel ran at: a value is a function of the word and the requested
+precision alone, whatever was computed before it.  The value, prefix and
+power caches are bounded, with caps that no sweep reaches;
+:func:`mzvparity.clear_caches` empties them.
 """
 
 from __future__ import annotations
@@ -104,14 +105,14 @@ class _BoundedCache(dict):
         return SimpleNamespace(currsize=len(self), maxsize=self.cap)
 
 
-# best value computed so far per word: int key -> (dps, mpf).  The Taylor
-# oracle of the Hurwitz values, ``oracles.eval_hurwitz_taylor``, fills 97,000.
+# (int key, dps the kernel ran at) -> mpf, so that a value depends on the
+# word and the requested precision alone.  The caps of this cache and the
+# next are above the largest fills seen, about 97,000 and 290,000.
 _MZV_CACHE = _BoundedCache(1 << 17)
-# (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M);
-# the same cross-check fills about 290,000.
+# (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M)
 _PREFIX_CACHE = _BoundedCache(1 << 19)
-# Requests below this many digits are computed at it, so that a falling
-# request (the Taylor oracle's per-order dps) keeps hitting the cache.
+# Requests below this many digits are computed at it: the series cost little
+# more, and requests that fall below it share one cache key.
 _MIN_DPS = 14
 
 
@@ -205,25 +206,29 @@ def _holder(w: int, dps: int):
         return mp.mpf((total, -2 * P))
 
 
+def _value(w: int, dps: int):
+    """The kernel's value of the admissible word w asked for at dps digits,
+    computed at ``max(dps, _MIN_DPS)`` and cached under that precision."""
+    key = (w, dps if dps > _MIN_DPS else _MIN_DPS)  # max() costs a call per word
+    v = _MZV_CACHE.get(key)
+    if v is None:
+        v = _MZV_CACHE[key] = _holder(*key)
+    return v
+
+
 def eval_admissible_mzv(c, ctx: PrecisionContext, dps: Optional[int] = None) -> Approx:
     """Evaluate an admissible nonempty index to ``dps`` significant digits.
 
     ``dps`` defaults to the context working precision.  Values are cached
-    per index at the best precision computed so far.
+    per (index, precision the kernel ran at), so they depend on both alone.
     """
     c = as_composition(c)
     if not c:
         raise NonAdmissibleError("the empty index has no series; use eval_word_combo")
     if not is_admissible(c):
         raise NonAdmissibleError(f"{c!r} is not admissible (last part must be >= 2)")
-    dps_req = dps if dps is not None else ctx.working_dps
-    w = _encode(c)
-    cached = _MZV_CACHE.get(w)
-    if cached is None or cached[0] < dps_req:
-        dps_run = max(dps_req, _MIN_DPS)
-        cached = (dps_run, _holder(w, dps_run))
-        _MZV_CACHE[w] = cached
-    return Approx(cached[1], _estimate(dps_req))
+    dps = dps if dps is not None else ctx.working_dps
+    return Approx(_value(_encode(c), dps), _estimate(dps))
 
 
 def _fraction_to_mp(q: Fraction):
@@ -249,16 +254,15 @@ def _estimate(dps: int):
         return mp.mpf(10) ** (2 - dps)
 
 
-def _combo_sum(nums: dict, den: int, ctx: PrecisionContext, dps: int) -> tuple:
+def _combo_sum(nums: dict, den: int, dps: int) -> tuple:
     """(value, sum of |q| over the nonempty words) of the Q-combination
     ``nums / den`` of admissible words ({word: int}, den > 0) at dps
     digits, both rounded once to the current precision.
 
     With E the smallest exponent of the values man 2^exp, den times the
-    value is the integer sum of n man 2^(exp - E), times 2^E.  A cached
-    value good to dps digits is read from the cache; any other word goes
-    through :func:`eval_admissible_mzv`, which raises for non-admissible
-    words.
+    value is the integer sum of n man 2^(exp - E), times 2^E.  Each value
+    is the one :func:`eval_admissible_mzv` returns at dps; a
+    non-admissible (odd) word raises.
     """
     const = weight = 0
     mans, exps = [], []
@@ -266,13 +270,10 @@ def _combo_sum(nums: dict, den: int, ctx: PrecisionContext, dps: int) -> tuple:
         if not w:
             const = n
             continue
+        if w & 1:
+            raise NonAdmissibleError(f"{_decode(w)!r} is not admissible (last part must be >= 2)")
         weight += abs(n)
-        hit = _MZV_CACHE.get(w)
-        if hit is not None and hit[0] >= dps:
-            v = hit[1]
-        else:
-            v = eval_admissible_mzv(_decode(w), ctx, dps=dps).value
-        sign, man, exp, _ = v._mpf_
+        sign, man, exp, _ = _value(w, dps)._mpf_
         mans.append(-n * man if sign else n * man)
         exps.append(exp)
     E = min([0, *exps])
@@ -324,7 +325,7 @@ def _eval_at(expr, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -
         levels = [[+mp.pi] * len(Ts), Ts][2 - expr._depth:]
 
         def leaf(nums):
-            value, weight = _combo_sum(nums, expr._den, ctx, dps)
+            value, weight = _combo_sum(nums, expr._den, dps)
             return value, weight * est + est
 
         totals, bounds = _walk(expr._nums, levels, leaf, len(Ts))

@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 from mpmath import mp
 
+from .harmonic import _is_int
+
 __all__ = ["Approx", "PrecisionContext"]
 
 
@@ -35,10 +37,8 @@ class PrecisionContext:
     def __post_init__(self):
         for name in ("digits", "guard_digits"):
             n = getattr(self, name)
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise ValueError(f"{name} must be an int, got {n!r}")
-            if n < 10:
-                raise ValueError(f"{name} must be >= 10")
+            if not _is_int(n, 10):
+                raise ValueError(f"{name} must be an int >= 10, got {n!r}")
 
     @property
     def working_dps(self) -> int:

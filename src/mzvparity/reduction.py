@@ -51,6 +51,7 @@ from .harmonic import (
     _decode,
     _encode,
     _iadd,
+    _is_int,
     _shift_ints,
     _SparseMap,
     _star_ints,
@@ -85,7 +86,7 @@ class PiGradedExpr(_SparseMap):
     def __init__(self, grades=None):
         terms = []
         for p, tp in (grades or {}).items():
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0 or p % 2:
+            if not _is_int(p, 0) or p % 2:
                 raise ValueError(f"pi exponent must be an even integer >= 0, got {p!r}")
             if not isinstance(tp, TPoly):
                 tp = TPoly(tp)

@@ -46,6 +46,7 @@ from .harmonic import (
     _encode,
     _grade_major,
     _iadd,
+    _is_int,
     _SparseMap,
     _star_ints,
     _storage,
@@ -72,7 +73,7 @@ class TPoly(_SparseMap):
     def __init__(self, coeffs: Union[Mapping, None] = None):
         terms = []
         for t, combo in (coeffs or {}).items():
-            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+            if not _is_int(t, 0):
                 raise ValueError(f"T-exponent must be an integer >= 0, got {t!r}")
             if not isinstance(combo, WordCombo):
                 combo = WordCombo(combo)

@@ -1,4 +1,4 @@
-"""Text, LaTeX and JSON rendering of reductions and verification reports."""
+"""Text, LaTeX and JSON rendering of reductions and of the reduction table."""
 
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .harmonic import _ratio, as_composition
+from .harmonic import _is_int, _ratio, as_composition
 
 __all__ = ["PiTerm", "bernoulli", "delta", "even_zeta"]
 
@@ -25,8 +25,8 @@ class PiTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", Fraction(*_ratio(self.coeff)))
-        if self.pi_exp < 0 or self.pi_exp % 2:
-            raise ValueError(f"pi exponent must be even and >= 0, got {self.pi_exp}")
+        if not _is_int(self.pi_exp, 0) or self.pi_exp % 2:
+            raise ValueError(f"pi exponent must be an even int >= 0, got {self.pi_exp!r}")
 
     @classmethod
     def zero(cls) -> "PiTerm":
@@ -75,8 +75,8 @@ def bernoulli(n: int) -> Fraction:
 
     Uses the defining recurrence sum_{k=0..n} C(n+1, k) B_k = 0.
     """
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+    if not _is_int(n, 0):
+        raise ValueError(f"Bernoulli index must be an int >= 0, got {n!r}")
     if n < len(_BERNOULLI):
         return _BERNOULLI[n]
     with _BERNOULLI_LOCK:
@@ -92,8 +92,8 @@ def even_zeta(m: int) -> PiTerm:
 
     The coefficient is (-1)^(m+1) * 2^(2m) * B_{2m} / (2 * (2m)!).
     """
-    if m < 1:
-        raise ValueError("even zeta index must be >= 1")
+    if not _is_int(m, 1):
+        raise ValueError(f"even zeta index must be an int >= 1, got {m!r}")
     sign = 1 if m % 2 else -1
     coeff = Fraction(sign * 4**m, 2 * factorial(2 * m)) * bernoulli(2 * m)
     return PiTerm(coeff, 2 * m)

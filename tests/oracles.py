@@ -3,9 +3,8 @@
 Each function here computes a value that the package also computes along a
 production route, by a different method, and returns it as an
 :class:`Approx` with its own error bound or estimate.  The tests compare
-the two routes.  Nothing in the package imports this module, and its names
-are not part of the top-level ``mzvparity`` API: import them from
-``mzvparity.oracles``.
+the two routes.  The module lives with the tests, outside the package:
+the test modules import it as ``oracles``.
 
 Multiple zeta values.  Two independent oracles accompany the Hoelder kernel
 of :mod:`mzvparity.mzv`: a direct-truncation nested sum in float64 with an
@@ -15,9 +14,9 @@ Euler-Maclaurin corrected depth-1 sum at working precision
 
 Hurwitz values.  :func:`eval_hurwitz_taylor` is the literal term-by-term
 Taylor route sum_a z^a (shifted value of order a) that cross-checks
-``hurwitz.eval_hurwitz_star``; its per-order precision falls with a, which
-is why ``mzv`` computes every request at no fewer than ``_MIN_DPS``
-digits.  :func:`tau_series` is the series route for the depth-1 generating
+``hurwitz.eval_hurwitz_star``; its per-order precision falls with a, and
+``mzv`` computes every request below ``mzv._MIN_DPS`` digits at that
+precision.  :func:`tau_series` is the series route for the depth-1 generating
 value of ``hurwitz.tau_value``.
 
 Multitangents.  :func:`monotangent_symmetric_oracle` sums the monotangent
@@ -35,12 +34,12 @@ from math import ceil
 import numpy as np
 from mpmath import mp
 
-from .errors import DomainError, NonAdmissibleError
-from .harmonic import as_composition, is_admissible
-from .hurwitz import _normalize_z, eval_shifted, shifted_tpoly
-from .mzv import eval_admissible_mzv, eval_tpoly
-from .precision import Approx, PrecisionContext
-from .special import bernoulli
+from mzvparity.errors import DomainError, NonAdmissibleError
+from mzvparity.harmonic import as_composition, is_admissible
+from mzvparity.hurwitz import _normalize_z, eval_shifted, shifted_tpoly
+from mzvparity.mzv import eval_admissible_mzv, eval_tpoly
+from mzvparity.precision import Approx, PrecisionContext
+from mzvparity.special import bernoulli
 
 __all__ = [
     "eval_hurwitz_taylor",

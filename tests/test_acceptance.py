@@ -34,7 +34,8 @@ from mzvparity import (
     weight,
 )
 from mzvparity.cli import main as cli_main
-from mzvparity.oracles import eval_hurwitz_taylor, monotangent_symmetric_oracle, mzv_em_oracle
+
+from oracles import eval_hurwitz_taylor, monotangent_symmetric_oracle, mzv_em_oracle
 
 CTX30 = PrecisionContext(digits=30)
 

@@ -302,6 +302,13 @@ def test_shift_expand_rejects_negative():
         shift_expand(-1, (2,))
 
 
+@pytest.mark.parametrize("a", [True, 2.0])
+def test_shift_expand_rejects_a_non_int_order(a):
+    # True would run as order 1, and 2.0 failed inside the expansion
+    with pytest.raises(ValueError, match="shift order"):
+        shift_expand(a, (1, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=4), compositions(6))
 def test_shift_expand_invariants(a, c):

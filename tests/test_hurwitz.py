@@ -22,7 +22,8 @@ from mzvparity import (
     tau_value,
 )
 from mzvparity import hurwitz
-from mzvparity.oracles import eval_hurwitz_taylor, tau_series
+
+from oracles import eval_hurwitz_taylor, tau_series
 
 
 def test_direct_at_zero_matches_plain_mzv(ctx30):

@@ -21,7 +21,8 @@ from mzvparity import (
 )
 from mzvparity import multitangent
 from mzvparity.harmonic import compositions_up_to
-from mzvparity.oracles import monotangent_symmetric_oracle, multitangent_regularized_series
+
+from oracles import monotangent_symmetric_oracle, multitangent_regularized_series
 
 
 def test_monotangent_closed_values(ctx30):

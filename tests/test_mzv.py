@@ -28,7 +28,8 @@ from mzvparity import (
 )
 from mzvparity import mzv, regularization
 from mzvparity.harmonic import _decode
-from mzvparity.oracles import mzv_em_oracle, mzv_truncation_oracle
+
+from oracles import mzv_em_oracle, mzv_truncation_oracle
 
 
 def test_zeta_two_is_pi_squared_over_six(ctx30):
@@ -75,6 +76,8 @@ def test_rejects_divergent_and_empty(ctx30):
         eval_admissible_mzv((2, 1), ctx30)
     with pytest.raises(NonAdmissibleError):
         eval_admissible_mzv((), ctx30)
+    with pytest.raises(NonAdmissibleError):
+        eval_word_combo(WordCombo.word((2, 1)), ctx30)
     with pytest.raises(NonAdmissibleError):
         mzv_truncation_oracle((1, 1))
     with pytest.raises(NonAdmissibleError):
@@ -152,7 +155,7 @@ def test_t_grades_are_skipped_at_t_zero(ctx30, T):
         assert only_t_positive
         clear_caches()
         got = evaluate(expr, T, ctx30)
-        assert not only_t_positive & {_decode(w) for w in mzv._MZV_CACHE}
+        assert not only_t_positive & {_decode(w) for w, _ in mzv._MZV_CACHE}
         want = evaluate(t_free, T, ctx30)
         assert got.value._mpf_ == want.value._mpf_ and got.bound._mpf_ == want.bound._mpf_
 
@@ -164,15 +167,18 @@ def test_eval_pigraded_pi_substitution(ctx30):
     assert abs(v.value - z2) < mp.mpf(10) ** -30
 
 
-def test_cache_upgrades_precision():
+def test_value_depends_on_the_word_and_precision_alone():
     from mzvparity import PrecisionContext
 
     lo = PrecisionContext(digits=10, guard_digits=10)
     hi = PrecisionContext(digits=35, guard_digits=15)
-    v_lo = eval_admissible_mzv((3, 2), lo)
     v_hi = eval_admissible_mzv((3, 2), hi)
+    v_lo = eval_admissible_mzv((3, 2), lo)
     assert abs(v_lo.value - v_hi.value) < mp.mpf(10) ** -15
     assert v_hi.bound < mp.mpf(10) ** -40
+    # the 20-digit value is not read from the 50-digit one computed before it
+    clear_caches()
+    assert v_lo.value._mpf_ == eval_admissible_mzv((3, 2), lo).value._mpf_
 
 
 @pytest.mark.parametrize("dps", [8, 12, 14, 15, 30, 100])
@@ -284,7 +290,7 @@ def test_word_combo_with_large_coprime_denominators(ctx30):
 
 def test_clear_caches_recomputes_bit_identical_values(ctx30):
     words = [c for c in compositions_up_to(9) if is_admissible(c)]
-    clear_caches()  # values cached at more digits by earlier tests
+    clear_caches()
     before = [eval_admissible_mzv(c, ctx30).value for c in words]
     tp_before = regularize((2, 1, 1))
     clear_caches()

@@ -7,7 +7,8 @@ import pytest
 from mpmath import mp
 
 from mzvparity import PiTerm, bernoulli, delta, even_zeta, eval_piterm
-from mzvparity.oracles import mzv_em_oracle
+
+from oracles import mzv_em_oracle
 
 
 def test_bernoulli_small_values():
@@ -31,6 +32,18 @@ def test_bernoulli_odd_vanish():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bernoulli(2.0),
+    lambda: bernoulli(True),
+    lambda: even_zeta(1.0),
+    lambda: PiTerm(1, 2.0),
+], ids=["bernoulli-float", "bernoulli-bool", "even_zeta-float", "PiTerm-float"])
+def test_refuses_a_non_int_index(make):
+    # a float raised a bare TypeError, a bool ran as 1, and PiTerm printed pi^2.0
+    with pytest.raises(ValueError, match="an (even )?int"):
+        make()
 
 
 def test_even_zeta_exact():
