@@ -57,13 +57,22 @@ not a proof: the Euler-Maclaurin remainder is below its first omitted term
 for real summands whose derivatives keep one sign, and for a depth-1 word
 at real z the undoubled estimate is within a few percent of the error.
 
+Cutoff.  N comes from the precision, before any sum is computed: the first
+rung of the ladder 150, 300, 600, 900 whose a-priori truncation estimate
+(the same omitted terms, carried with the bounds on |K_i| that
+:func:`_rounding_units` derives) is below 10^-wp, and the cap 900 where no
+rung is, at 60 digits and above.  So N and the value's bits depend on the
+word, z and wp alone.  J = 12 and the expansion order 28 are fixed.
+
 ``eval_hurwitz_star`` extends the evaluation to divergent (non-admissible)
 indices: regularization expresses any index as a T-polynomial in admissible
 words, and substituting T -> T - psi(1+z) - euler_gamma (the regularized
 depth-1 generating value) together with direct values of the admissible
 words yields the generating value of the shifted-index Taylor series.
+The value of a word is cached per (word, z, T, working precision), so
+the heads and tails that the multitangent splits share are computed once.
 
-Every cache of the module is a bounded ``lru_cache``;
+Every cache of the module is bounded;
 :func:`mzvparity.clear_caches` empties them all.
 """
 
@@ -82,7 +91,7 @@ from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
 from .harmonic import WordCombo, _decode, as_composition, is_admissible, shift_expand
-from .mzv import _walk, eval_tpoly
+from .mzv import _BoundedCache, _walk, eval_tpoly
 from .precision import Approx, PrecisionContext
 from .regularization import TPoly, regularize
 from .special import bernoulli
@@ -203,6 +212,7 @@ class _Segment(NamedTuple):
     rows: tuple  # ((p, (numerator at q = 0, 1, ...)), ...) of g - EM(g)
     sizes: tuple  # ((p, q, |coefficient|), ...) of g - EM(g), floats
     omitted: tuple  # ((p, q, |coefficient|), ...): the truncation estimate
+    pmax: int  # the largest p of ``sizes`` and ``omitted``
 
 
 @lru_cache(maxsize=1024)
@@ -251,7 +261,7 @@ def _segment(s: tuple, J: int, order: int) -> _Segment:
         first = comb(p - 1 + t, t) * (q + 1) if p else q + 1
         pg = p + t + k  # order of the omitted term of g
         omitted.append((pg - 1, q, abs(c) * first / (pden * (pg - 1))))
-    return _Segment(level, den, rows, sizes, tuple(omitted))
+    return _Segment(level, den, rows, sizes, tuple(omitted), max(p for p, _, _ in chain(sizes, omitted)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +288,33 @@ def _gauss_pow(x: int, y: int, k: int) -> tuple:
     return rx, ry
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+# (zkey, k, P) -> (re, im) entries floor(2^P (z+n)^(-k)) for n = 1, 2, ...:
+# an entry does not depend on the cutoff, so a table serves every smaller
+# cutoff by slicing and is extended for a larger one.
+_POWER_TABLES = _BoundedCache(_TABLE_CACHE_SIZE)
+
+
 def _inverse_powers(zkey: tuple, k: int, P: int, N: int):
     """floor(2^P (z+n)^(-k)) for n = 1..N: a tuple for real z, a pair of
     tuples (re, im) for complex z.  Exact, with z + n = w / 2^e and w the
     Gaussian integer a + n 2^e + b i."""
     a, b, e = zkey
-    top = 1 << (P + e * k)
-    if not b:
-        return tuple(top // (a + (n << e)) ** k for n in range(1, N + 1))
-    re, im = [], []
-    for n in range(1, N + 1):
-        x, y = _gauss_pow(a + (n << e), b, k)
-        norm = x * x + y * y
-        re.append(x * top // norm)
-        im.append(-y * top // norm)
-    return tuple(re), tuple(im)
+    re, im = _POWER_TABLES.get((zkey, k, P), ((), ()))
+    if len(re) < N:
+        top = 1 << (P + e * k)
+        ws = [a + (n << e) for n in range(len(re) + 1, N + 1)]
+        if not b:
+            re += tuple(top // w**k for w in ws)
+        else:
+            new_re, new_im = [], []
+            for w in ws:
+                x, y = _gauss_pow(w, b, k)
+                norm = x * x + y * y
+                new_re.append(x * top // norm)
+                new_im.append(-y * top // norm)
+            re, im = re + tuple(new_re), im + tuple(new_im)
+        _POWER_TABLES[zkey, k, P] = re, im
+    return (re[:N], im[:N]) if b else re[:N]
 
 
 def _row_shift(zkey: tuple, N: int) -> int:
@@ -413,9 +434,10 @@ def _check_no_pole(zv) -> None:
             raise DomainError(f"z = {zv} hits a pole at a negative integer")
 
 
-# direct evaluation: exact partial sums up to _CUTOFF, then tail expansions
-# with _EM_TERMS Bernoulli corrections, truncated at order _EXPANSION_ORDER
-_CUTOFF = 900
+# direct evaluation: exact partial sums up to a cutoff N from the ladder
+# _CUTOFFS, then tail expansions with _EM_TERMS Bernoulli corrections,
+# truncated at order _EXPANSION_ORDER
+_CUTOFFS = (150, 300, 600, 900)
 _EM_TERMS = 12
 _EXPANSION_ORDER = 28
 
@@ -425,11 +447,14 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
 
     Requires an admissible index and z away from the poles {-1, -2, ...};
     valid for any such z (no radius restriction).  The tail-expansion
-    parameters are the module constants above, and so is the cutoff N for
-    Re z >= 0; left of that, N grows by -floor(Re z), so that the tail
-    starts at Re u_A >= _CUTOFF + 1 whatever z is.  The bound is the rounding
-    bound of :func:`_rounding_units` plus an estimate of the truncation
-    (twice the first omitted Euler-Maclaurin term and expansion order).
+    parameters are the module constants above.  The cutoff N is the first
+    rung of the ladder ``_CUTOFFS`` whose a-priori truncation estimate is
+    below 10^-wp, wp = dps + 10, and the last rung, 900, where none is (at
+    60 digits and above); left of Re z = 0 every rung grows by
+    -floor(Re z), so that the tail starts at Re u_A >= rung + 1 whatever z
+    is.  The bound is the rounding bound of :func:`_rounding_units` plus an
+    estimate of the truncation (twice the first omitted Euler-Maclaurin term
+    and expansion order).
     """
     c = as_composition(c)
     if not c:
@@ -439,8 +464,9 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     wp = (dps if dps is not None else ctx.working_dps) + 10
     zv = _normalize_z(z, wp)
     _check_no_pole(zv)
-    # past the poles left of the origin, so that Re u_A = Re z + N + 1 >= 901
-    return _direct(c, zv, wp, _CUTOFF + max(0, -int(mp.floor(zv.real))))
+    # past the poles left of the origin, so that Re u_A = Re z + N + 1 > rung
+    shift = max(0, -int(mp.floor(zv.real)))
+    return _direct(c, zv, wp, tuple(n + shift for n in _CUTOFFS))
 
 
 def _segment_sizes(segs: dict, zkey: tuple, N: int) -> dict:
@@ -451,11 +477,15 @@ def _segment_sizes(segs: dict, zkey: tuple, N: int) -> dict:
     uA = complex(a / (1 << e) + N + 1, b / (1 << e))
     ua, L = abs(uA), abs(cmath.log(uA))
     lam = _row_shift(zkey, N)
+    # the powers, once each: q is at most the length of a segment
+    ps = range(max(seg.pmax for seg in segs.values()) + 1)
+    up, row = [ua**-p for p in ps], [2.0 ** (-p * lam) for p in ps]
+    lq = [L**q for q in range(max(j for _, j in segs) + 1)]
     return {
         ij: (
-            sum(a * ua**-p * L**q for p, q, a in seg.sizes),
-            sum(a * 2.0 ** (-p * lam) for p, q, a in seg.sizes),
-            sum(a * ua**-p * L**q for p, q, a in seg.omitted),
+            sum(a * up[p] * lq[q] for p, q, a in seg.sizes),
+            sum(a * row[p] for p, q, a in seg.sizes),
+            sum(a * up[p] * lq[q] for p, q, a in seg.omitted),
         )
         for ij, seg in segs.items()
     }
@@ -497,9 +527,31 @@ def _rounding_units(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict):
     return err[r]
 
 
+def _truncation(c: tuple, zkey: tuple, N: int, sizes: dict) -> float:
+    """The a-priori truncation estimate of K_r at cutoff N, a float (inf
+    near a pole): the omitted terms of every segment carried through the
+    K_j recursion with the bounds on |K_i| of :func:`_rounding_units`, and
+    doubled as the returned bound doubles them."""
+    Lam, _ = _size_bounds(zkey, max(c), N)
+    with mp.workprec(53):
+        B = float(max(Lam**j / factorial(j) for j in range(len(c) + 1)))
+    k_size, est = [1.0], [0.0]
+    for j in range(1, len(c) + 1):
+        kb, t = B, 0.0
+        for i in range(j):
+            d_size, _, trunc = sizes[i, j]
+            t += k_size[i] * trunc + d_size * est[i]
+            kb += k_size[i] * d_size
+        k_size.append(kb)
+        est.append(t)
+    return 2 * est[-1]
+
+
 @lru_cache(maxsize=4096)
-def _direct(c: tuple, zv, wp: int, N: int) -> Approx:
-    """The direct value at wp digits and cutoff N (see the module docstring)."""
+def _direct(c: tuple, zv, wp: int, cutoffs: tuple) -> Approx:
+    """The direct value at wp digits, with the cutoff N the first of
+    ``cutoffs`` whose truncation estimate is below 10^-wp, or the last (see
+    the module docstring)."""
     r = len(c)
     zkey = _dyadic(zv)
     segs = {
@@ -507,7 +559,10 @@ def _direct(c: tuple, zv, wp: int, N: int) -> Approx:
         for j in range(1, r + 1)
         for i in range(j)
     }
-    sizes = _segment_sizes(segs, zkey, N)
+    for N in cutoffs:
+        sizes = _segment_sizes(segs, zkey, N)
+        if _truncation(c, zkey, N, sizes) < 10.0**-wp:
+            break
     units = _rounding_units(c, zkey, N, segs, sizes)
     P = dps_to_prec(wp) + 32 * ceil(mp.mag(units) / 32)
 
@@ -564,13 +619,32 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
     T-polynomial in admissible words, evaluate admissible words with
     :func:`eval_hurwitz_direct` and substitute the depth-1 generating value
     for T.  Agrees with the term-by-term Taylor route inside the radius.
+    The value of a word is cached per (word, point, T, working precision).
     """
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
+    if isinstance(x, (TPoly, WordCombo)):
+        return _star(x, zv, T_value, ctx)
+    with mp.workdps(wp):
+        T = mp.mpmathify(T_value)
+    return _star_word(as_composition(x), zv, T, ctx.working_dps)
+
+
+@lru_cache(maxsize=1024)
+def _star_word(c: tuple, zv, T, dps: int) -> Approx:
+    """The value of a word at working precision dps, computed once: values
+    depend on a context only through its working precision."""
+    return _star(c, zv, T, PrecisionContext(digits=dps - 10, guard_digits=10))
+
+
+def _star(x, zv, T_value, ctx: PrecisionContext) -> Approx:
+    """The value of a word, ``WordCombo`` or ``TPoly`` (see
+    :func:`eval_hurwitz_star`); a word reads the cache of eval_shifted."""
+    wp = ctx.working_dps + 10
     with mp.workdps(wp):
         if abs(zv) > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
             raise DomainError("regularized Hurwitz values are evaluated for |z| <= 1/2")
-        if not isinstance(x, TPoly):  # a word reads the cache of eval_shifted
+        if not isinstance(x, TPoly):
             x = regularize(x) if isinstance(x, WordCombo) else shifted_tpoly(x, 0)
         tau = tau_value(zv, T_value, ctx)
 

@@ -17,6 +17,7 @@ from mzvparity import (
     eval_hurwitz_star,
     eval_shifted,
     eval_tpoly,
+    is_admissible,
     regularize,
     shift_expand,
     tau_value,
@@ -62,7 +63,8 @@ def test_direct_depth_one_bound_covers_hurwitz_zeta(ctx30):
 
 
 def test_direct_depth_one_far_left_of_the_origin(ctx30):
-    # The cutoff grows with -Re z, so that the tail starts at Re u_A >= 901.
+    # Every rung of the cutoff grows with -Re z, so that the tail starts at
+    # Re u_A > rung, right of the poles.
     # mp.zeta(k, 1 + z) is no reference here (at z = -900.5 it returns
     # -0.00111, while the series is 9.868...), so the reference sums the
     # first N terms and adds the Hurwitz zeta value of the rest.
@@ -168,26 +170,88 @@ def test_shifted_value_is_regularized_shift_expansion(ctx30):
     assert v1 == v2
 
 
-@pytest.mark.parametrize("digits", [60, 100])
-def test_direct_bound_covers_truncation(digits, monkeypatch):
-    # At 60 and 100 digits the fixed cutoff, Euler-Maclaurin order and
-    # expansion order truncate above the rounding error; the bound must
-    # still cover the distance to a reference with a larger cutoff.
-    ctx = PrecisionContext(digits=digits)
+# the admissible words of weight <= 6 at the points of the bouillot sweeps
+# and their negatives, where the multitangent side evaluates them
+_WORDS = [c for c in compositions_up_to(6) if c and is_admissible(c)]
+_POINTS = ("0.3", "-0.3", ("0.25", "0.2"), ("-0.25", "-0.2"))
+
+
+def _points(ctx):
     with mp.workdps(ctx.working_dps + 10):
-        points = (mp.mpf("0.3"), mp.mpc("0.25", "0.2"))
-    for z in points:
-        for c in [(2, 3), (1, 1, 2)]:
+        return [mp.mpc(*z) if isinstance(z, tuple) else mp.mpf(z) for z in _POINTS]
+
+
+@pytest.mark.parametrize("digits", [30, 60, 100])
+def test_direct_bound_covers_truncation(digits, monkeypatch):
+    # At 30 digits the cutoff comes from the ladder; at 60 and 100 digits
+    # the cap, the Euler-Maclaurin order and the expansion order truncate
+    # above the rounding error.  The bound must cover the distance to a
+    # reference forced to the cutoff 4000.
+    ctx = PrecisionContext(digits=digits)
+    for z in _points(ctx):
+        for c in _WORDS:
             value = eval_hurwitz_direct(c, z, ctx)
-            monkeypatch.setattr(hurwitz, "_CUTOFF", 4000)
+            monkeypatch.setattr(hurwitz, "_CUTOFFS", (4000,))
             ref = eval_hurwitz_direct(c, z, ctx, dps=ctx.working_dps + 10)
             same_key = eval_hurwitz_direct(c, z, ctx)
-            monkeypatch.setattr(hurwitz, "_CUTOFF", 900)
+            monkeypatch.undo()
             with mp.workdps(ctx.working_dps + 20):
                 err = abs(value.value - ref.value)
                 assert err <= value.bound, (c, z, digits, err, value.bound)
-                # the cutoff is part of the cache key: no stale value
-                assert abs(same_key.value - ref.value) < err / 100, (c, z, digits)
+                # the cutoffs are part of the cache key: no stale value (the
+                # truncation estimate in the bound moves with the cutoff)
+                assert same_key != value, (c, z, digits)
+                if digits >= 60:  # there the truncation is far above the rounding
+                    assert abs(same_key.value - ref.value) < err / 100, (c, z, digits)
+
+
+def _cutoffs_and_bits(ctx, pairs, monkeypatch) -> dict:
+    """(word, point) -> (cutoff N, value, bound) of eval_hurwitz_direct, N
+    read from the partial sums that compute the value."""
+    cutoffs = {}
+    original = hurwitz._partial_sums
+
+    def recording(c, zkey, P, N):
+        cutoffs[c, zkey] = N
+        return original(c, zkey, P, N)
+
+    monkeypatch.setattr(hurwitz, "_partial_sums", recording)
+    out = {}
+    for c, z in pairs:
+        h = eval_hurwitz_direct(c, z, ctx)
+        key = c, hurwitz._dyadic(hurwitz._normalize_z(z, ctx.working_dps + 10))
+        out[c, z] = cutoffs[key], h.value, h.bound
+    monkeypatch.undo()
+    return out
+
+
+def test_cutoff_comes_from_the_precision(monkeypatch):
+    # the lowest rung at 10 digits, rungs well below the cap at 30 digits,
+    # and the cap 900 at 60 and 100 digits; every rung moves right past the
+    # poles, by 1 at Re z < 0
+    for digits in (10, 30, 60, 100):
+        clear_caches()
+        ctx = PrecisionContext(digits=digits)
+        pairs = [(c, z) for z in _points(ctx) for c in _WORDS]
+        chosen = _cutoffs_and_bits(ctx, pairs, monkeypatch)
+        rungs = {N - (z.real < 0) for (c, z), (N, _, _) in chosen.items()}
+        assert rungs == {10: {150}, 30: {150, 300}, 60: {900}, 100: {900}}[digits], digits
+
+
+def test_cutoff_and_bits_do_not_depend_on_the_order(monkeypatch):
+    # the same (N, value, bound) in reverse order, and after the tables and
+    # segments were filled at other precisions
+    ctx = PrecisionContext(digits=30)
+    pairs = [(c, z) for z in _points(ctx) for c in _WORDS]
+    clear_caches()
+    first = _cutoffs_and_bits(ctx, pairs, monkeypatch)
+    clear_caches()
+    for digits in (60, 20):
+        other = PrecisionContext(digits=digits)
+        for c, z in pairs[::7]:
+            eval_hurwitz_direct(c, z, other)
+    again = _cutoffs_and_bits(ctx, pairs[::-1], monkeypatch)
+    assert again == first
 
 
 def test_stuffle_law_near_a_pole(ctx30):
@@ -288,7 +352,7 @@ def test_clear_caches_recomputes_the_same_value(ctx30):
 
 def test_caches_are_bounded_and_psi_is_computed_once_per_point(ctx30):
     caps = [cap for name, (_, cap) in cache_info().items() if name.startswith("hurwitz.")]
-    assert len(caps) == 10 and None not in caps
+    assert len(caps) == 11 and None not in caps
     clear_caches()
     z = mp.mpf("0.3")
     for T in (0, 1, 2):

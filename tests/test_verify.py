@@ -249,15 +249,27 @@ def test_report_bits_do_not_depend_on_earlier_precisions(ctx30):
 _PINNED_BOUILLOT_BITS = "3069537a2515e76be4541441690f6ec651a1754cccc3d05f2b8551402a7fba4e"
 
 
-def test_bouillot_report_bits_pinned(ctx30):
-    clear_caches()  # no value of an earlier test at a higher precision is read
+def _bouillot_bits(ctx) -> str:
     rows = [
         (r.composition, r.status,
          *(getattr(x, "_mpc_", getattr(x, "_mpf_", x)) for x in (r.residual, r.lhs, r.rhs, r.bound)))
         for z in (mp.mpf("0.3"), mp.mpc("0.25", "0.2"))
-        for r in sweep(5, "bouillot", ctx30, z=z, T_values=(0, 1))
+        for r in sweep(5, "bouillot", ctx, z=z, T_values=(0, 1))
     ]
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PINNED_BOUILLOT_BITS
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_bouillot_report_bits_pinned(ctx30):
+    clear_caches()  # no value of an earlier test at a higher precision is read
+    assert _bouillot_bits(ctx30) == _PINNED_BOUILLOT_BITS
+
+
+def test_bouillot_bits_do_not_depend_on_earlier_precisions(ctx30):
+    # Hurwitz, star and monotangent values cached at 75 working digits are
+    # not read by a 45-digit sweep
+    clear_caches()
+    _bouillot_bits(PrecisionContext(digits=60))
+    assert _bouillot_bits(ctx30) == _PINNED_BOUILLOT_BITS
 
 
 def test_report_sides_are_those_of_the_residual(ctx30):
