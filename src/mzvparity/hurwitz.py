@@ -57,12 +57,12 @@ not a proof: the Euler-Maclaurin remainder is below its first omitted term
 for real summands whose derivatives keep one sign, and for a depth-1 word
 at real z the undoubled estimate is within a few percent of the error.
 
-Cutoff.  N comes from the precision, before any sum is computed: the first
-rung of the ladder 150, 300, 600, 900 whose a-priori truncation estimate
-(the same omitted terms, carried with the bounds on |K_i| that
-:func:`_rounding_units` derives) is below 10^-wp, and the cap 900 where no
-rung is, at 60 digits and above.  So N and the value's bits depend on the
-word, z and wp alone.  J = 12 and the expansion order 28 are fixed.
+Cutoff.  N comes from the precision, before any sum is computed: 300 if
+its a-priori truncation estimate (the same omitted terms, carried with the
+bounds on |K_i| that :func:`_rounding_units` derives) is below 10^-wp, as
+at 30 digits, and else the cap 900, as at 60 digits and above.  So N and
+the value's bits depend on the word, z and wp alone.  J = 12 and the
+expansion order 28 are fixed.
 
 ``eval_hurwitz_star`` extends the evaluation to divergent (non-admissible)
 indices: regularization expresses any index as a T-polynomial in admissible
@@ -72,7 +72,7 @@ words yields the generating value of the shifted-index Taylor series.
 The value of a word is cached per (word, z, T, working precision), so
 the heads and tails that the multitangent splits share are computed once.
 
-Every cache of the module is bounded;
+Every cache of the module is a bounded ``lru_cache``;
 :func:`mzvparity.clear_caches` empties them all.
 """
 
@@ -91,7 +91,7 @@ from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
 from .harmonic import WordCombo, _decode, as_composition, is_admissible, shift_expand
-from .mzv import _BoundedCache, _walk, eval_tpoly
+from .mzv import _walk, eval_tpoly
 from .precision import Approx, PrecisionContext
 from .regularization import TPoly, regularize
 from .special import bernoulli
@@ -212,7 +212,6 @@ class _Segment(NamedTuple):
     rows: tuple  # ((p, (numerator at q = 0, 1, ...)), ...) of g - EM(g)
     sizes: tuple  # ((p, q, |coefficient|), ...) of g - EM(g), floats
     omitted: tuple  # ((p, q, |coefficient|), ...): the truncation estimate
-    pmax: int  # the largest p of ``sizes`` and ``omitted``
 
 
 @lru_cache(maxsize=1024)
@@ -261,7 +260,7 @@ def _segment(s: tuple, J: int, order: int) -> _Segment:
         first = comb(p - 1 + t, t) * (q + 1) if p else q + 1
         pg = p + t + k  # order of the omitted term of g
         omitted.append((pg - 1, q, abs(c) * first / (pden * (pg - 1))))
-    return _Segment(level, den, rows, sizes, tuple(omitted), max(p for p, _, _ in chain(sizes, omitted)))
+    return _Segment(level, den, rows, sizes, tuple(omitted))
 
 
 # ---------------------------------------------------------------------------
@@ -288,33 +287,22 @@ def _gauss_pow(x: int, y: int, k: int) -> tuple:
     return rx, ry
 
 
-# (zkey, k, P) -> (re, im) entries floor(2^P (z+n)^(-k)) for n = 1, 2, ...:
-# an entry does not depend on the cutoff, so a table serves every smaller
-# cutoff by slicing and is extended for a larger one.
-_POWER_TABLES = _BoundedCache(_TABLE_CACHE_SIZE)
-
-
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _inverse_powers(zkey: tuple, k: int, P: int, N: int):
     """floor(2^P (z+n)^(-k)) for n = 1..N: a tuple for real z, a pair of
     tuples (re, im) for complex z.  Exact, with z + n = w / 2^e and w the
     Gaussian integer a + n 2^e + b i."""
     a, b, e = zkey
-    re, im = _POWER_TABLES.get((zkey, k, P), ((), ()))
-    if len(re) < N:
-        top = 1 << (P + e * k)
-        ws = [a + (n << e) for n in range(len(re) + 1, N + 1)]
-        if not b:
-            re += tuple(top // w**k for w in ws)
-        else:
-            new_re, new_im = [], []
-            for w in ws:
-                x, y = _gauss_pow(w, b, k)
-                norm = x * x + y * y
-                new_re.append(x * top // norm)
-                new_im.append(-y * top // norm)
-            re, im = re + tuple(new_re), im + tuple(new_im)
-        _POWER_TABLES[zkey, k, P] = re, im
-    return (re[:N], im[:N]) if b else re[:N]
+    top = 1 << (P + e * k)
+    if not b:
+        return tuple(top // (a + (n << e)) ** k for n in range(1, N + 1))
+    re, im = [], []
+    for n in range(1, N + 1):
+        x, y = _gauss_pow(a + (n << e), b, k)
+        norm = x * x + y * y
+        re.append(x * top // norm)
+        im.append(-y * top // norm)
+    return tuple(re), tuple(im)
 
 
 def _row_shift(zkey: tuple, N: int) -> int:
@@ -437,7 +425,7 @@ def _check_no_pole(zv) -> None:
 # direct evaluation: exact partial sums up to a cutoff N from the ladder
 # _CUTOFFS, then tail expansions with _EM_TERMS Bernoulli corrections,
 # truncated at order _EXPANSION_ORDER
-_CUTOFFS = (150, 300, 600, 900)
+_CUTOFFS = (300, 900)
 _EM_TERMS = 12
 _EXPANSION_ORDER = 28
 
@@ -448,9 +436,9 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     Requires an admissible index and z away from the poles {-1, -2, ...};
     valid for any such z (no radius restriction).  The tail-expansion
     parameters are the module constants above.  The cutoff N is the first
-    rung of the ladder ``_CUTOFFS`` whose a-priori truncation estimate is
-    below 10^-wp, wp = dps + 10, and the last rung, 900, where none is (at
-    60 digits and above); left of Re z = 0 every rung grows by
+    rung of the ladder ``_CUTOFFS`` = (300, 900) whose a-priori truncation
+    estimate is below 10^-wp, wp = dps + 10, and the cap 900 where none is
+    (at 60 digits and above); left of Re z = 0 every rung grows by
     -floor(Re z), so that the tail starts at Re u_A >= rung + 1 whatever z
     is.  The bound is the rounding bound of :func:`_rounding_units` plus an
     estimate of the truncation (twice the first omitted Euler-Maclaurin term
@@ -477,15 +465,11 @@ def _segment_sizes(segs: dict, zkey: tuple, N: int) -> dict:
     uA = complex(a / (1 << e) + N + 1, b / (1 << e))
     ua, L = abs(uA), abs(cmath.log(uA))
     lam = _row_shift(zkey, N)
-    # the powers, once each: q is at most the length of a segment
-    ps = range(max(seg.pmax for seg in segs.values()) + 1)
-    up, row = [ua**-p for p in ps], [2.0 ** (-p * lam) for p in ps]
-    lq = [L**q for q in range(max(j for _, j in segs) + 1)]
     return {
         ij: (
-            sum(a * up[p] * lq[q] for p, q, a in seg.sizes),
-            sum(a * row[p] for p, q, a in seg.sizes),
-            sum(a * up[p] * lq[q] for p, q, a in seg.omitted),
+            sum(a * ua**-p * L**q for p, q, a in seg.sizes),
+            sum(a * 2.0 ** (-p * lam) for p, q, a in seg.sizes),
+            sum(a * ua**-p * L**q for p, q, a in seg.omitted),
         )
         for ij, seg in segs.items()
     }

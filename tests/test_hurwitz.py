@@ -226,16 +226,15 @@ def _cutoffs_and_bits(ctx, pairs, monkeypatch) -> dict:
 
 
 def test_cutoff_comes_from_the_precision(monkeypatch):
-    # the lowest rung at 10 digits, rungs well below the cap at 30 digits,
-    # and the cap 900 at 60 and 100 digits; every rung moves right past the
-    # poles, by 1 at Re z < 0
+    # the rung 300 at 10 and 30 digits, and the cap 900 at 60 and 100
+    # digits; every rung moves right past the poles, by 1 at Re z < 0
     for digits in (10, 30, 60, 100):
         clear_caches()
         ctx = PrecisionContext(digits=digits)
         pairs = [(c, z) for z in _points(ctx) for c in _WORDS]
         chosen = _cutoffs_and_bits(ctx, pairs, monkeypatch)
         rungs = {N - (z.real < 0) for (c, z), (N, _, _) in chosen.items()}
-        assert rungs == {10: {150}, 30: {150, 300}, 60: {900}, 100: {900}}[digits], digits
+        assert rungs == {10: {300}, 30: {300}, 60: {900}, 100: {900}}[digits], digits
 
 
 def test_cutoff_and_bits_do_not_depend_on_the_order(monkeypatch):
