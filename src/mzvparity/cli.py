@@ -3,7 +3,7 @@
 Exit codes: 0 on success (including skipped verifications), 1 when a
 verification fails, 2 on usage errors (bad index, parity violation,
 missing T for a divergent index, unknown identity, a z or T that is not a
-finite decimal, out-of-range order, a weight above the sweep cap).
+finite decimal, out-of-range order, a weight below 0 or above the sweep cap).
 """
 
 from __future__ import annotations
@@ -57,23 +57,30 @@ def _parse_composition(text: str):
         raise UsageError(f"invalid composition {text!r}: {exc}") from None
 
 
+def _decimal(text: str, ctx: PrecisionContext):
+    """A finite decimal read at the working precision, else ValueError: at
+    mpmath's global 15 digits a decimal such as 0.3 would become the
+    nearest double."""
+    with mp.workdps(ctx.working_dps):
+        x = mp.mpf(text)
+    if not mp.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
 def _parse_z(text: Optional[str], ctx: PrecisionContext):
     if text is None:
         raise UsageError("this command needs an evaluation point --z re[,im]")
-    # At mpmath's global 15 digits a decimal such as 0.3 would become the
-    # nearest double, so z is read (and made complex) at the working precision.
     parts = text.split(",")
     try:
         if len(parts) > 2:
             raise ValueError("more than two parts")
-        with mp.workdps(ctx.working_dps):
-            re = mp.mpf(parts[0])
-            im = mp.mpf(parts[1]) if len(parts) > 1 else mp.mpf(0)
-            if not (mp.isfinite(re) and mp.isfinite(im)):
-                raise ValueError("not finite")
-            return re if im == 0 else mp.mpc(re, im)
+        re = _decimal(parts[0], ctx)
+        im = _decimal(parts[1], ctx) if len(parts) > 1 else 0
     except ValueError:
         raise UsageError(f"invalid z {text!r}: expected finite decimals 're' or 're,im'") from None
+    with mp.workdps(ctx.working_dps):
+        return re if im == 0 else mp.mpc(re, im)
 
 
 def _parse_T(text: Optional[str], ctx: PrecisionContext):
@@ -81,11 +88,7 @@ def _parse_T(text: Optional[str], ctx: PrecisionContext):
     if text is None:
         return None
     try:
-        with mp.workdps(ctx.working_dps):
-            T = mp.mpf(text)
-            if not mp.isfinite(T):
-                raise ValueError("not finite")
-            return T
+        return _decimal(text, ctx)
     except ValueError:
         raise UsageError(f"invalid T {text!r}: expected a finite decimal") from None
 
@@ -312,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("symbol", choices=["mzv", "star", "shifted", "hurwitz", "multitangent", "monotangent"])
     p.add_argument("index", help="composition (or order for monotangent)")
     p.add_argument("--a", type=int, default=0, help="shift order for 'shifted'")
-    p.add_argument("--z", default=None, help="evaluation point re[,im]")
+    p.add_argument("--z", default=None, help="evaluation point re[,im]; write --z=-0.45,0.1 when re is negative")
     p.add_argument("--T", default=None, help="regularization value for divergent indices")
     common(p, fmt_choices=("text", "json"))
     p.set_defaults(func=_cmd_eval)
@@ -321,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity", help="main | main2 | main3 | fundeq2 | bouillot")
     p.add_argument("--k", default=None, help="single composition to check")
     p.add_argument("--max-weight", type=int, default=None, help="sweep all compositions up to this weight")
-    p.add_argument("--z", default=None, help="evaluation point for bouillot")
+    p.add_argument("--z", default=None, help="evaluation point re[,im] for bouillot; write --z=-0.45,0.1 when re is negative")
     p.add_argument("--T", default=None, help="comma-separated regularization values (default per identity)")
     common(p, fmt_choices=("text", "json"))
     p.set_defaults(func=_cmd_verify)

@@ -39,7 +39,7 @@ ints (re, im) for complex z:
   |u_A|^(-p) units however large its coefficient is.
 
 Guard bits.  Every floor, product and table entry is off by under 2 units
-2^-P, and :func:`_rounding_units` carries these errors through the partial
+2^-P, and :func:`_a_priori_bounds` carries these errors through the partial
 sums, the dot products and the K_j recursion, from bounds on the sizes of
 the sums (like ``mzv._fraction_bits``, before any sum is computed).  The
 sizes are read from the exact Gaussian integer 2^e (z + m) and carried as
@@ -58,11 +58,11 @@ for real summands whose derivatives keep one sign, and for a depth-1 word
 at real z the undoubled estimate is within a few percent of the error.
 
 Cutoff.  N comes from the precision, before any sum is computed: 300 if
-its a-priori truncation estimate (the same omitted terms, carried with the
-bounds on |K_i| that :func:`_rounding_units` derives) is below 10^-wp, as
-at 30 digits, and else the cap 900, as at 60 digits and above.  So N and
-the value's bits depend on the word, z and wp alone.  J = 12 and the
-expansion order 28 are fixed.
+its a-priori truncation estimate (the same omitted terms, carried by
+:func:`_a_priori_bounds` with the bounds on |K_i| of the guard bits) is
+below 10^-wp, as at 30 digits, and else the cap 900, as at 60 digits and
+above.  So N and the value's bits depend on the word, z and wp alone.
+J = 12 and the expansion order 28 are fixed.
 
 ``eval_hurwitz_star`` extends the evaluation to divergent (non-admissible)
 indices: regularization expresses any index as a T-polynomial in admissible
@@ -440,7 +440,7 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     estimate is below 10^-wp, wp = dps + 10, and the cap 900 where none is
     (at 60 digits and above); left of Re z = 0 every rung grows by
     -floor(Re z), so that the tail starts at Re u_A >= rung + 1 whatever z
-    is.  The bound is the rounding bound of :func:`_rounding_units` plus an
+    is.  The bound is the rounding bound of :func:`_a_priori_bounds` plus an
     estimate of the truncation (twice the first omitted Euler-Maclaurin term
     and expansion order).
     """
@@ -475,9 +475,13 @@ def _segment_sizes(segs: dict, zkey: tuple, N: int) -> dict:
     }
 
 
-def _rounding_units(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict):
-    """Bound on the rounding error of K_r in units 2^-P, for any P, as an
-    mpf (near a pole it is far beyond the double range).
+def _a_priori_bounds(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict) -> tuple:
+    """(units, truncation) at cutoff N, both mpf (near a pole they are far
+    beyond the double range), from bounds on the sizes before any sum is
+    computed: a bound on the rounding error of K_r in units 2^-P, for any
+    P, and the truncation estimate of K_r, the omitted terms of every
+    segment carried through the K_j recursion with the bounds on |K_i|,
+    doubled as the returned bound doubles them.
 
     Every floor, product and table entry is off by under 2 units (under one
     per component).  Let tau_m = max_k |z+m|^(-k) over the parts k of the
@@ -498,37 +502,19 @@ def _rounding_units(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict):
     with mp.workprec(53):
         B = max(Lam**j / factorial(j) for j in range(r + 1))
         C = mp.zero
-        k_size, err = [mp.one], [mp.zero]
+        k_size, err, est = [mp.one], [mp.zero], [mp.zero]
         for j in range(1, r + 1):
             C = 2 if j == 1 else 2 * B + 3 + rho * C
-            kb, e = B, N * C
+            kb, e, t = B, N * C, mp.zero
             for i in range(j):
-                d_size, E, _ = sizes[i, j]
+                d_size, E, trunc = sizes[i, j]
                 e += k_size[i] * (2 * E + 2 * (len(segs[i, j].rows) + 1)) + d_size * err[i] + 3
+                t += k_size[i] * trunc + d_size * est[i]
                 kb += k_size[i] * d_size
             k_size.append(kb)
             err.append(e)
-    return err[r]
-
-
-def _truncation(c: tuple, zkey: tuple, N: int, sizes: dict) -> float:
-    """The a-priori truncation estimate of K_r at cutoff N, a float (inf
-    near a pole): the omitted terms of every segment carried through the
-    K_j recursion with the bounds on |K_i| of :func:`_rounding_units`, and
-    doubled as the returned bound doubles them."""
-    Lam, _ = _size_bounds(zkey, max(c), N)
-    with mp.workprec(53):
-        B = float(max(Lam**j / factorial(j) for j in range(len(c) + 1)))
-    k_size, est = [1.0], [0.0]
-    for j in range(1, len(c) + 1):
-        kb, t = B, 0.0
-        for i in range(j):
-            d_size, _, trunc = sizes[i, j]
-            t += k_size[i] * trunc + d_size * est[i]
-            kb += k_size[i] * d_size
-        k_size.append(kb)
-        est.append(t)
-    return 2 * est[-1]
+            est.append(t)
+        return err[r], 2 * est[r]
 
 
 @lru_cache(maxsize=4096)
@@ -545,9 +531,9 @@ def _direct(c: tuple, zv, wp: int, cutoffs: tuple) -> Approx:
     }
     for N in cutoffs:
         sizes = _segment_sizes(segs, zkey, N)
-        if _truncation(c, zkey, N, sizes) < 10.0**-wp:
+        units, truncation = _a_priori_bounds(c, zkey, N, segs, sizes)
+        if float(truncation) < 10.0**-wp:
             break
-    units = _rounding_units(c, zkey, N, segs, sizes)
     P = dps_to_prec(wp) + 32 * ceil(mp.mag(units) / 32)
 
     sums = _partial_sums(c, zkey, P, N)
@@ -586,7 +572,10 @@ def tau_value(z, T_value, ctx: PrecisionContext):
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
     with mp.workdps(wp):
-        return mp.mpmathify(T_value) - _psi_gamma(zv, wp)
+        T = mp.mpmathify(T_value)
+        if not mp.isfinite(T):
+            raise DomainError(f"T = {T} is not finite")
+        return T - _psi_gamma(zv, wp)
 
 
 @lru_cache(maxsize=256)
@@ -608,23 +597,19 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
     if isinstance(x, (TPoly, WordCombo)):
-        return _star(x, zv, T_value, ctx)
+        return _star(x, zv, T_value, ctx.working_dps)
     with mp.workdps(wp):
         T = mp.mpmathify(T_value)
     return _star_word(as_composition(x), zv, T, ctx.working_dps)
 
 
-@lru_cache(maxsize=1024)
-def _star_word(c: tuple, zv, T, dps: int) -> Approx:
-    """The value of a word at working precision dps, computed once: values
-    depend on a context only through its working precision."""
-    return _star(c, zv, T, PrecisionContext(digits=dps - 10, guard_digits=10))
-
-
-def _star(x, zv, T_value, ctx: PrecisionContext) -> Approx:
-    """The value of a word, ``WordCombo`` or ``TPoly`` (see
-    :func:`eval_hurwitz_star`); a word reads the cache of eval_shifted."""
-    wp = ctx.working_dps + 10
+def _star(x, zv, T_value, dps: int) -> Approx:
+    """The value of a word, ``WordCombo`` or ``TPoly`` at working precision
+    dps (see :func:`eval_hurwitz_star`); a word reads the cache of
+    eval_shifted.  Values depend on a context only through its working
+    precision."""
+    ctx = PrecisionContext(digits=dps - 10, guard_digits=10)
+    wp = dps + 10
     with mp.workdps(wp):
         if abs(zv) > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
             raise DomainError("regularized Hurwitz values are evaluated for |z| <= 1/2")
@@ -643,6 +628,10 @@ def _star(x, zv, T_value, ctx: PrecisionContext) -> Approx:
 
         (total,), (bound,) = _walk(x._nums, [[tau]], leaf, 1)
         return Approx(total, bound + mp.mpf(10) ** (-(wp - 6)))
+
+
+# the value of a word, computed once per (word, point, T, working precision)
+_star_word = lru_cache(maxsize=1024)(_star)
 
 
 def shifted_tpoly(c, a: int) -> TPoly:

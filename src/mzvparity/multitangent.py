@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import log
 
 import numpy as np
@@ -190,14 +190,12 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
         bound = mp.mpf(0)
 
         # the 2d + 1 splits share d + 1 heads at -z and d + 1 tails at z
-        @cache
-        def star(word, point):
-            return eval_hurwitz_star(word, point, T_value, ctx)
-
+        heads = [eval_hurwitz_star(c[:i][::-1], -zv, T_value, ctx) for i in range(len(c) + 1)]
+        tails = [eval_hurwitz_star(c[i:], zv, T_value, ctx) for i in range(len(c) + 1)]
         # a cut (k = 0) has the exact gap factor z^0 = 1
         for rev_head, k, tail, sign in splits(c):
-            left = star(rev_head, -zv)
-            right = star(tail, zv)
+            left = heads[len(rev_head)]
+            right = tails[len(c) - len(tail)]
             gap = zv ** (-k)
             total += sign * left.value * right.value * gap
             bound += abs(gap) * (

@@ -61,7 +61,7 @@ from typing import Optional
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
-from .errors import NonAdmissibleError
+from .errors import DomainError, NonAdmissibleError
 from .harmonic import _decode, _encode, _grades, as_composition, is_admissible
 from .precision import Approx, PrecisionContext
 from .reduction import PiGradedExpr
@@ -321,6 +321,9 @@ def _eval_at(expr, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -
     with mp.workprec(_sum_prec(dps)):
         est = _estimate(dps)
         Ts = [mp.mpmathify(T) for T in T_values]
+        for T in Ts:
+            if not mp.isfinite(T):
+                raise DomainError(f"T = {T} is not finite")
         # the pi level, where there is one, sits above the T level
         levels = [[+mp.pi] * len(Ts), Ts][2 - expr._depth:]
 

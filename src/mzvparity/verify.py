@@ -36,6 +36,7 @@ from mpmath import mp
 from .errors import DomainError
 from .harmonic import (
     Composition,
+    _is_int,
     as_composition,
     compositions_up_to,
     depth,
@@ -340,7 +341,10 @@ IDENTITIES = {
 
 
 def _check_weight(max_weight: int) -> None:
-    """Refuse a weight above :data:`WEIGHT_CAP`, a guard against runaway sweeps."""
+    """Refuse a weight that is not an int >= 0, and one above
+    :data:`WEIGHT_CAP`, a guard against runaway sweeps."""
+    if not _is_int(max_weight, 0):
+        raise ValueError(f"max_weight must be an int >= 0, got {max_weight!r}")
     if max_weight > WEIGHT_CAP:
         raise ValueError(f"max_weight {max_weight} exceeds the sweep cap {WEIGHT_CAP}")
 

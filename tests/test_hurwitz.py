@@ -1,6 +1,7 @@
 """Hurwitz multiple zeta values: direct, Taylor, and regularized routes."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 from mpmath import mp
@@ -235,6 +236,22 @@ def test_cutoff_comes_from_the_precision(monkeypatch):
         chosen = _cutoffs_and_bits(ctx, pairs, monkeypatch)
         rungs = {N - (z.real < 0) for (c, z), (N, _, _) in chosen.items()}
         assert rungs == {10: {300}, 30: {300}, 60: {900}, 100: {900}}[digits], digits
+    # Near the pole at -1 the a-priori estimates of the 26 words of depth
+    # >= 2 are far above 1, so at 30 digits only the 5 of depth 1 keep the
+    # rung 301.  At 1e-60 i from the pole the size bounds of 24 words pass
+    # the double range, and their rung still fails.
+    rows = (
+        (30, "1e-18", 0, {301: 5, 901: 26}),
+        (30, 0, "1e-60", {301: 5, 901: 26}),
+        (100, "1e-18", 0, {901: 31}),
+    )
+    for digits, re, im, counts in rows:
+        clear_caches()
+        ctx = PrecisionContext(digits=digits)
+        with mp.workdps(ctx.working_dps + 10):
+            z = mp.mpc(-1 + mp.mpf(re), im)
+        chosen = _cutoffs_and_bits(ctx, [(c, z) for c in _WORDS], monkeypatch)
+        assert Counter(N for N, _, _ in chosen.values()) == counts, (digits, z)
 
 
 def test_cutoff_and_bits_do_not_depend_on_the_order(monkeypatch):

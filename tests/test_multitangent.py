@@ -16,6 +16,10 @@ from mzvparity import (
     eval_multitangent_direct,
     eval_multitangent_regularized,
     PrecisionContext,
+    eval_pigraded,
+    eval_tpoly,
+    reduce_main3,
+    regularize,
     tau_value,
     verify_bouillot,
 )
@@ -175,6 +179,22 @@ def test_non_finite_z_is_refused(ctx30):
         for z in (mp.mpc(0.3, mp.nan), mp.mpc(0.3, mp.inf), mp.nan, mp.inf, -mp.inf):
             with pytest.raises(DomainError, match="not finite"):
                 call(z)
+
+
+@pytest.mark.parametrize("T", [mp.nan, mp.inf, -mp.inf, mp.mpc(0, mp.nan)])
+def test_non_finite_T_is_refused(T, ctx30):
+    """The evaluators that substitute T raise DomainError at a T with an
+    infinite or NaN part."""
+    calls = [
+        lambda: eval_tpoly(regularize((2, 1)), T, ctx30),
+        lambda: eval_pigraded(reduce_main3((1, 2)).expanded, T, ctx30),
+        lambda: tau_value(mp.mpf("0.3"), T, ctx30),
+        lambda: eval_hurwitz_star((2, 1), mp.mpf("0.3"), T, ctx30),
+        lambda: eval_multitangent_regularized((1, 2), mp.mpf("0.3"), T, ctx30),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="not finite"):
+            call()
 
 
 def test_regularized_matches_literal_series():

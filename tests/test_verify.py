@@ -305,6 +305,9 @@ def test_non_finite_T_values_is_refused(ctx30, T):
 
 def test_sweep_empty_and_order(ctx30):
     assert sweep(0, "main", ctx30) == []
+    for max_weight in (True, 2.5, -1, "3", None):
+        with pytest.raises(ValueError, match="max_weight must be an int >= 0"):
+            sweep(max_weight, "main", ctx30)
     reps = sweep(3, "main", ctx30)
     comps = [r.composition for r in reps]
     assert comps == [(1,), (1, 1), (2,), (1, 1, 1), (1, 2), (2, 1), (3,)]
