@@ -36,7 +36,12 @@ ints (re, im) for complex z:
 * each d_ij is a dot product of the segment's integer coefficients with a
   table of u_A^(-p) log(u_A)^q.  Row p of the table carries p lam extra
   bits, with 2^lam <= |u_A|, so that a unit of error in an entry weighs
-  |u_A|^(-p) units however large its coefficient is.
+  |u_A|^(-p) units however large its coefficient is.  d_ij belongs to the
+  segment at u_A, not to the word, so it is computed once per (segment,
+  point, N, P), as are the segment's size bounds (per segment, point and
+  N).  The table's caps on p and q are the segment's rounded up to
+  multiples of 64 and 8, so one table per (point, N, P) serves every
+  segment up to weight 12 and depth 8.
 
 Guard bits.  Every floor, product and table entry is off by under 2 units
 2^-P, and :func:`_a_priori_bounds` carries these errors through the partial
@@ -46,7 +51,8 @@ sizes are read from the exact Gaussian integer 2^e (z + m) and carried as
 mpf, so a z closer to a pole than a double resolves, or a value beyond
 the double range, still gets its guard bits.  P is the bits of dps + 10
 digits plus the bits of that bound, rounded up to a multiple of 32 so that
-words of similar size share P and the tables.
+words of similar size share P, and with it the table and the segment
+constants at their point.
 
 Bound.  The returned bound is that rounding bound plus an estimate of the
 truncation: for every segment, the first omitted Euler-Maclaurin term (the
@@ -346,9 +352,32 @@ def _monomials(zkey: tuple, N: int, P: int, pmax: int, qmax: int) -> tuple:
     return lam, tuple(re_rows), tuple(im_rows) if b or re_u < 0 else None
 
 
-def _dot(seg: _Segment, table: tuple) -> tuple:
-    """The segment's g - EM(g) at u_A, in fixed point, as (re, im)."""
-    lam, re_rows, im_rows = table
+@lru_cache(maxsize=4096)
+def _segment_at(s: tuple, zkey: tuple, N: int, P: Optional[int]) -> tuple:
+    """A constant of the segment s at u_A = z + N + 1, computed once per
+    segment and point, whatever word the segment is part of.
+
+    For P None: (bound on |d|, bound on the error of d in units 2^-P,
+    truncation estimate of d), from the segment's coefficients weighted by
+    |u_A|^(-p) |log u_A|^q, by the row units 2^(-p lam), and its omitted
+    terms weighted as the first.  Else d = g - EM(g) at u_A in fixed point
+    with P fraction bits, as (re, im), a dot product with the table whose
+    caps are the segment's rounded up to multiples of 64 and 8.
+    """
+    seg = _segment(s, _EM_TERMS, _EXPANSION_ORDER)
+    if P is None:
+        a, b, e = zkey
+        uA = complex(a / (1 << e) + N + 1, b / (1 << e))
+        ua, L = abs(uA), abs(cmath.log(uA))
+        lam = _row_shift(zkey, N)
+        E = sum(x * 2.0 ** (-p * lam) for p, q, x in seg.sizes)
+        return (
+            sum(x * ua**-p * L**q for p, q, x in seg.sizes),
+            2 * E + 2 * (len(seg.rows) + 1),
+            sum(x * ua**-p * L**q for p, q, x in seg.omitted),
+        )
+    caps = 64 * ceil(seg.rows[-1][0] / 64), 8 * ceil(len(s) / 8)
+    lam, re_rows, im_rows = _monomials(zkey, N, P, *caps)
     re = sum(sum(map(mul, nums, re_rows[p])) >> (p * lam) for p, nums in seg.rows)
     if im_rows is None:
         return re // seg.den, 0
@@ -405,13 +434,17 @@ def _size_bounds(zkey: tuple, kmax: int, N: int) -> tuple:
 
 
 def _normalize_z(z, wp: int):
-    with mp.workdps(wp):
-        zv = mp.mpmathify(z)
-        if not mp.isfinite(zv):
-            raise DomainError(f"z = {zv} is not finite")
-        if isinstance(zv, mp.mpc) and zv.imag == 0:
-            zv = zv.real
-        return zv
+    """z as an mpf, or an mpc with a nonzero imaginary part: an mpf or mpc
+    as it is, anything else, a constant such as ``mp.pi`` too, at wp digits."""
+    zv = z
+    if not isinstance(zv, (mp.mpf, mp.mpc)):
+        with mp.workdps(wp):
+            zv = +z if isinstance(z, mp.constant) else mp.mpmathify(z)
+    if not mp.isfinite(zv):
+        raise DomainError(f"z = {zv} is not finite")
+    if isinstance(zv, mp.mpc) and zv.imag == 0:
+        zv = zv.real
+    return zv
 
 
 def _check_no_pole(zv) -> None:
@@ -457,25 +490,7 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     return _direct(c, zv, wp, tuple(n + shift for n in _CUTOFFS))
 
 
-def _segment_sizes(segs: dict, zkey: tuple, N: int) -> dict:
-    """(i, j) -> (bound on |d_ij|, E_ij, truncation estimate of d_ij): the
-    segment's coefficients weighted by |u_A|^(-p) |log u_A|^q, by the row
-    units 2^(-p lam), and its omitted terms weighted as the first."""
-    a, b, e = zkey
-    uA = complex(a / (1 << e) + N + 1, b / (1 << e))
-    ua, L = abs(uA), abs(cmath.log(uA))
-    lam = _row_shift(zkey, N)
-    return {
-        ij: (
-            sum(a * ua**-p * L**q for p, q, a in seg.sizes),
-            sum(a * 2.0 ** (-p * lam) for p, q, a in seg.sizes),
-            sum(a * ua**-p * L**q for p, q, a in seg.omitted),
-        )
-        for ij, seg in segs.items()
-    }
-
-
-def _a_priori_bounds(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict) -> tuple:
+def _a_priori_bounds(c: tuple, zkey: tuple, N: int) -> tuple:
     """(units, truncation) at cutoff N, both mpf (near a pole they are far
     beyond the double range), from bounds on the sizes before any sum is
     computed: a bound on the rounding error of K_r in units 2^-P, for any
@@ -507,8 +522,8 @@ def _a_priori_bounds(c: tuple, zkey: tuple, N: int, segs: dict, sizes: dict) -> 
             C = 2 if j == 1 else 2 * B + 3 + rho * C
             kb, e, t = B, N * C, mp.zero
             for i in range(j):
-                d_size, E, trunc = sizes[i, j]
-                e += k_size[i] * (2 * E + 2 * (len(segs[i, j].rows) + 1)) + d_size * err[i] + 3
+                d_size, d_err, trunc = _segment_at(c[i:j], zkey, N, None)
+                e += k_size[i] * d_err + d_size * err[i] + 3
                 t += k_size[i] * trunc + d_size * est[i]
                 kb += k_size[i] * d_size
             k_size.append(kb)
@@ -524,20 +539,13 @@ def _direct(c: tuple, zv, wp: int, cutoffs: tuple) -> Approx:
     the module docstring)."""
     r = len(c)
     zkey = _dyadic(zv)
-    segs = {
-        (i, j): _segment(c[i:j], _EM_TERMS, _EXPANSION_ORDER)
-        for j in range(1, r + 1)
-        for i in range(j)
-    }
     for N in cutoffs:
-        sizes = _segment_sizes(segs, zkey, N)
-        units, truncation = _a_priori_bounds(c, zkey, N, segs, sizes)
+        units, truncation = _a_priori_bounds(c, zkey, N)
         if float(truncation) < 10.0**-wp:
             break
     P = dps_to_prec(wp) + 32 * ceil(mp.mag(units) / 32)
 
     sums = _partial_sums(c, zkey, P, N)
-    table = _monomials(zkey, N, P, max(seg.rows[-1][0] for seg in segs.values()), r)
     K = [(1 << P, 0)]
     est = [mp.zero]  # truncation estimate of K_j, an mpf like the units
     with mp.workprec(53):
@@ -545,11 +553,11 @@ def _direct(c: tuple, zv, wp: int, cutoffs: tuple) -> Approx:
             re, im = sums[j - 1]
             e = mp.zero
             for i in range(j):
-                dr, di = _dot(segs[i, j], table)
+                dr, di = _segment_at(c[i:j], zkey, N, P)
                 kr, ki = K[i]
                 re += (kr * dr - ki * di) >> P
                 im += (kr * di + ki * dr) >> P
-                d_size, _, trunc = sizes[i, j]
+                d_size, _, trunc = _segment_at(c[i:j], zkey, N, None)
                 e += mp.hypot(mp.mpf((kr, -P)), mp.mpf((ki, -P))) * trunc + d_size * est[i]
             K.append((re, im))
             est.append(e)

@@ -137,15 +137,20 @@ def eval_multitangent_direct(
             pk = pk * inv
             if k in c:
                 powers[k] = pk
-        below = 1.0  # S_{j-1}(m - 1) over the block; S_0 = 1
+        prev = None  # level j - 1's sums S_{j-1}(m) over the block
         for j, k in enumerate(c):
-            term = below * powers[k]
-            term[0] += running[j]
+            p = powers[k]
+            if prev is None:  # S_0 = 1
+                term = p.copy()
+            else:  # S_{j-1}(m - 1) (z+m)^(-k), the first from the carried sum
+                term = np.empty_like(p)
+                term[0] = carried * p[0]
+                np.multiply(prev[:-1], p[1:], out=term[1:])
+            carried = running[j]
+            term[0] += carried
             np.cumsum(term, out=term)
-            below = np.empty_like(term)
-            below[0] = running[j]
-            below[1:] = term[:-1]
             running[j] = term[-1]
+            prev = term
     value = complex(running[-1])
 
     # Chains escape past +-M through the first or the last slot; the

@@ -62,7 +62,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
 from .errors import DomainError, NonAdmissibleError
-from .harmonic import _decode, _encode, _grades, as_composition, is_admissible
+from .harmonic import WordCombo, _decode, _encode, _grades, as_composition, is_admissible
 from .precision import Approx, PrecisionContext
 from .reduction import PiGradedExpr
 from .regularization import TPoly
@@ -317,6 +317,9 @@ def _eval_at(expr, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -
     sums every word combination once for all T values.  A word combination
     is bounded by est times the sum of its |q| plus est, with est the
     per-word estimate; a pi-graded expression adds est once more."""
+    if not isinstance(expr, (WordCombo, TPoly, PiGradedExpr)):
+        hint = "; evaluate its .expanded" if hasattr(expr, "expanded") else ""
+        raise TypeError(f"expected a WordCombo, TPoly or PiGradedExpr, got {type(expr).__name__}{hint}")
     dps = dps if dps is not None else ctx.working_dps
     with mp.workprec(_sum_prec(dps)):
         est = _estimate(dps)

@@ -368,9 +368,55 @@ def test_clear_caches_recomputes_the_same_value(ctx30):
 
 def test_caches_are_bounded_and_psi_is_computed_once_per_point(ctx30):
     caps = [cap for name, (_, cap) in cache_info().items() if name.startswith("hurwitz.")]
-    assert len(caps) == 11 and None not in caps
+    assert len(caps) == 12 and None not in caps
     clear_caches()
     z = mp.mpf("0.3")
     for T in (0, 1, 2):
         tau_value(z, T, ctx30)
     assert hurwitz._psi_gamma.cache_info().misses == 1
+
+
+def test_a_point_shares_its_tail_data(ctx30):
+    # one table of u_A monomials for every word at the point, and each
+    # segment's constants once, whatever words it is part of: its triple of
+    # size bounds (needed before P is known) and its d at P
+    clear_caches()
+    with mp.workdps(ctx30.working_dps + 10):
+        z = mp.mpc("0.25", "0.2")
+    for c in _WORDS:
+        eval_hurwitz_direct(c, z, ctx30)
+    segments = {c[i:j] for c in _WORDS for j in range(1, len(c) + 1) for i in range(j)}
+    assert len(_WORDS) == 31 and len(segments) == 39
+    assert hurwitz._monomials.cache_info().currsize == 1
+    assert hurwitz._segment_at.cache_info().currsize == 2 * len(segments)
+
+
+# sha256 of the (digits, word, value, bound) bits of eval_hurwitz_direct
+# over the admissible words of weight <= 5 at the four bouillot points,
+# recorded before the tables and segment constants were shared per point
+_PINNED_DIRECT_BITS = "8e723b6d34b316faac98b515650c900d3335d6718d94f78873a54b395ab8a42b"
+
+
+def test_direct_bits_pinned():
+    clear_caches()
+    rows = []
+    for digits in (30, 60):
+        ctx = PrecisionContext(digits=digits)
+        for z in _points(ctx):
+            for c in _WORDS:
+                if sum(c) <= 5:
+                    h = eval_hurwitz_direct(c, z, ctx)
+                    rows.append((digits, c, *(getattr(x, "_mpc_", getattr(x, "_mpf_", x))
+                                              for x in (h.value, h.bound))))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PINNED_DIRECT_BITS
+
+
+def test_constant_z_is_read_at_the_working_precision(ctx30):
+    # mp.pi is a constant, evaluated wherever it is used; the value is that
+    # at pi read to wp digits, not to the 53 bits current outside
+    wp = ctx30.working_dps + 10
+    with mp.workdps(wp):
+        pi = +mp.pi
+    assert eval_hurwitz_direct((1, 2), mp.pi, ctx30) == eval_hurwitz_direct((1, 2), pi, ctx30)
+    z = mp.mpf("0.3")
+    assert hurwitz._normalize_z(z, wp) is z

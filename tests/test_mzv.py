@@ -22,6 +22,7 @@ from mzvparity import (
     even_zeta,
     eval_piterm,
     is_admissible,
+    reduce_main,
     reduce_main3,
     regularize,
     weight,
@@ -82,6 +83,17 @@ def test_rejects_divergent_and_empty(ctx30):
         mzv_truncation_oracle((1, 1))
     with pytest.raises(NonAdmissibleError):
         mzv_em_oracle(1, ctx30)
+
+
+def test_expression_evaluators_refuse_other_objects(ctx30):
+    # a ReductionResult is not its expansion, and a tuple is not a WordCombo
+    result = reduce_main((1, 2))
+    for evaluate in (lambda x: eval_pigraded(x, 0, ctx30), lambda x: eval_tpoly(x, 0, ctx30)):
+        with pytest.raises(TypeError, match=r"PiGradedExpr, got ReductionResult; evaluate its \.expanded"):
+            evaluate(result)
+    with pytest.raises(TypeError, match="expected a WordCombo, TPoly or PiGradedExpr, got tuple$"):
+        eval_word_combo((2, 3), ctx30)
+    assert eval_pigraded(result.expanded, 0, ctx30).bound > 0
 
 
 def test_even_zeta_matches_fast_evaluator(ctx30):
