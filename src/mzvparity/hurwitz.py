@@ -98,7 +98,7 @@ from mpmath.libmp import dps_to_prec
 from .errors import DomainError, NonAdmissibleError
 from .harmonic import WordCombo, _decode, as_composition, is_admissible, shift_expand
 from .mzv import _walk, eval_tpoly
-from .precision import Approx, PrecisionContext
+from .precision import Approx, PrecisionContext, _requested_dps
 from .regularization import TPoly, regularize
 from .special import bernoulli
 
@@ -478,11 +478,11 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
     and expansion order).
     """
     c = as_composition(c)
+    wp = _requested_dps(ctx, dps) + 10
     if not c:
         return Approx(mp.mpf(1), mp.mpf(0))
     if not is_admissible(c):
         raise NonAdmissibleError(f"{c!r} is not admissible; use eval_hurwitz_star")
-    wp = (dps if dps is not None else ctx.working_dps) + 10
     zv = _normalize_z(z, wp)
     _check_no_pole(zv)
     # past the poles left of the origin, so that Re u_A = Re z + N + 1 > rung

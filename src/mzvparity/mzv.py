@@ -21,8 +21,10 @@ The kernel walks each word once from the left and its dual once from the
 right: every cut of the path needs the series of one prefix on each side,
 and the nested sums of the completed blocks are built once per walk and
 reused for all of them.  Prefix values are cached by ``(blocks, M, P)``,
-so words share them.  A value is returned as an mpf that carries the guard
-bits.
+so words share them.  So are the nested sums of heads of one or two
+completed blocks, by ``(head, M, P)``, which most words begin with; deeper
+levels are built per walk.  A value is returned as an mpf that carries
+the guard bits.
 
 The expression evaluators sum in integers, and read an expression's
 storage, integer numerators n over one denominator D, as it is.  An mpf is
@@ -44,7 +46,8 @@ Values are cached by the int key of the word (:mod:`mzvparity.harmonic`),
 which is the word's letters as binary digits, together with the precision
 the kernel ran at: a value is a function of the word and the requested
 precision alone, whatever was computed before it.  The value, prefix and
-power caches are bounded, with caps that no sweep reaches;
+power caches are bounded, with caps that no sweep reaches, and the
+shared chain levels keep the 256 last used (at most 9.3 MiB at 100 digits);
 :func:`mzvparity.clear_caches` empties them.
 """
 
@@ -63,7 +66,7 @@ from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nea
 
 from .errors import DomainError, NonAdmissibleError
 from .harmonic import WordCombo, _decode, _encode, _grades, as_composition, is_admissible
-from .precision import Approx, PrecisionContext
+from .precision import Approx, PrecisionContext, _requested_dps
 from .reduction import PiGradedExpr
 from .regularization import TPoly
 from .special import PiTerm
@@ -159,6 +162,26 @@ def _powers(e: int, M: int) -> list:
     return [n**e for n in range(1, M + 1)]
 
 
+# Only heads of one or two blocks are shared: they are shared by the most
+# words and are few, at most 55 per (M, P) up to weight 12 (37 KiB each at
+# 100 digits).  Heads of three blocks would add 56 more levels to the words
+# of weight <= 10 at 100 digits, about 2 MB, 5% of that sweep's peak memory.
+@lru_cache(maxsize=256)
+def _head_level(head: tuple, M: int, P: int) -> list:
+    """The chain level of a head of one or two completed blocks:
+    [floor(2^P sum over m_1 < ... < m_j <= n of prod m_i^(-c_i)) for
+    n = 0..M], floored level by level as :func:`_prefix_values` floors it.
+    Callers must not change the list."""
+    below = _head_level(head[:-1], M, P) if len(head) > 1 else [1 << P] * (M + 1)
+    return _next_level(below, head[-1], M)
+
+
+def _next_level(below: list, e: int, M: int) -> list:
+    """The chain level one block of e above ``below``: entry n is the sum of
+    below[m-1] // m^e over m <= n."""
+    return list(accumulate(map(floordiv, below, _powers(e, M)), initial=0))
+
+
 def _prefix_values(bits: tuple, dps: int) -> list:
     """Fixed-point values of the series of every prefix of a word, scaled
     by 2^P with P the fraction bits of the whole word.
@@ -169,8 +192,11 @@ def _prefix_values(bits: tuple, dps: int) -> list:
     k letters (entry 0, the empty word, is 1).  Each new letter either opens
     a block or raises the last one, so the nested sums of the completed
     blocks only ever gain a level: they are built when a value is missing
-    from the cache, and kept for the rest of the word.  A value is cached
-    at the fraction bits of its own length, so that every word shares it.
+    from the cache, and kept for the rest of the word.  The levels of one
+    and two completed blocks are read from :func:`_head_level`, which every
+    word of the same M and P shares, and are floored as those built here.
+    A value is cached at the fraction bits of its own length, so that every
+    word shares it.
     """
     M = _terms(dps)
     P = _fraction_bits(dps, len(bits))
@@ -184,8 +210,11 @@ def _prefix_values(bits: tuple, dps: int) -> list:
         x = _PREFIX_CACHE.get(key)
         if x is None:
             while len(chain) < len(blocks):
-                powers = _powers(blocks[len(chain) - 1], M)
-                chain.append(list(accumulate(map(floordiv, chain[-1], powers), initial=0)))
+                j = len(chain)
+                if j <= 2:
+                    chain.append(_head_level(blocks[:j], M, P))
+                else:
+                    chain.append(_next_level(chain[-1], blocks[j - 1], M))
             terms = map(floordiv, chain[-1], _powers(blocks[-1], M))
             x = sum(map(rshift, terms, range(1, M + 1))) >> (P - Pv)
             _PREFIX_CACHE[key] = x
@@ -227,7 +256,7 @@ def eval_admissible_mzv(c, ctx: PrecisionContext, dps: Optional[int] = None) -> 
         raise NonAdmissibleError("the empty index has no series; use eval_word_combo")
     if not is_admissible(c):
         raise NonAdmissibleError(f"{c!r} is not admissible (last part must be >= 2)")
-    dps = dps if dps is not None else ctx.working_dps
+    dps = _requested_dps(ctx, dps)
     return Approx(_value(_encode(c), dps), _estimate(dps))
 
 
@@ -320,7 +349,7 @@ def _eval_at(expr, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -
     if not isinstance(expr, (WordCombo, TPoly, PiGradedExpr)):
         hint = "; evaluate its .expanded" if hasattr(expr, "expanded") else ""
         raise TypeError(f"expected a WordCombo, TPoly or PiGradedExpr, got {type(expr).__name__}{hint}")
-    dps = dps if dps is not None else ctx.working_dps
+    dps = _requested_dps(ctx, dps)
     with mp.workprec(_sum_prec(dps)):
         est = _estimate(dps)
         Ts = [mp.mpmathify(T) for T in T_values]

@@ -48,3 +48,14 @@ class PrecisionContext:
         """Default residual tolerance 10^-(digits - 5) for identity checks."""
         with mp.workdps(self.working_dps):
             return mp.mpf(10) ** (-(self.digits - 5))
+
+
+def _requested_dps(ctx: PrecisionContext, dps) -> int:
+    """The digits an evaluator is asked for: ``dps``, or the context's
+    working precision where it is None.  Anything but an int >= 1 raises
+    ValueError, as :class:`PrecisionContext` refuses a non-int precision."""
+    if dps is None:
+        return ctx.working_dps
+    if not _is_int(dps, 1):
+        raise ValueError(f"dps must be an int >= 1, got {dps!r}")
+    return dps

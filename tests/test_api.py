@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 from collections import Counter
 
 import pytest
@@ -58,7 +59,7 @@ def test_every_module_name_resolves():
 
 
 # the modules that hold caches and how many, in the order of ``cache_info``
-CACHED = {"harmonic": 1, "regularization": 1, "reduction": 3, "mzv": 5, "hurwitz": 12, "multitangent": 1}
+CACHED = {"harmonic": 1, "regularization": 1, "reduction": 3, "mzv": 6, "hurwitz": 12, "multitangent": 1}
 
 
 def test_every_cache_is_listed_bounded_and_cleared(ctx30):
@@ -72,12 +73,19 @@ def test_every_cache_is_listed_bounded_and_cleared(ctx30):
     mzvparity.verify_bouillot((1, 2), ctx=ctx30, z=mp.mpf("0.3"))
     info = mzvparity.cache_info()
     listed = {id(getattr(modules[mod], name)) for mod, name in (n.split(".") for n in info)}
-    assert listed == set(found) and len(info) == len(found) == 23
+    assert listed == set(found) and len(info) == len(found) == 24
     assert list(Counter(n.split(".")[0] for n in info).items()) == list(CACHED.items())
     assert all(isinstance(cap, int) and 0 < size <= cap for size, cap in info.values())
     mzvparity.clear_caches()
     assert all(cached.cache_info().currsize == 0 for cached in found.values())
     assert all(size == 0 for size, _ in mzvparity.cache_info().values())
+
+
+def test_readme_counts_the_caches():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        counts = re.findall(r"empties all (\d+) caches", f.read())
+    assert counts and all(int(n) == len(mzvparity.cache_info()) for n in counts)
 
 
 def test_removed_parameters():
@@ -91,3 +99,23 @@ def test_precision_context_refuses_a_non_int_precision(field, value):
     # a float would run every evaluator at a fractional dps
     with pytest.raises(ValueError, match=field):
         mzvparity.PrecisionContext(**{field: value})
+
+
+# every public evaluator that takes a ``dps`` override, as f(ctx, dps)
+DPS_EVALUATORS = {
+    "eval_admissible_mzv": lambda ctx, dps: mzvparity.eval_admissible_mzv((1, 2), ctx, dps=dps),
+    "eval_word_combo": lambda ctx, dps: mzvparity.eval_word_combo(
+        mzvparity.WordCombo.word((3,)), ctx, dps=dps),
+    "eval_tpoly": lambda ctx, dps: mzvparity.eval_tpoly(mzvparity.regularize((1, 2)), 1, ctx, dps=dps),
+    "eval_hurwitz_direct": lambda ctx, dps: mzvparity.eval_hurwitz_direct(
+        (1, 2), mp.mpf("0.3"), ctx, dps=dps),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DPS_EVALUATORS))
+@pytest.mark.parametrize("dps", [20.5, 30.0, True, 0, -5, "30"])
+def test_evaluators_refuse_a_dps_that_is_not_a_positive_int(ctx30, name, dps):
+    # a float would key the caches by a fractional dps, and a bool or a
+    # negative int would give a meaningless bound
+    with pytest.raises(ValueError, match="dps"):
+        DPS_EVALUATORS[name](ctx30, dps)

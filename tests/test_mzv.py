@@ -1,5 +1,6 @@
 """Fast multiple-zeta evaluation against the independent oracles."""
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -313,6 +314,37 @@ def test_clear_caches_recomputes_bit_identical_values(ctx30):
     assert tp_after == tp_before and tp_after is not tp_before
 
 
+# sha256 of repr([(index, value._mpf_)]) over every admissible index of
+# weight <= max_weight at dps digits, in the order of compositions_up_to
+_PINNED_KERNEL_BITS = {
+    (100, 10): "96a0d0f35a9b834766ea8811317fdfa7e1c6d5201547b6b4106ff229774fc54e",
+    (30, 12): "b63a5ad581c9a0c9ee5fd884a161c8c062d6e6af1a251fa09b9c2aa687501cbf",
+}
+
+
+@pytest.mark.parametrize("dps, max_weight", sorted(_PINNED_KERNEL_BITS))
+@pytest.mark.parametrize("order", [1, -1])
+def test_kernel_bits_pinned(ctx30, dps, max_weight, order):
+    # Words share prefix values and chain levels, so the values must not
+    # depend on which words were evaluated before them.
+    words = [c for c in compositions_up_to(max_weight) if is_admissible(c)]
+    clear_caches()
+    values = {c: eval_admissible_mzv(c, ctx30, dps=dps).value._mpf_ for c in words[::order]}
+    rows = [(c, values[c]) for c in words]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PINNED_KERNEL_BITS[dps, max_weight]
+
+
+def test_one_and_two_block_heads_are_shared(ctx30):
+    # At 100 digits the 511 words of weight <= 10 have 8 heads of one
+    # completed block and 28 of two, each built once.
+    clear_caches()
+    for c in compositions_up_to(10):
+        if is_admissible(c):
+            eval_admissible_mzv(c, ctx30, dps=100)
+    info = mzv._head_level.cache_info()
+    assert info.currsize == info.misses == 36
+
+
 def test_caches_stay_within_their_caps(ctx30, monkeypatch):
     # The module caches are emptied when they reach their caps, and the
     # values computed meanwhile are unchanged.
@@ -325,7 +357,7 @@ def test_caches_stay_within_their_caps(ctx30, monkeypatch):
     for c in words:
         assert eval_admissible_mzv(c, ctx30).value == expected[c], c
         assert len(mzv._MZV_CACHE) <= 10 and len(mzv._PREFIX_CACHE) <= 50
-    for cached in (mzv._powers, mzv._fraction_bits, mzv._estimate,
+    for cached in (mzv._powers, mzv._fraction_bits, mzv._estimate, mzv._head_level,
                    regularization._regularize_divergent):
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
