@@ -151,9 +151,8 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _require_T_if_divergent(tpoly, T) -> None:
-    deg = tpoly.t_degree
-    if deg not in (None, 0) and T is None:
+def _require_T(divergent, T) -> None:
+    if divergent and T is None:
         raise UsageError("non-admissible index: supply a regularization value with --T")
 
 
@@ -169,15 +168,14 @@ def _eval_symbol(args, ctx: PrecisionContext, T):
     if symbol in ("mzv", "star", "shifted"):
         tp = (shifted_tpoly(c, args.a) if symbol == "shifted"
               else regularize(c if symbol == "mzv" else star_expand(c)))
-        _require_T_if_divergent(tp, T)
+        _require_T(tp.t_degree, T)
         return eval_tpoly(tp, T if T is not None else 0, ctx)
     if symbol == "hurwitz":
         z = _parse_z(args.z, ctx)
-        if is_admissible(c) and T is None:
+        if is_admissible(c):  # T reaches only a divergent index
             return eval_hurwitz_direct(c, z, ctx)
-        tp = regularize(c)
-        _require_T_if_divergent(tp, T)
-        return eval_hurwitz_star(c, z, T if T is not None else 0, ctx)
+        _require_T(True, T)
+        return eval_hurwitz_star(c, z, T, ctx)
     if symbol == "multitangent":
         z = _parse_z(args.z, ctx)
         return eval_multitangent_regularized(c, z, T if T is not None else 0, ctx)

@@ -67,16 +67,18 @@ Cutoff.  N comes from the precision, before any sum is computed: 300 if
 its a-priori truncation estimate (the same omitted terms, carried by
 :func:`_a_priori_bounds` with the bounds on |K_i| of the guard bits) is
 below 10^-wp, as at 30 digits, and else the cap 900, as at 60 digits and
-above.  So N and the value's bits depend on the word, z and wp alone.
-J = 12 and the expansion order 28 are fixed.
+above.  :func:`_direct` grows every rung by the shift -floor(Re z) left
+of the origin, so that Re u_A > rung.  So N and the value's bits depend
+on the word, z and wp alone.  J = 12 and the expansion order 28 are fixed.
 
 ``eval_hurwitz_star`` extends the evaluation to divergent (non-admissible)
 indices: regularization expresses any index as a T-polynomial in admissible
 words, and substituting T -> T - psi(1+z) - euler_gamma (the regularized
 depth-1 generating value) together with direct values of the admissible
-words yields the generating value of the shifted-index Taylor series.
-The value of a word is cached per (word, z, T, working precision), so
-the heads and tails that the multitangent splits share are computed once.
+words (read from :func:`_direct`, as by ``eval_hurwitz_direct``) yields
+the generating value of the shifted-index Taylor series.  The value of a
+word is cached per (word, z, T, working precision), so the heads and
+tails that the multitangent splits share are computed once.
 
 Every cache of the module is a bounded ``lru_cache``;
 :func:`mzvparity.clear_caches` empties them all.
@@ -485,9 +487,7 @@ def eval_hurwitz_direct(c, z, ctx: PrecisionContext, dps: Optional[int] = None) 
         raise NonAdmissibleError(f"{c!r} is not admissible; use eval_hurwitz_star")
     zv = _normalize_z(z, wp)
     _check_no_pole(zv)
-    # past the poles left of the origin, so that Re u_A = Re z + N + 1 > rung
-    shift = max(0, -int(mp.floor(zv.real)))
-    return _direct(c, zv, wp, tuple(n + shift for n in _CUTOFFS))
+    return _direct(c, zv, wp, _CUTOFFS)
 
 
 def _a_priori_bounds(c: tuple, zkey: tuple, N: int) -> tuple:
@@ -534,12 +534,14 @@ def _a_priori_bounds(c: tuple, zkey: tuple, N: int) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _direct(c: tuple, zv, wp: int, cutoffs: tuple) -> Approx:
-    """The direct value at wp digits, with the cutoff N the first of
-    ``cutoffs`` whose truncation estimate is below 10^-wp, or the last (see
-    the module docstring)."""
+    """The value of a nonempty admissible word at a normalized z off the
+    poles, at wp digits, with N the first rung of ``cutoffs`` (grown by the
+    shift) whose truncation estimate is below 10^-wp, or the last."""
     r = len(c)
     zkey = _dyadic(zv)
-    for N in cutoffs:
+    # past the poles left of the origin, so that Re u_A = Re z + N + 1 > rung
+    shift = max(0, -int(mp.floor(zv.real)))
+    for N in (n + shift for n in cutoffs):
         units, truncation = _a_priori_bounds(c, zkey, N)
         if float(truncation) < 10.0**-wp:
             break
@@ -579,6 +581,7 @@ def tau_value(z, T_value, ctx: PrecisionContext):
     """Generating value assigned to the single part (1): T - psi(1+z) - gamma."""
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
+    _check_no_pole(zv)
     with mp.workdps(wp):
         T = mp.mpmathify(T_value)
         if not mp.isfinite(T):
@@ -597,39 +600,41 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
     """Regularized generating value of a word or combination, |z| <= 1/2.
 
     Computed through the regularization homomorphism: write the index as a
-    T-polynomial in admissible words, evaluate admissible words with
-    :func:`eval_hurwitz_direct` and substitute the depth-1 generating value
-    for T.  Agrees with the term-by-term Taylor route inside the radius.
-    The value of a word is cached per (word, point, T, working precision).
+    T-polynomial in admissible words, evaluate those by the direct route
+    and substitute the depth-1 generating value for T.  Agrees with the
+    term-by-term Taylor route inside the radius.  z and T are read once;
+    a word's value is cached per (word, point, T, working precision).
     """
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
-    if isinstance(x, (TPoly, WordCombo)):
-        return _star(x, zv, T_value, ctx.working_dps)
     with mp.workdps(wp):
         T = mp.mpmathify(T_value)
+    if isinstance(x, (TPoly, WordCombo)):
+        return _star(x, zv, T, ctx.working_dps)
     return _star_word(as_composition(x), zv, T, ctx.working_dps)
 
 
-def _star(x, zv, T_value, dps: int) -> Approx:
-    """The value of a word, ``WordCombo`` or ``TPoly`` at working precision
-    dps (see :func:`eval_hurwitz_star`); a word reads the cache of
-    eval_shifted.  Values depend on a context only through its working
-    precision."""
-    ctx = PrecisionContext(digits=dps - 10, guard_digits=10)
+def _star(x, zv, T, dps: int) -> Approx:
+    """The value of a word, ``WordCombo`` or ``TPoly`` at a normalized z, a
+    T read at wp and working precision dps (see :func:`eval_hurwitz_star`),
+    from :func:`_psi_gamma` and :func:`_direct` alone.  Values depend on a
+    context only through its working precision."""
     wp = dps + 10
     with mp.workdps(wp):
         if abs(zv) > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
             raise DomainError("regularized Hurwitz values are evaluated for |z| <= 1/2")
+        if not mp.isfinite(T):
+            raise DomainError(f"T = {T} is not finite")
         if not isinstance(x, TPoly):
-            x = regularize(x) if isinstance(x, WordCombo) else shifted_tpoly(x, 0)
-        tau = tau_value(zv, T_value, ctx)
+            x = regularize(x)
+        tau = T - _psi_gamma(zv, wp)
 
         def leaf(nums):
             part = pbound = mp.zero
             for w, n in nums.items():
                 qm = mp.mpf(n) / x._den
-                hv = eval_hurwitz_direct(_decode(w), zv, ctx)
+                # the empty word (key 0) is exactly 1
+                hv = _direct(_decode(w), zv, wp, _CUTOFFS) if w else Approx(mp.one, mp.zero)
                 part += qm * hv.value
                 pbound += abs(qm) * hv.bound
             return part, pbound
@@ -644,11 +649,6 @@ _star_word = lru_cache(maxsize=1024)(_star)
 
 def shifted_tpoly(c, a: int) -> TPoly:
     """Regularized expansion of the order-a shifted value of an index."""
-    return _shifted_tpoly(as_composition(c), a)
-
-
-@lru_cache(maxsize=4096)
-def _shifted_tpoly(c: tuple, a: int) -> TPoly:
     return regularize(shift_expand(a, c))
 
 

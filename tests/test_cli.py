@@ -143,6 +143,20 @@ def test_eval_divergent_requires_T(capsys):
     capsys.readouterr()
 
 
+def test_eval_hurwitz_admissible_ignores_T(capsys):
+    # an admissible index takes the direct route whatever --T says, also
+    # outside |z| <= 1/2; only a divergent one needs --T and the star route
+    for z in ("2", "0.3"):
+        assert main(["eval", "hurwitz", "2,3", "--z", z]) == 0
+        plain = capsys.readouterr().out
+        assert main(["eval", "hurwitz", "2,3", "--z", z, "--T", "1"]) == 0
+        assert capsys.readouterr().out == plain, z
+    assert main(["eval", "hurwitz", "2,1", "--z", "0.3"]) == 2
+    assert "--T" in capsys.readouterr().err
+    assert main(["eval", "hurwitz", "2,1", "--z", "0.3", "--T", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_eval_monotangent_pi_squared(capsys):
     assert main(["eval", "monotangent", "2", "--z", "0.5,0", "--digits", "20"]) == 0
     out = capsys.readouterr().out

@@ -22,8 +22,9 @@ from mzvparity import (
     regularize,
     shift_expand,
     tau_value,
+    verify_bouillot,
 )
-from mzvparity import hurwitz
+from mzvparity import hurwitz, regularization
 
 from oracles import eval_hurwitz_taylor, tau_series
 
@@ -91,6 +92,14 @@ def test_direct_rejects_divergent_and_poles(ctx30):
         eval_hurwitz_direct((2, 1), 0.3, ctx30)
     with pytest.raises(DomainError):
         eval_hurwitz_direct((2,), -2, ctx30)
+
+
+def test_tau_value_refuses_a_pole(ctx30):
+    # psi(1+z) has its poles at z = -1, -2, ...: a DomainError, as in
+    # eval_hurwitz_direct, not mpmath's bare ValueError
+    for z in (-1, mp.mpf(-2)):
+        with pytest.raises(DomainError, match="pole"):
+            tau_value(z, 0, ctx30)
 
 
 def test_taylor_matches_direct_real(ctx10):
@@ -345,12 +354,38 @@ def test_log1m_series_matches_mpmath():
 
 
 def test_star_regularizes_a_word_once(ctx30):
-    # a word's regularization is the order-0 shifted expansion that
-    # eval_shifted caches, read once for every T value
+    # a word's divergent peel is cached by regularization and read once for
+    # every T value: T = 1 adds no miss to those of T = 0
+    misses = []
     clear_caches()
     for T in (0, 1):
         eval_hurwitz_star((2, 1), mp.mpf("0.3"), T, ctx30)
-    assert hurwitz._shifted_tpoly.cache_info().misses == 1
+        misses.append(regularization._regularize_divergent.cache_info().misses)
+    assert misses == [1, 1]
+
+
+def _bouillot_rows(ctx):
+    clear_caches()
+    return [
+        (c, r.status, *(getattr(x, "_mpc_", getattr(x, "_mpf_", x)) for x in (r.residual, r.lhs, r.rhs)))
+        for z in (mp.mpf("0.3"), mp.mpc("0.25", "0.2"))
+        for c in compositions_up_to(4)
+        for r in [verify_bouillot(c, z, ctx, T_values=(0, 1))]
+    ]
+
+
+def test_star_walk_calls_no_public_evaluator(ctx30, monkeypatch):
+    # the leaves read the private _direct, and tau(z) is formed in _star
+    expected = _bouillot_rows(ctx30)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the star walk called a public evaluator")
+
+    monkeypatch.setattr(hurwitz, "eval_hurwitz_direct", refuse)
+    monkeypatch.setattr(hurwitz, "tau_value", refuse)
+    rows = _bouillot_rows(ctx30)
+    assert all(status == "pass" for _, status, *_ in rows)
+    assert rows == expected
 
 
 def test_clear_caches_recomputes_the_same_value(ctx30):
@@ -368,7 +403,7 @@ def test_clear_caches_recomputes_the_same_value(ctx30):
 
 def test_caches_are_bounded_and_psi_is_computed_once_per_point(ctx30):
     caps = [cap for name, (_, cap) in cache_info().items() if name.startswith("hurwitz.")]
-    assert len(caps) == 12 and None not in caps
+    assert len(caps) == 11 and None not in caps
     clear_caches()
     z = mp.mpf("0.3")
     for T in (0, 1, 2):
