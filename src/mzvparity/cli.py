@@ -1,9 +1,12 @@
 """Command-line interface: reduce indices, evaluate symbols, verify identities.
 
 Exit codes: 0 on success (including skipped verifications), 1 when a
-verification fails, 2 on usage errors (bad index, parity violation,
-missing T for a divergent index, unknown identity, a z or T that is not a
-finite decimal, out-of-range order, a weight below 0 or above the sweep cap).
+verification fails, 2 on usage errors and on every ``ValueError`` of the
+package, its typed errors included, which :func:`main` maps once (bad
+index, parity violation, missing T for a divergent index or for a
+multitangent whose reduction carries T, unknown identity, a z or T that
+is not a finite decimal, a z outside |z| <= 1/2 for a regularized value,
+out-of-range order, a weight below 0 or above the sweep cap).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Optional
 
 from mpmath import mp
 
-from .errors import MzvError
 from .harmonic import (
     as_composition,
     compositions_up_to,
@@ -28,8 +30,8 @@ from .harmonic import (
 from .hurwitz import eval_hurwitz_direct, eval_hurwitz_star, shifted_tpoly
 from .multitangent import eval_monotangent, eval_multitangent_regularized
 from .mzv import eval_pigraded, eval_tpoly
-from .precision import PrecisionContext
-from .reduction import reduce_main, reduce_main3
+from .precision import PrecisionContext, _finite
+from .reduction import _bouillot_grades, reduce_main, reduce_main3
 from .regularization import regularize
 from .render import (
     format_composition,
@@ -58,14 +60,11 @@ def _parse_composition(text: str):
 
 
 def _decimal(text: str, ctx: PrecisionContext):
-    """A finite decimal read at the working precision, else ValueError: at
-    mpmath's global 15 digits a decimal such as 0.3 would become the
-    nearest double."""
+    """A finite real decimal read at the working precision, else
+    ValueError: at mpmath's global 15 digits a decimal such as 0.3 would
+    become the nearest double."""
     with mp.workdps(ctx.working_dps):
-        x = mp.mpf(text)
-    if not mp.isfinite(x):
-        raise ValueError("not finite")
-    return x
+        return _finite(mp.mpf(text), "decimal")
 
 
 def _parse_z(text: Optional[str], ctx: PrecisionContext):
@@ -105,10 +104,7 @@ def _default_digits() -> int:
 
 def _context(args) -> PrecisionContext:
     digits = args.digits if args.digits is not None else _default_digits()
-    try:
-        return PrecisionContext(digits=digits)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return PrecisionContext(digits=digits)
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -130,10 +126,7 @@ def _cmd_reduce(args) -> int:
     c = _parse_composition(args.composition)
     ctx = _context(args)
     T = _parse_T(args.T, ctx)
-    try:
-        result = reduce_main3(c) if args.allow_nonadmissible else reduce_main(c)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = reduce_main3(c) if args.allow_nonadmissible else reduce_main(c)
     val = eval_pigraded(result.expanded, T if T is not None else 0, ctx)
     if args.format == "json":
         _emit(json.dumps(reduction_to_json(result, ctx, value=val.value), indent=2), args.output)
@@ -178,6 +171,7 @@ def _eval_symbol(args, ctx: PrecisionContext, T):
         return eval_hurwitz_star(c, z, T, ctx)
     if symbol == "multitangent":
         z = _parse_z(args.z, ctx)
+        _require_T(any(tp.t_degree for tp in _bouillot_grades(c).values()), T)
         return eval_multitangent_regularized(c, z, T if T is not None else 0, ctx)
     raise UsageError(f"unknown symbol {symbol!r}")  # pragma: no cover - argparse restricts choices
 
@@ -185,10 +179,7 @@ def _eval_symbol(args, ctx: PrecisionContext, T):
 def _cmd_eval(args) -> int:
     ctx = _context(args)
     T = _parse_T(args.T, ctx)
-    try:
-        v = _eval_symbol(args, ctx, T)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    v = _eval_symbol(args, ctx, T)
     if args.format == "json":
         _emit(
             json.dumps(
@@ -230,14 +221,11 @@ def _cmd_verify(args) -> int:
     T_values = None if args.T is None else tuple(_parse_T(p, ctx) for p in args.T.split(","))
     if (args.k is None) == (args.max_weight is None):
         raise UsageError("verify needs exactly one of --k and --max-weight")
-    try:
-        if args.k is not None:
-            c = _parse_composition(args.k)
-            reports = [_dispatch(args.identity)(c, ctx=ctx, z=z, T_values=T_values)]
-        else:
-            reports = sweep(args.max_weight, args.identity, ctx, z=z, T_values=T_values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.k is not None:
+        c = _parse_composition(args.k)
+        reports = [_dispatch(args.identity)(c, ctx=ctx, z=z, T_values=T_values)]
+    else:
+        reports = sweep(args.max_weight, args.identity, ctx, z=z, T_values=T_values)
     failed = [r for r in reports if r.status == "fail"]
     if args.format == "json":
         rows = [
@@ -273,10 +261,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     ctx = _context(args)
-    try:
-        _check_weight(args.max_weight)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _check_weight(args.max_weight)
     results = []
     for c in compositions_up_to(args.max_weight):
         if not is_admissible(c) or weight(c) % 2 == depth(c) % 2:
@@ -314,7 +299,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("index", help="composition (or order for monotangent)")
     p.add_argument("--a", type=int, default=0, help="shift order for 'shifted'")
     p.add_argument("--z", default=None, help="evaluation point re[,im]; write --z=-0.45,0.1 when re is negative")
-    p.add_argument("--T", default=None, help="regularization value for divergent indices")
+    p.add_argument("--T", default=None,
+                   help="regularization value for divergent indices; a multitangent needs it whenever its "
+                        "reduction to monotangents carries T, also where the T-terms cancel only through "
+                        "MZV relations, as for 1,2,1,2")
     common(p, fmt_choices=("text", "json"))
     p.set_defaults(func=_cmd_eval)
 
@@ -340,7 +328,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, MzvError) as exc:
+    except (UsageError, ValueError) as exc:  # every typed error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

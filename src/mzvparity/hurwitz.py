@@ -100,7 +100,7 @@ from mpmath.libmp import dps_to_prec
 from .errors import DomainError, NonAdmissibleError
 from .harmonic import WordCombo, _decode, as_composition, is_admissible, shift_expand
 from .mzv import _walk, eval_tpoly
-from .precision import Approx, PrecisionContext, _requested_dps
+from .precision import Approx, PrecisionContext, _finite, _requested_dps
 from .regularization import TPoly, regularize
 from .special import bernoulli
 
@@ -437,13 +437,10 @@ def _size_bounds(zkey: tuple, kmax: int, N: int) -> tuple:
 
 def _normalize_z(z, wp: int):
     """z as an mpf, or an mpc with a nonzero imaginary part: an mpf or mpc
-    as it is, anything else, a constant such as ``mp.pi`` too, at wp digits."""
-    zv = z
-    if not isinstance(zv, (mp.mpf, mp.mpc)):
-        with mp.workdps(wp):
-            zv = +z if isinstance(z, mp.constant) else mp.mpmathify(z)
-    if not mp.isfinite(zv):
-        raise DomainError(f"z = {zv} is not finite")
+    as it is, anything else, a constant such as ``mp.pi`` too, at wp digits.
+    A z that is not finite raises DomainError."""
+    with mp.workdps(wp):
+        zv = _finite(+z if isinstance(z, mp.constant) else z, "z")
     if isinstance(zv, mp.mpc) and zv.imag == 0:
         zv = zv.real
     return zv
@@ -583,10 +580,7 @@ def tau_value(z, T_value, ctx: PrecisionContext):
     zv = _normalize_z(z, wp)
     _check_no_pole(zv)
     with mp.workdps(wp):
-        T = mp.mpmathify(T_value)
-        if not mp.isfinite(T):
-            raise DomainError(f"T = {T} is not finite")
-        return T - _psi_gamma(zv, wp)
+        return _finite(T_value, "T") - _psi_gamma(zv, wp)
 
 
 @lru_cache(maxsize=256)
@@ -608,7 +602,7 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
     with mp.workdps(wp):
-        T = mp.mpmathify(T_value)
+        T = _finite(T_value, "T")
     if isinstance(x, (TPoly, WordCombo)):
         return _star(x, zv, T, ctx.working_dps)
     return _star_word(as_composition(x), zv, T, ctx.working_dps)
@@ -616,15 +610,14 @@ def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
 
 def _star(x, zv, T, dps: int) -> Approx:
     """The value of a word, ``WordCombo`` or ``TPoly`` at a normalized z, a
-    T read at wp and working precision dps (see :func:`eval_hurwitz_star`),
-    from :func:`_psi_gamma` and :func:`_direct` alone.  Values depend on a
-    context only through its working precision."""
+    finite T read at wp and working precision dps (see
+    :func:`eval_hurwitz_star`), from :func:`_psi_gamma` and :func:`_direct`
+    alone.  Values depend on a context only through its working precision.
+    The radius |z| <= 1/2 is checked here, on a cache miss only."""
     wp = dps + 10
     with mp.workdps(wp):
         if abs(zv) > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
             raise DomainError("regularized Hurwitz values are evaluated for |z| <= 1/2")
-        if not mp.isfinite(T):
-            raise DomainError(f"T = {T} is not finite")
         if not isinstance(x, TPoly):
             x = regularize(x)
         tau = T - _psi_gamma(zv, wp)

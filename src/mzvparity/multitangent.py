@@ -14,7 +14,6 @@ cache per (order, point, working precision), which
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import log
@@ -122,9 +121,7 @@ def eval_multitangent_direct(
         raise DomainError(
             "direct multitangent sums need first and last part >= 2"
         )
-    zc = complex(z)
-    if not cmath.isfinite(zc):
-        raise DomainError(f"z = {zc} is not finite")
+    zc = complex(_normalize_z(z, ctx.working_dps + 10))
     if abs(zc.imag) == 0 and abs(zc.real - round(zc.real)) < 1e-12:
         raise DomainError("multitangent functions have poles at integer z")
     M = cutoff
@@ -178,7 +175,7 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
     reversed-index generating value at -z, positive indices one at z, and
     a chain passing through a single gap contributes z^(-k_j).  All factors
     are regularized Hurwitz generating values, so no admissibility is
-    required; defined for 0 < |z| <= 1/2.
+    required; defined for 0 < |z| <= 1/2, which the first of them checks.
     """
     c = as_composition(c)
     if not c:
@@ -186,11 +183,8 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
     with mp.workdps(wp):
-        zabs = abs(zv)
-        if zabs == 0:
+        if zv == 0:
             raise DomainError("z = 0 is a pole of the multitangent")
-        if zabs > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
-            raise DomainError("regularized multitangents are evaluated for 0 < |z| <= 1/2")
         total = mp.mpc(0)
         bound = mp.mpf(0)
 

@@ -64,9 +64,9 @@ from typing import Optional
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
-from .errors import DomainError, NonAdmissibleError
+from .errors import NonAdmissibleError
 from .harmonic import WordCombo, _decode, _encode, _grades, as_composition, is_admissible
-from .precision import Approx, PrecisionContext, _requested_dps
+from .precision import Approx, PrecisionContext, _finite, _requested_dps
 from .reduction import PiGradedExpr
 from .regularization import TPoly
 from .special import PiTerm
@@ -110,9 +110,10 @@ class _BoundedCache(dict):
 
 # (int key, dps the kernel ran at) -> mpf, so that a value depends on the
 # word and the requested precision alone.  The caps of this cache and the
-# next are above the largest fills seen, about 97,000 and 290,000.
+# next are above the largest fills seen, about 97,000 and 430,000.
 _MZV_CACHE = _BoundedCache(1 << 17)
-# (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M)
+# (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M),
+# with P the fraction bits of the word that walks the prefix
 _PREFIX_CACHE = _BoundedCache(1 << 19)
 # Requests below this many digits are computed at it: the series cost little
 # more, and requests that fall below it share one cache key.
@@ -142,9 +143,8 @@ def _fraction_bits(dps: int, v: int) -> int:
     then short by under n j units: each term adds one unit of its own and
     the error of level j - 1 divided by m^e >= m, which cancels that
     error's growth in m.  So a series of r <= v blocks is short by under
-    M + v units (M floors of the last level), and by under M + v + 1 units
-    of its own P once it is floored to the bits of its length v.  The guard
-    bits make that at most 2^-prec / (2 v (v + 1)).  A word has one prefix
+    M + v units (M floors of the last level), and the guard bits make
+    M + v + 1 units at most 2^-prec / (2 v (v + 1)).  A word has one prefix
     of each length on each side, and each cut is a product of two series
     below ln 2 < 1, so its value is short by under 2^-prec in all.  v is
     taken as at least 12, so that P is the same for every prefix of every
@@ -195,18 +195,18 @@ def _prefix_values(bits: tuple, dps: int) -> list:
     from the cache, and kept for the rest of the word.  The levels of one
     and two completed blocks are read from :func:`_head_level`, which every
     word of the same M and P shares, and are floored as those built here.
-    A value is cached at the fraction bits of its own length, so that every
-    word shares it.
+    A value is cached under the P of the word that walks it, so that it is
+    a function of its blocks, M and P alone; every word of up to 12 letters
+    has the same P at a given dps, and shares it.
     """
     M = _terms(dps)
     P = _fraction_bits(dps, len(bits))
     values = [1 << P]
     blocks: tuple = ()
     chain = [[1 << P] * (M + 1)]  # chain[j][n]: sum over m_1<...<m_j<=n
-    for v, b in enumerate(bits, 1):
+    for b in bits:
         blocks = blocks + (1,) if b else blocks[:-1] + (blocks[-1] + 1,)
-        Pv = _fraction_bits(dps, v)
-        key = (blocks, M, Pv)
+        key = (blocks, M, P)
         x = _PREFIX_CACHE.get(key)
         if x is None:
             while len(chain) < len(blocks):
@@ -216,9 +216,8 @@ def _prefix_values(bits: tuple, dps: int) -> list:
                 else:
                     chain.append(_next_level(chain[-1], blocks[j - 1], M))
             terms = map(floordiv, chain[-1], _powers(blocks[-1], M))
-            x = sum(map(rshift, terms, range(1, M + 1))) >> (P - Pv)
-            _PREFIX_CACHE[key] = x
-        values.append(x << (P - Pv))
+            x = _PREFIX_CACHE[key] = sum(map(rshift, terms, range(1, M + 1)))
+        values.append(x)
     return values
 
 
@@ -352,10 +351,7 @@ def _eval_at(expr, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -
     dps = _requested_dps(ctx, dps)
     with mp.workprec(_sum_prec(dps)):
         est = _estimate(dps)
-        Ts = [mp.mpmathify(T) for T in T_values]
-        for T in Ts:
-            if not mp.isfinite(T):
-                raise DomainError(f"T = {T} is not finite")
+        Ts = [_finite(T, "T") for T in T_values]
         # the pi level, where there is one, sits above the T level
         levels = [[+mp.pi] * len(Ts), Ts][2 - expr._depth:]
 

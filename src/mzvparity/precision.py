@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
+from .errors import DomainError
 from .harmonic import _is_int
 
 __all__ = ["Approx", "PrecisionContext"]
@@ -59,3 +60,13 @@ def _requested_dps(ctx: PrecisionContext, dps) -> int:
     if not _is_int(dps, 1):
         raise ValueError(f"dps must be an int >= 1, got {dps!r}")
     return dps
+
+
+def _finite(x, name: str):
+    """x read by ``mp.mpmathify`` at the current precision, or DomainError
+    where it is not finite: the one check of every z and T an evaluator
+    reads."""
+    v = mp.mpmathify(x)
+    if not mp.isfinite(v):
+        raise DomainError(f"{name} = {v} is not finite")
+    return v

@@ -49,7 +49,7 @@ from .multitangent import (
     eval_multitangent_regularized,
 )
 from .mzv import _eval_at, _piterm_to_mp, eval_admissible_mzv
-from .precision import PrecisionContext
+from .precision import PrecisionContext, _finite
 from .reduction import (
     PiGradedExpr,
     _bouillot_grades,
@@ -181,7 +181,8 @@ def _skip(identity: str, c: Composition, ctx: PrecisionContext, reason: str) -> 
 
 
 def _T_values(T_values, default: tuple) -> tuple:
-    """The T values to check: ``default`` for None, and never an empty tuple.
+    """The T values to check: ``default`` for None, never an empty tuple,
+    and each finite (else DomainError).
 
     A check over no T values would pass vacuously with residual 0.
     """
@@ -191,8 +192,7 @@ def _T_values(T_values, default: tuple) -> tuple:
     if not T_values:
         raise ValueError("T_values is empty: the identity needs at least one T value")
     for T in T_values:
-        if not mp.isfinite(T):
-            raise ValueError(f"T value {T} is not finite")
+        _finite(T, "T")
     return T_values
 
 

@@ -16,6 +16,7 @@ from mzvparity import (
     IDENTITIES,
     PrecisionContext,
     ResidualReport,
+    compositions_up_to,
     eval_admissible_mzv,
     is_admissible,
 )
@@ -155,6 +156,43 @@ def test_eval_hurwitz_admissible_ignores_T(capsys):
     assert "--T" in capsys.readouterr().err
     assert main(["eval", "hurwitz", "2,1", "--z", "0.3", "--T", "1"]) == 0
     capsys.readouterr()
+
+
+def test_eval_multitangent_asks_for_T_where_its_reduction_carries_T(capsys):
+    # (1, 2, 1, 2) is asked too: its T-terms cancel only through MZV relations
+    for index in ("2,1", "1,2", "1,2,1,2"):
+        assert main(["eval", "multitangent", index, "--z", "0.3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "supply a regularization value with --T" in err, index
+    # (1,) is pi cot(pi z), and (2, 2) converges
+    for index in ("1", "1,1,1", "2,2"):
+        assert main(["eval", "multitangent", index, "--z", "0.3"]) == 0, index
+        capsys.readouterr()
+
+
+def test_eval_multitangent_without_T_only_where_T_drops_out(capsys):
+    def value(out):  # "(a - bj)  (error bound e)" or "a  (error bound e)"
+        return complex(out.split("  (error bound")[0].replace(" ", ""))
+
+    for c in compositions_up_to(4):
+        argv = ["eval", "multitangent", ",".join(map(str, c)), "--z", "0.25,0.2", "--digits", "15"]
+        if main(argv) == 2:
+            assert "--T" in capsys.readouterr().err, c
+            continue
+        free = value(capsys.readouterr().out)
+        assert main(argv + ["--T", "1"]) == 0
+        at_one = value(capsys.readouterr().out)
+        assert abs(free - at_one) <= 1e-12 * (1 + abs(free)), c
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "hurwitz", "2,1", "--z", "0.7", "--T", "0"],
+    ["eval", "multitangent", "2,2", "--z", "0.7"],
+], ids=["hurwitz", "multitangent"])
+def test_z_outside_the_radius_exits_two(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "|z| <= 1/2" in err
 
 
 def test_eval_monotangent_pi_squared(capsys):

@@ -221,10 +221,11 @@ def test_kernel_accuracy_across_precisions(ctx30, dps):
 
 
 def test_words_above_weight_twelve_share_prefix_values(ctx30):
-    # Above weight 12 the fixed-point bits grow with the prefix length, and
-    # each prefix value is cached at the bits of its own length: the values
-    # that heavy words leave behind must serve lighter words.  33 digits is
-    # a precision no other test asks for, so the heavy words come first.
+    # Above weight 12 the fixed-point bits grow with the word's length, and
+    # each prefix value is cached under the bits of the word that walks it:
+    # lighter words that share prefixes with the heavy words walked before
+    # them must still sum to zeta(w).  33 digits is a precision no other
+    # test asks for, so the heavy words come first.
     dps = 33
     with mp.workdps(dps + 20):
         for w, d in ((16, 2), (13, 3), (9, 3)):
@@ -233,6 +234,17 @@ def test_words_above_weight_twelve_share_prefix_values(ctx30):
                 eval_admissible_mzv(c, ctx30, dps=dps).value for c in group if is_admissible(c)
             )
             assert abs(total - mp.zeta(w)) <= mp.mpf(10) ** (-(dps + 4)), (w, d)
+
+
+def test_value_above_weight_twelve_ignores_earlier_words(ctx30):
+    # This weight-15 word has fewer fraction bits than the longer word that
+    # shares its prefixes: its bits must not depend on which came first.
+    c = (3, 1, 2, 1, 2, 1, 2, 1, 2)
+    clear_caches()
+    fresh = eval_admissible_mzv(c, ctx30).value
+    clear_caches()
+    eval_admissible_mzv(c + (1, 2), ctx30)
+    assert eval_admissible_mzv(c, ctx30).value == fresh
 
 
 def _reference_tpoly(tp, T, ctx):
