@@ -439,8 +439,11 @@ def _normalize_z(z, wp: int):
     """z as an mpf, or an mpc with a nonzero imaginary part: an mpf or mpc
     as it is, anything else, a constant such as ``mp.pi`` too, at wp digits.
     A z that is not finite raises DomainError."""
-    with mp.workdps(wp):
-        zv = _finite(+z if isinstance(z, mp.constant) else z, "z")
+    if type(z) in (mp.mpf, mp.mpc) and mp.isfinite(z):
+        zv = z  # as _finite would return it, without entering a context
+    else:
+        with mp.workdps(wp):
+            zv = _finite(+z if isinstance(z, mp.constant) else z, "z")
     if isinstance(zv, mp.mpc) and zv.imag == 0:
         zv = zv.real
     return zv

@@ -18,13 +18,13 @@ with log2 M (M terms) and log2 of the length of the word, as
 word.
 
 The kernel walks each word once from the left and its dual once from the
-right: every cut of the path needs the series of one prefix on each side,
-and the nested sums of the completed blocks are built once per walk and
-reused for all of them.  Prefix values are cached by ``(blocks, M, P)``,
-so words share them.  So are the nested sums of heads of one or two
-completed blocks, by ``(head, M, P)``, which most words begin with; deeper
-levels are built per walk.  A value is returned as an mpf that carries
-the guard bits.
+right: every cut of the path needs the series of one prefix on each side.
+Prefix values are cached by ``(blocks, M, P)``, so words share them.  A
+prefix missing from that cache is summed over the chain level (the nested
+sums) of its completed blocks.  The chain levels of every depth are held
+in one cache by ``(blocks, M, P)``, each built from the level one block
+below it, so a level is built once while it stays among the 64 last used.
+A value is returned as an mpf that carries the guard bits.
 
 The expression evaluators sum in integers, and read an expression's
 storage, integer numerators n over one denominator D, as it is.  An mpf is
@@ -46,8 +46,8 @@ Values are cached by the int key of the word (:mod:`mzvparity.harmonic`),
 which is the word's letters as binary digits, together with the precision
 the kernel ran at: a value is a function of the word and the requested
 precision alone, whatever was computed before it.  The value, prefix and
-power caches are bounded, with caps that no sweep reaches, and the
-shared chain levels keep the 256 last used (at most 9.3 MiB at 100 digits);
+power caches are bounded, with caps that no sweep reaches, and the chain
+levels keep the 64 last used (about 1.9 MiB at 100 digits, 5.4 MiB at 200);
 :func:`mzvparity.clear_caches` empties them.
 """
 
@@ -162,24 +162,17 @@ def _powers(e: int, M: int) -> list:
     return [n**e for n in range(1, M + 1)]
 
 
-# Only heads of one or two blocks are shared: they are shared by the most
-# words and are few, at most 55 per (M, P) up to weight 12 (37 KiB each at
-# 100 digits).  Heads of three blocks would add 56 more levels to the words
-# of weight <= 10 at 100 digits, about 2 MB, 5% of that sweep's peak memory.
-@lru_cache(maxsize=256)
-def _head_level(head: tuple, M: int, P: int) -> list:
-    """The chain level of a head of one or two completed blocks:
+@lru_cache(maxsize=64)
+def _level(blocks: tuple, M: int, P: int) -> list:
+    """The chain level of a tuple of completed blocks (c_1, ..., c_j):
     [floor(2^P sum over m_1 < ... < m_j <= n of prod m_i^(-c_i)) for
-    n = 0..M], floored level by level as :func:`_prefix_values` floors it.
-    Callers must not change the list."""
-    below = _head_level(head[:-1], M, P) if len(head) > 1 else [1 << P] * (M + 1)
-    return _next_level(below, head[-1], M)
-
-
-def _next_level(below: list, e: int, M: int) -> list:
-    """The chain level one block of e above ``below``: entry n is the sum of
-    below[m-1] // m^e over m <= n."""
-    return list(accumulate(map(floordiv, below, _powers(e, M)), initial=0))
+    n = 0..M].  Entry n adds below[m-1] // m^(c_j) over m <= n, with
+    ``below`` the level of ``blocks[:-1]``; the empty tuple gives the
+    constant level 2^P.  Callers must not change the list."""
+    if not blocks:
+        return [1 << P] * (M + 1)
+    below = _level(blocks[:-1], M, P)
+    return list(accumulate(map(floordiv, below, _powers(blocks[-1], M)), initial=0))
 
 
 def _prefix_values(bits: tuple, dps: int) -> list:
@@ -189,33 +182,29 @@ def _prefix_values(bits: tuple, dps: int) -> list:
     A word starting with letter 1 is read as blocks (c_1, ..., c_r), and
     its series at 1/2 is the sum over m_1 < ... < m_r <= M of
     2^(-m_r) prod m_i^(-c_i).  Entry k of the result belongs to the first
-    k letters (entry 0, the empty word, is 1).  Each new letter either opens
-    a block or raises the last one, so the nested sums of the completed
-    blocks only ever gain a level: they are built when a value is missing
-    from the cache, and kept for the rest of the word.  The levels of one
-    and two completed blocks are read from :func:`_head_level`, which every
-    word of the same M and P shares, and are floored as those built here.
-    A value is cached under the P of the word that walks it, so that it is
-    a function of its blocks, M and P alone; every word of up to 12 letters
-    has the same P at a given dps, and shares it.
+    k letters (entry 0, the empty word, is 1).  A value missing from the
+    cache is the last block's sum over the chain level of the completed
+    blocks before it, read from :func:`_level`, the one cache of chain
+    levels at every depth, which every word of the same M and P shares (64
+    levels, about 1.9 MiB at 100 digits and 5.4 MiB at 200).  A value is
+    cached under the P of the word that walks it, so that it is a function
+    of its blocks, M and P alone; every word of up to 12 letters has the
+    same P at a given dps, and shares it.
     """
     M = _terms(dps)
     P = _fraction_bits(dps, len(bits))
     values = [1 << P]
     blocks: tuple = ()
-    chain = [[1 << P] * (M + 1)]  # chain[j][n]: sum over m_1<...<m_j<=n
     for b in bits:
         blocks = blocks + (1,) if b else blocks[:-1] + (blocks[-1] + 1,)
         key = (blocks, M, P)
         x = _PREFIX_CACHE.get(key)
         if x is None:
-            while len(chain) < len(blocks):
-                j = len(chain)
-                if j <= 2:
-                    chain.append(_head_level(blocks[:j], M, P))
-                else:
-                    chain.append(_next_level(chain[-1], blocks[j - 1], M))
-            terms = map(floordiv, chain[-1], _powers(blocks[-1], M))
+            # levels 256 blocks apart first, so that _level recurses at most
+            # that deep after its cache has dropped the levels below
+            for j in range(256, len(blocks) - 1, 256):
+                _level(blocks[:j], M, P)
+            terms = map(floordiv, _level(blocks[:-1], M, P), _powers(blocks[-1], M))
             x = _PREFIX_CACHE[key] = sum(map(rshift, terms, range(1, M + 1)))
         values.append(x)
     return values

@@ -40,15 +40,17 @@ class PrecisionContext:
             n = getattr(self, name)
             if not _is_int(n, 10):
                 raise ValueError(f"{name} must be an int >= 10, got {n!r}")
+        with mp.workdps(self.working_dps):
+            object.__setattr__(self, "_residual_bound", mp.mpf(10) ** (-(self.digits - 5)))
 
     @property
     def working_dps(self) -> int:
         return self.digits + self.guard_digits
 
     def residual_bound(self):
-        """Default residual tolerance 10^-(digits - 5) for identity checks."""
-        with mp.workdps(self.working_dps):
-            return mp.mpf(10) ** (-(self.digits - 5))
+        """Default residual tolerance 10^-(digits - 5) for identity checks,
+        rounded once, at the working precision, when the context is made."""
+        return self._residual_bound
 
 
 def _requested_dps(ctx: PrecisionContext, dps) -> int:

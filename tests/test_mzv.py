@@ -3,6 +3,8 @@
 import hashlib
 import time
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 from mpmath import mp
@@ -29,7 +31,7 @@ from mzvparity import (
     weight,
 )
 from mzvparity import mzv, regularization
-from mzvparity.harmonic import _decode
+from mzvparity.harmonic import _decode, _encode
 
 from oracles import mzv_em_oracle, mzv_truncation_oracle
 
@@ -346,15 +348,52 @@ def test_kernel_bits_pinned(ctx30, dps, max_weight, order):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PINNED_KERNEL_BITS[dps, max_weight]
 
 
-def test_one_and_two_block_heads_are_shared(ctx30):
-    # At 100 digits the 511 words of weight <= 10 have 8 heads of one
-    # completed block and 28 of two, each built once.
+def test_cached_blocks_build_no_level(ctx30, monkeypatch):
+    # The dual of a word walks the word's two prefix chains the other way
+    # round, so once the word's chain levels are cached the dual builds no
+    # level, even with no prefix value cached; its value, equal by
+    # duality, is the same sum and so the same bits.
+    c = (3, 1, 2, 2)
+    bits = mzv._word_bits(_encode(c))
+    dual = _decode(int("".join(str(1 - b) for b in reversed(bits)), 2))
+    assert dual != c
+    builds = []  # one entry per level built, by whatever route
+    monkeypatch.setattr(mzv, "accumulate", lambda *a, **kw: builds.append(a) or accumulate(*a, **kw))
     clear_caches()
-    for c in compositions_up_to(10):
-        if is_admissible(c):
-            eval_admissible_mzv(c, ctx30, dps=100)
-    info = mzv._head_level.cache_info()
-    assert info.currsize == info.misses == 36
+    value = eval_admissible_mzv(c, ctx30, dps=100).value
+    built = len(builds)
+    assert built > 0
+    mzv._MZV_CACHE.clear()
+    mzv._PREFIX_CACHE.clear()
+    assert eval_admissible_mzv(dual, ctx30, dps=100).value._mpf_ == value._mpf_
+    assert len(builds) == built
+
+
+@pytest.mark.parametrize("dps", [30, 100])
+def test_evicted_levels_give_the_same_bits(ctx30, monkeypatch, dps):
+    # With room for two chain levels every walk rebuilds the levels it
+    # needs; the values must not depend on which levels were kept.
+    words = [c for c in compositions_up_to(8) if is_admissible(c)]
+    clear_caches()
+    expected = [eval_admissible_mzv(c, ctx30, dps=dps).value._mpf_ for c in words]
+    clear_caches()
+    monkeypatch.setattr(mzv, "_level", lru_cache(maxsize=2)(mzv._level.__wrapped__))
+    assert [eval_admissible_mzv(c, ctx30, dps=dps).value._mpf_ for c in words] == expected
+    info = mzv._level.cache_info()
+    assert info.currsize <= 2 < info.misses
+
+
+def test_deep_word_with_dropped_levels(ctx30):
+    # The prefixes of a word of 1,200 blocks are cached but its chain
+    # levels are not, so its first missing prefix needs a level 1,200 blocks
+    # deep at once; building it must not exhaust the interpreter's stack.
+    deep = (1,) * 1200
+    clear_caches()
+    expected = eval_admissible_mzv(deep + (3,), ctx30, dps=15).value
+    clear_caches()
+    eval_admissible_mzv(deep + (2,), ctx30, dps=15)
+    mzv._level.cache_clear()
+    assert eval_admissible_mzv(deep + (3,), ctx30, dps=15).value._mpf_ == expected._mpf_
 
 
 def test_caches_stay_within_their_caps(ctx30, monkeypatch):
@@ -369,7 +408,7 @@ def test_caches_stay_within_their_caps(ctx30, monkeypatch):
     for c in words:
         assert eval_admissible_mzv(c, ctx30).value == expected[c], c
         assert len(mzv._MZV_CACHE) <= 10 and len(mzv._PREFIX_CACHE) <= 50
-    for cached in (mzv._powers, mzv._fraction_bits, mzv._estimate, mzv._head_level,
+    for cached in (mzv._powers, mzv._fraction_bits, mzv._estimate, mzv._level,
                    regularization._regularize_divergent):
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
