@@ -13,13 +13,16 @@ integer accumulator ``{s: {word: int}}`` and regularize each grade once
 Every word of the build, in the accumulators and in the cache keys and
 values, is the int key of :mod:`mzvparity.harmonic`; the suffix c[i:] of
 an index is the low bits of its key, and the head c[:i] the bits above.
-The sum over the slots of a suffix c[i:] depends only on that suffix, up
-to the head parity (-1)^(i + k_1 + ... + k_i): it is cached per proper
-suffix (i >= 1), without that sign, as ``{s: {word: int}}`` alone, so
-that a sweep computes it once per process; the shift expansions are
-cached too, and :func:`mzvparity.clear_caches` empties both.  The same
-slot sum, over every middle order s >= 1 of the whole index, is the
-right-hand side of the multitangent identity, with Psi_s(z) in the middle.
+The correction sum is summed slot by slot: for a slot j and a split
+a + s + b of its part, the sum over the cuts i <= j of the head c[:j] is
+A_a(c[:j]) * shift_b(c[j+1:]), and A_a(h) depends only on the head and
+a.  It is cached per (head, a), so that a sweep computes it once per
+process; the shift expansions are cached too, and
+:func:`mzvparity.clear_caches` empties both.  A_0(h) is the antipode sum
+of the quasi-shuffle algebra, zero for every nonempty head, so those
+terms are not computed.  The sum of every slot term of the whole index
+(:func:`_slot_sum`), over every middle order s >= 1, is the right-hand
+side of the multitangent identity, with Psi_s(z) in the middle.
 The regularized grades are summed in one flat ``{(pi_exp, t, word): int}``
 map over the common denominator of their rational weights, which is the
 expression's storage.  The unexpanded display form of a reduction is
@@ -195,36 +198,57 @@ def _slot_sum(w: int, even: bool = True) -> dict:
     return by_s
 
 
-# A sweep reaches each proper suffix from many indices, and the whole index
-# from only one.  Every proper suffix of an index of weight <= 12, the sweep
-# cap, is one of the 2^11 - 1 compositions of weight <= 11.  The cached
-# dicts are shared: callers only read them.  Only the even grades are cached.
-_proper_suffix_slot_sum = lru_cache(maxsize=1 << 11)(_slot_sum)
+# Every index with the head h reads A_a(h).  There are 4,083 pairs (h, a)
+# with h nonempty, a >= 1 and weight(h) + a <= 12, the sweep cap, and
+# A_0(()) is one more.  The cached dicts are shared: callers only read them.
+@lru_cache(maxsize=1 << 12)
+def _head_sum(h: int, a: int) -> dict:
+    """A_a(h) = sum_i (-1)^i star(h[:i]) * shift_a(rev h[i:]), 0 <= i <= |h|.
+
+    A {word: int} map without zeros.  A_0(h) is the antipode sum of the
+    quasi-shuffle algebra, zero for every nonempty h (:func:`antipode_combo`
+    regularizes it), and A_0(()) = 1; A_a(()) = 0 for a >= 1.
+    """
+    c = _decode(h)
+    acc: dict = {}
+    for i in range(len(c) + 1):
+        rev_tail = _encode(c[i:][::-1])
+        _add_stuffle(acc, _star_ints(_encode(c[:i])), _shift(a, rev_tail), -1 if i % 2 else 1)
+    return {w: n for w, n in acc.items() if n}
 
 
 def _triple_terms(w: int, grades: dict) -> None:
     """Add the double-index correction sum to ``grades``.
 
-    The term of an index 0 <= i < d, a slot of c[i:] and a split
-    a + s + b of its part, s even, is
-    ``sign * C_s * pi^s * star(k_1..k_i) * shift_a(mid) * shift_b(tail)``
-    with sign = (-1)^(s/2+i+a+k_1+...+k_j).  For every i the slot sum of
-    the suffix c[i:] (:func:`_slot_sum`, cached for i >= 1) is multiplied
-    by the star head and by the head parity (-1)^(i + k_1 + ... + k_i)
-    times (-1)^(s/2), and its grade s is added to the integer accumulator
-    ``grades[s]`` ({word: int}); the caller applies C_s.
-    The suffix c[i:] is w below its (i+1)-th highest 1 bit, that bit
-    included, and the head is w above it.
+    The term of a cut i <= j, a slot j and a split a + s + b of k_j, s even,
+    is ``sign * C_s * pi^s * star(c[:i]) * shift_a(rev c[i:j]) * shift_b(c[j+1:])``
+    with sign = (-1)^(s/2+i+a+k_1+...+k_j).  Summed over i it is
+    ``(-1)^(s/2+a+k_1+...+k_j) * A_a(c[:j]) * shift_b(c[j+1:])``
+    (:func:`_head_sum`), which is added as stuffle words to the integer
+    accumulator ``grades[s]`` ({word: int}); the caller applies C_s.  Slot
+    0 takes only a = 0, as A_a(()) = 0 for a >= 1, and the later slots only
+    a >= 1, as A_0(h) = 0; a shift of an empty tail is zero unless b = 0.
+    The grades are added first, in the order in which :func:`_slots`
+    reaches them, which is the order of the pi-grades of the expression.
+    The slot j is the (j+1)-th highest 1 bit of w: the head c[:j] is w
+    above that bit, and the tail c[j+1:] is w below it.
     """
+    for _, _, s, *_ in _slots(_decode(w), even=True):
+        grades.setdefault(s, {})
     suffix = w
-    for i in range(w.bit_count()):
+    while suffix:
         n = suffix.bit_length()
-        slot_sum = _proper_suffix_slot_sum if i else _slot_sum
-        h = -1 if (i + w.bit_length() - n) % 2 else 1
-        head = _star_ints(w >> n)
-        for s, words in slot_sum(suffix).items():
-            _add_stuffle(grades.setdefault(s, {}), head, words, -h if s % 4 else h)
-        suffix ^= 1 << (n - 1)
+        tail = suffix ^ (1 << (n - 1))
+        k = n - tail.bit_length()
+        head = w >> n
+        head_parity = (w.bit_length() - n) % 2
+        for a in range(1, k + 1) if head else (0,):
+            for b in range(k - a + 1 if tail else 1):
+                s = k - a - b
+                if not s % 2:
+                    sign = -1 if (s // 2 + a + head_parity) % 2 else 1
+                    _add_stuffle(grades[s], _head_sum(head, a), _shift(b, tail), sign)
+        suffix = tail
 
 
 def _add_all_ones(parts: list, c: Composition, coeff) -> None:

@@ -24,6 +24,11 @@ symmetrically in float64, against the cotangent closed form of
 ``multitangent.eval_monotangent``, and :func:`multitangent_regularized_series`
 is the literal truncated double-sum form of
 ``multitangent.eval_multitangent_regularized``.
+
+Reductions.  :func:`triple_terms_by_suffix` is exact, not an
+:class:`Approx`: it expands the double-index correction sum of
+``reduction._triple_terms`` suffix by suffix, the slot sum of each suffix
+times its star head, without leaving out the terms that cancel.
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ import numpy as np
 from mpmath import mp
 
 from mzvparity.errors import DomainError, NonAdmissibleError
-from mzvparity.harmonic import as_composition, is_admissible
+from mzvparity.harmonic import _add_stuffle, _star_ints, as_composition, is_admissible
 from mzvparity.hurwitz import _normalize_z, eval_shifted, shifted_tpoly
 from mzvparity.mzv import eval_admissible_mzv, eval_tpoly
 from mzvparity.precision import Approx, PrecisionContext
+from mzvparity.reduction import _slot_sum
 from mzvparity.special import bernoulli
 
 __all__ = [
@@ -48,6 +54,7 @@ __all__ = [
     "mzv_em_oracle",
     "mzv_truncation_oracle",
     "tau_series",
+    "triple_terms_by_suffix",
 ]
 
 
@@ -288,3 +295,28 @@ def multitangent_regularized_series(
         if (not isinstance(total, mp.mpc)) or total.imag == 0:
             total = total.real if isinstance(total, mp.mpc) else total
         return Approx(total, tail_est)
+
+
+# ---------------------------------------------------------------------------
+# reductions
+# ---------------------------------------------------------------------------
+
+
+def triple_terms_by_suffix(w: int, grades: dict) -> None:
+    """The per-suffix form of ``reduction._triple_terms(w, grades)``.
+
+    For every suffix c[i:] of the index w, 0 <= i < d, adds its even slot
+    sum (``reduction._slot_sum``) times the star head star(c[:i]) and the
+    sign (-1)^(i + k_1 + ... + k_i + s/2) to ``grades[s]``.  The suffix is
+    w below its (i+1)-th highest 1 bit, that bit included, and the head is
+    w above it.  Every product is computed, also the a = 0 terms of the
+    slots after the first, whose sum over i cancels.
+    """
+    suffix = w
+    for i in range(w.bit_count()):
+        n = suffix.bit_length()
+        h = -1 if (i + w.bit_length() - n) % 2 else 1
+        head = _star_ints(w >> n)
+        for s, words in _slot_sum(suffix).items():
+            _add_stuffle(grades.setdefault(s, {}), head, words, -h if s % 4 else h)
+        suffix ^= 1 << (n - 1)

@@ -25,6 +25,7 @@ ORACLES = {
     "mzv_em_oracle",
     "mzv_truncation_oracle",
     "tau_series",
+    "triple_terms_by_suffix",
 }
 
 
@@ -55,7 +56,7 @@ def test_every_module_name_resolves():
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), (mod.__name__, name)
         assert not ORACLES & set(vars(mod)), mod.__name__
-    assert len(oracles.__all__) == 6 and set(oracles.__all__) == ORACLES
+    assert len(oracles.__all__) == 7 and set(oracles.__all__) == ORACLES
 
 
 # the modules that hold caches and how many, in the order of ``cache_info``

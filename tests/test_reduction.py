@@ -26,13 +26,16 @@ from mzvparity import (
     regularize,
     shift_expand,
     star_expand,
+    stuffle,
     sweep,
     weight,
 )
 from mzvparity import reduction, regularization
-from mzvparity.harmonic import _encode
+from mzvparity.harmonic import Composition, _add_stuffle, _decode, _encode, _star_ints
 from mzvparity.render import latex_reduction, render_display_text, render_expanded_text
 from mzvparity.special import delta
+
+from oracles import triple_terms_by_suffix
 
 
 def test_reduce_single_two_is_pi_squared_over_six():
@@ -139,36 +142,122 @@ def test_exact_output_pinned():
 
 # (rows, sha256) of the terms in stored order: reduce_main3 on every
 # opposite-parity index up to weight 8 and main2 up to weight 7, recorded
-# before the words of the exact layer became int keys.
-_ORDER_MAIN3 = (3644, "413b5fd83b6f02bcce5607db35c53cc0f4e9d8dcb82a6cd3f72d72a60790d99d")
-_ORDER_MAIN2 = (1963, "c8373cf4bd7ebedcca0c725a35310c8f9abc619b1e536889a826364818e1cff9")
+# when the correction sum came to be summed slot by slot (_head_sum).
+_ORDER_MAIN3 = (3644, "3d78ac044f05269393c9c80300183515473c99c01b46ca320fc0d489206ed8ef")
+_ORDER_MAIN2 = (1963, "e772de9a97027a10bc48c58ae2a7542ce7543ddde5109ff0e1e5517f2b149d4d")
 
 
 def test_term_order_pinned():
     """The terms are stored in the order in which the accumulators first
-    reach them.  The evaluators sum a grade exactly, in integers, so no
-    pinned float shows the order within a grade; this test holds it."""
+    reach them: the pi-grades in the order of the slot splits, and within
+    a pi-grade the T-grades and words in the order of the slot-by-slot
+    sum.  That order within a pi-grade decides the order in which the
+    evaluators add the T-grades up in floating point; this test holds it,
+    and :func:`test_pi_grade_order_pinned` holds the pi-grades alone."""
     indices = [c for c in compositions_up_to(8) if weight(c) % 2 != depth(c) % 2]
     assert _pinned_rows(indices, lambda c: reduce_main3(c).expanded, ordered=True) == _ORDER_MAIN3
     assert _pinned_rows(compositions_up_to(7), build_main2_identity, ordered=True) == _ORDER_MAIN2
 
 
+# (expressions, sha256) of the pi-exponents of every main, main2 and main3
+# expression of weight <= 10, each in stored order; recorded while the
+# correction sum was still summed suffix by suffix.
+_PI_GRADE_ORDER = (1790, "a755441562e52d1f875b3e0b71c6c1ff06b176ec6005abfdb73a484a9268ada2")
+
+
+def test_pi_grade_order_pinned():
+    """The evaluators add the pi-grades up in their stored order, so this
+    order is what the floats of a report see beyond the T-grades."""
+    odd = [c for c in compositions_up_to(10) if weight(c) % 2 != depth(c) % 2]
+    builds = {
+        "main": ([c for c in odd if is_admissible(c)], lambda c: reduce_main(c).expanded),
+        "main2": (list(compositions_up_to(10)), build_main2_identity),
+        "main3": (odd, lambda c: reduce_main3(c).expanded),
+    }
+    rows = [
+        (kind, c, tuple(p for p, _ in build(c).items()))
+        for kind, (indices, build) in builds.items()
+        for c in indices
+    ]
+    assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == _PI_GRADE_ORDER
+
+
+def _nonzero(grades: dict) -> dict:
+    """``grades`` without zero coefficients and without empty grades."""
+    nonzero = {s: {w: n for w, n in words.items() if n} for s, words in grades.items()}
+    return {s: words for s, words in nonzero.items() if words}
+
+
+def test_triple_terms_match_the_per_suffix_oracle(monkeypatch):
+    """Slot by slot, with the a = 0 terms that the antipode cancels left
+    out, the correction sum has the nonzero grades of the per-suffix sum,
+    in the same order, from the grade-0 seeds of both builders."""
+    calls = []
+    triple_terms = reduction._triple_terms
+
+    def both(w, grades):
+        expected = copy.deepcopy(grades)
+        triple_terms(w, grades)
+        triple_terms_by_suffix(w, expected)
+        assert list(grades) == list(expected), _decode(w)
+        assert _nonzero(grades) == _nonzero(expected), _decode(w)
+        calls.append(w)
+
+    monkeypatch.setattr(reduction, "_triple_terms", both)
+    for c in compositions_up_to(9):
+        build_main2_identity(c)
+        if weight(c) % 2 != depth(c) % 2:
+            reduce_main3(c)
+    assert len(calls) == 511 + 255
+
+
+def _antipode_ints(h: Composition, flip: int = -1) -> dict:
+    """sum_i (-1)^i star(h[:i]) * rev(h[i:]), 0 <= i <= |h|, through the
+    int-key stuffle, with the sign of the term i = ``flip`` reversed."""
+    acc: dict = {}
+    for i in range(len(h) + 1):
+        sign = (-1 if i % 2 else 1) * (-1 if i == flip else 1)
+        _add_stuffle(acc, _star_ints(_encode(h[:i])), {_encode(h[i:][::-1]): 1}, sign)
+    return {w: n for w, n in acc.items() if n}
+
+
+def test_antipode_sum_is_zero_before_regularization():
+    """The a = 0 terms of every slot after the first sum to the antipode
+    sum of the head, which is zero as a combination of words, before any
+    regularization; reversing the sign of any one term leaves it nonzero."""
+    heads = list(compositions_up_to(8))
+    assert len(heads) == 255
+    for h in heads:
+        assert _antipode_ints(h) == {}, h
+        public = sum(
+            (stuffle(star_expand(h[:i]), h[i:][::-1]) * (-1) ** i for i in range(len(h) + 1)),
+            WordCombo.zero(),
+        )
+        assert public.is_zero, h
+        for i in range(len(h) + 1):
+            assert _antipode_ints(h, flip=i), (h, i)
+
+
 def test_clear_caches_rebuilds_the_pinned_output():
     clear_caches()
-    for cached in (reduction._proper_suffix_slot_sum, reduction._shift, reduction._bernoulli_weight):
+    for cached in (reduction._head_sum, reduction._shift, reduction._bernoulli_weight):
         info = cached.cache_info()
         assert info.currsize == 0 and info.maxsize is not None
-    # reversed, so that the suffixes are cached in another order
+    # reversed, so that the head sums are cached in another order
     indices = _opposite_admissible(8)[::-1]
     assert _pinned_rows(indices, lambda c: reduce_main(c).expanded) == _PINNED_MAIN
     assert _pinned_rows(list(compositions_up_to(7))[::-1], build_main2_identity) == _PINNED_MAIN2
 
 
 def test_sweep_leaves_shared_cache_entries_unchanged(ctx30):
-    """The cached slot sums, shift expansions and regularized words are
+    """The cached head sums, shift expansions and regularized words are
     shared dicts: a sweep that reads them must not change them."""
     def entries():
-        suffixes = [reduction._proper_suffix_slot_sum(_encode(s)) for s in compositions_up_to(6)]
+        heads = [
+            reduction._head_sum(_encode(h), a)
+            for h in compositions_up_to(6)
+            for a in range(1, 8 - weight(h))
+        ]
         shifts = [
             reduction._shift(a, _encode(w))
             for w in [(), *compositions_up_to(7)]
@@ -179,7 +268,7 @@ def test_sweep_leaves_shared_cache_entries_unchanged(ctx30):
             for w in compositions_up_to(7)
             if not is_admissible(w)
         ]
-        return suffixes + shifts + divergent
+        return heads + shifts + divergent
 
     clear_caches()
     sweep(7, "main2", ctx30)
