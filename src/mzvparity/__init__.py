@@ -48,12 +48,13 @@ from .reduction import (
     DisplayTerm,
     PiGradedExpr,
     ReductionResult,
+    antipode_combo,
     build_main2_identity,
     expand_depth_certificate,
     reduce_main,
     reduce_main3,
 )
-from .regularization import TPoly, antipode_combo, regularize
+from .regularization import TPoly, regularize
 from .special import PiTerm, bernoulli, delta, even_zeta
 from .verify import (
     IDENTITIES,

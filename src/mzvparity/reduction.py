@@ -11,8 +11,7 @@ So reductions add the unregularized stuffle words of each grade to an
 integer accumulator ``{s: {word: int}}`` and regularize each grade once
 (regularization is linear), in integers over the grade's largest r!.
 Every word of the build, in the accumulators and in the cache keys and
-values, is the int key of :mod:`mzvparity.harmonic`; the suffix c[i:] of
-an index is the low bits of its key, and the head c[:i] the bits above.
+values, is the int key of :mod:`mzvparity.harmonic`.
 The correction sum is summed slot by slot: for a slot j and a split
 a + s + b of its part, the sum over the cuts i <= j of the head c[:j] is
 A_a(c[:j]) * shift_b(c[j+1:]), and A_a(h) depends only on the head and
@@ -72,6 +71,7 @@ __all__ = [
     "DisplayTerm",
     "PiGradedExpr",
     "ReductionResult",
+    "antipode_combo",
     "build_main2_identity",
     "expand_depth_certificate",
     "reduce_main",
@@ -225,30 +225,31 @@ def _triple_terms(w: int, grades: dict) -> None:
     with sign = (-1)^(s/2+i+a+k_1+...+k_j).  Summed over i it is
     ``(-1)^(s/2+a+k_1+...+k_j) * A_a(c[:j]) * shift_b(c[j+1:])``
     (:func:`_head_sum`), which is added as stuffle words to the integer
-    accumulator ``grades[s]`` ({word: int}); the caller applies C_s.  Slot
-    0 takes only a = 0, as A_a(()) = 0 for a >= 1, and the later slots only
-    a >= 1, as A_0(h) = 0; a shift of an empty tail is zero unless b = 0.
-    The grades are added first, in the order in which :func:`_slots`
-    reaches them, which is the order of the pi-grades of the expression.
-    The slot j is the (j+1)-th highest 1 bit of w: the head c[:j] is w
-    above that bit, and the tail c[j+1:] is w below it.
+    accumulator ``grades[s]`` ({word: int}); the caller applies C_s.  The
+    terms are read from :func:`_slots`, with its sign; the a = 0 terms of a
+    nonempty head are left out, as A_0(h) = 0.  Every grade is added when
+    :func:`_slots` first reaches it, which is the order of the pi-grades of
+    the expression.
     """
-    for _, _, s, *_ in _slots(_decode(w), even=True):
-        grades.setdefault(s, {})
-    suffix = w
-    while suffix:
-        n = suffix.bit_length()
-        tail = suffix ^ (1 << (n - 1))
-        k = n - tail.bit_length()
-        head = w >> n
-        head_parity = (w.bit_length() - n) % 2
-        for a in range(1, k + 1) if head else (0,):
-            for b in range(k - a + 1 if tail else 1):
-                s = k - a - b
-                if not s % 2:
-                    sign = -1 if (s // 2 + a + head_parity) % 2 else 1
-                    _add_stuffle(grades[s], _head_sum(head, a), _shift(b, tail), sign)
-        suffix = tail
+    for mid, a, s, b, tail, sign in _slots(_decode(w), even=True):
+        terms = grades.setdefault(s, {})
+        if a or not mid:
+            sign *= -1 if s % 4 else 1  # (-1)^(s/2)
+            _add_stuffle(terms, _head_sum(_encode(mid[::-1]), a), _shift(b, _encode(tail)), sign)
+
+
+def antipode_combo(j: int, c) -> TPoly:
+    """Alternating star/reversed-plain convolution, regularized.
+
+    Returns the regularized expansion of
+    ``sum_{i=0..j} (-1)^i  star(k_1..k_i) * (k_j, ..., k_{i+1})``, which is
+    A_0(c[:j]) (:func:`_head_sum`).  The result is exactly zero for every
+    j >= 1 and the unit for j = 0.
+    """
+    c = as_composition(c)
+    if not _is_int(j, 0) or j > len(c):
+        raise ValueError(f"j must be an int with 0 <= j <= depth, got j={j!r} for {c!r}")
+    return regularize(WordCombo._raw(1, _head_sum(_encode(c[:j]), 0)))
 
 
 def _add_all_ones(parts: list, c: Composition, coeff) -> None:

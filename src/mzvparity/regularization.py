@@ -42,20 +42,17 @@ from typing import Mapping, Union
 
 from .harmonic import (
     WordCombo,
-    _add_stuffle,
     _encode,
     _grade_major,
     _iadd,
     _is_int,
     _SparseMap,
-    _star_ints,
     _storage,
     _stuffle_words,
-    as_composition,
     is_admissible,
 )
 
-__all__ = ["TPoly", "antipode_combo", "regularize"]
+__all__ = ["TPoly", "regularize"]
 
 
 class TPoly(_SparseMap):
@@ -181,20 +178,3 @@ def regularize(x) -> TPoly:
     D, words = _storage(x)
     R, acc = _regularize_ints(words)
     return TPoly._raw(D * R, {(t, w): n for t, terms in acc.items() for w, n in terms.items()})
-
-
-def antipode_combo(j: int, c) -> TPoly:
-    """Alternating star/reversed-plain convolution, regularized.
-
-    Returns the regularized expansion of
-    ``sum_{i=0..j} (-1)^i  star(k_1..k_i) * (k_j, ..., k_{i+1})``.
-    The result is exactly zero for every j >= 1 and the unit for j = 0.
-    """
-    c = as_composition(c)
-    if not 0 <= j <= len(c):
-        raise ValueError(f"j must satisfy 0 <= j <= depth, got j={j} for {c!r}")
-    words: dict = {}
-    for i in range(j + 1):
-        tail = {_encode(c[i:j][::-1]): 1}
-        _add_stuffle(words, _star_ints(_encode(c[:i])), tail, -1 if i % 2 else 1)
-    return regularize(WordCombo._raw(1, words))

@@ -211,6 +211,16 @@ def test_triple_terms_match_the_per_suffix_oracle(monkeypatch):
     assert len(calls) == 511 + 255
 
 
+def test_correction_sum_reads_the_slot_enumerator(monkeypatch):
+    """The correction sum has no slot walk of its own: with :func:`_slots`
+    yielding nothing, only the grade-0 contractions (plain - star)/2 stay."""
+    c = (2, 1, 3)
+    full = reduce_main3(c).expanded
+    monkeypatch.setattr(reduction, "_slots", lambda c, even: iter(()))
+    contractions = (regularize(c) - regularize(star_expand(c))) * Fraction(1, 2)
+    assert reduce_main3(c).expanded == PiGradedExpr({0: contractions}) != full
+
+
 def _antipode_ints(h: Composition, flip: int = -1) -> dict:
     """sum_i (-1)^i star(h[:i]) * rev(h[i:]), 0 <= i <= |h|, through the
     int-key stuffle, with the sign of the term i = ``flip`` reversed."""

@@ -16,6 +16,7 @@ from mzvparity import (
     WordCombo,
     antipode_combo,
     build_main2_identity,
+    clear_caches,
     compositions_up_to,
     is_admissible,
     reduce_main,
@@ -25,7 +26,7 @@ from mzvparity import (
     star_expand,
     stuffle,
 )
-from mzvparity import regularization
+from mzvparity import reduction, regularization
 from mzvparity.harmonic import _decode, _encode
 
 
@@ -235,6 +236,17 @@ def test_antipode_rejects_bad_j():
         antipode_combo(3, (1, 2))
     with pytest.raises(ValueError):
         antipode_combo(-1, (1, 2))
+    for j in (True, 1.0):
+        with pytest.raises(ValueError):
+            antipode_combo(j, (1, 2))
+
+
+def test_antipode_reads_the_head_sum_cache():
+    """antipode_combo regularizes A_0 of the head as the correction sum
+    caches it, so that one module computes the alternating cut sum."""
+    clear_caches()
+    assert antipode_combo(2, (1, 2, 3)).is_zero
+    assert reduction._head_sum.cache_info().misses == 1
 
 
 def test_antipode_exhaustive_small():
