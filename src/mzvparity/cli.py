@@ -52,9 +52,11 @@ class UsageError(Exception):
 
 
 def _parse_composition(text: str):
+    parts = text.split(",")
+    if not any(p.strip() for p in parts):  # blank parts only: the empty index
+        return ()
     try:
-        parts = [int(p) for p in text.split(",") if p.strip() != ""]
-        return as_composition(parts)
+        return as_composition([int(p) for p in parts])
     except ValueError as exc:
         raise UsageError(f"invalid composition {text!r}: {exc}") from None
 

@@ -111,15 +111,11 @@ def slot_splits(c: Composition) -> Iterator[tuple]:
 
 
 def compositions_of(w: int) -> Iterator[Composition]:
-    """All compositions of ``w``, in lexicographic order."""
+    """All compositions of ``w``, in lexicographic order: the int keys of
+    weight w, in descending order."""
     if w < 0:
-        return
-    if w == 0:
-        yield ()
-        return
-    for first in range(1, w + 1):
-        for rest in compositions_of(w - first):
-            yield (first,) + rest
+        return iter(())
+    return map(_decode, range((1 << w) - 1, (1 << w >> 1) - 1, -1))
 
 
 def compositions_up_to(max_weight: int) -> Iterator[Composition]:

@@ -14,6 +14,7 @@ cache per (order, point, working precision), which
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import log
@@ -35,6 +36,7 @@ __all__ = [
 
 
 _MONO_POLYS: list = [None, (Fraction(0), Fraction(1))]  # Q_1(x) = x
+_MONO_POLYS_LOCK = threading.Lock()
 
 
 def _mono_poly(s: int) -> tuple:
@@ -43,15 +45,16 @@ def _mono_poly(s: int) -> tuple:
     Recursion via Psi_{s+1} = -(1/s) dPsi_s/dz and (cot)' = -pi (1+cot^2):
     Q_{s+1}(x) = Q_s'(x) (1+x^2) / s.
     """
-    while len(_MONO_POLYS) <= s:
-        prev = _MONO_POLYS[-1]
-        n = len(_MONO_POLYS) - 1  # prev is Q_n
-        dq = tuple(prev[i + 1] * (i + 1) for i in range(len(prev) - 1))
-        nxt = [Fraction(0)] * (len(dq) + 2)
-        for i, ci in enumerate(dq):
-            nxt[i] += ci
-            nxt[i + 2] += ci
-        _MONO_POLYS.append(tuple(x / n for x in nxt))
+    with _MONO_POLYS_LOCK:
+        while len(_MONO_POLYS) <= s:
+            prev = _MONO_POLYS[-1]
+            n = len(_MONO_POLYS) - 1  # prev is Q_n
+            dq = tuple(prev[i + 1] * (i + 1) for i in range(len(prev) - 1))
+            nxt = [Fraction(0)] * (len(dq) + 2)
+            for i, ci in enumerate(dq):
+                nxt[i] += ci
+                nxt[i + 2] += ci
+            _MONO_POLYS.append(tuple(x / n for x in nxt))
     return _MONO_POLYS[s]
 
 

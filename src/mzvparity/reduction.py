@@ -4,9 +4,9 @@ The central objects are pi^2-graded combinations of T-polynomials
 (:class:`PiGradedExpr`: terms under keys ``(pi_exp, t, word)`` in the
 integer sparse map that ``TPoly`` and ``WordCombo`` share, read as
 pi-exponent -> ``TPoly``).  Within one pi-grade s every term of the
-double-index correction sum has the same rational weight 2^s B_s / s!,
-up to sign, and star, shift and stuffle expansions have integer
-coefficients.
+double-index correction sum has the same rational weight, a multiple of
+the middle factor 2 zeta(s) / pi^s (:func:`_two_zeta`), and star, shift
+and stuffle expansions have integer coefficients.
 So reductions add the unregularized stuffle words of each grade to an
 integer accumulator ``{s: {word: int}}`` and regularize each grade once
 (regularization is linear), in integers over the grade's largest r!.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import factorial, lcm
+from math import lcm
 
 from .errors import NonAdmissibleError, ParityError
 from .harmonic import (
@@ -65,7 +65,7 @@ from .harmonic import (
     weight,
 )
 from .regularization import TPoly, _regularize_ints, regularize
-from .special import bernoulli, delta
+from .special import delta, even_zeta
 
 __all__ = [
     "DisplayTerm",
@@ -147,22 +147,21 @@ class ReductionResult:
             for i in range(len(c))
             if not delta(c[i:]).is_zero
         )
-        scaled = {s: -half * _bernoulli_weight(s) for s in range(0, max(c) + 1, 2)}
         for i in range(len(c)):
             h = -1 if (i + weight(c[:i])) % 2 else 1
             head = (("star", c[:i]),) if i else ()
             for mid, a, s, b, tail, sign in _slots(c[i:], even=True):
                 shifts = tuple(("shift", e, w) for e, w in ((a, mid), (b, tail)) if w)
-                sign *= -h if s % 4 else h  # the head parity and (-1)^(s/2)
-                terms.append(DisplayTerm(sign * scaled[s], s, head + shifts))
+                terms.append(DisplayTerm(half * _two_zeta(s) * sign * h, s, head + shifts))
         return tuple(terms)
 
 
-# Called per grade of a build and per s of a display form; s <= 12 at the sweep cap.
+# Called per grade of a build and per term of a display form; s <= 12 at the sweep cap.
 @lru_cache(maxsize=64)
-def _bernoulli_weight(s: int) -> Fraction:
-    """C_s = 2^s B_s / s!, the rational part of (2 pi)^s B_s / s!."""
-    return Fraction(2**s) * bernoulli(s) / factorial(s)
+def _two_zeta(s: int) -> Fraction:
+    """2 zeta(s) / pi^s for an even s >= 0, the middle factor of an even
+    slot term (the z^0 coefficient of Psi_s); -1 at s = 0, as zeta(0) = -1/2."""
+    return 2 * even_zeta(s // 2).coeff if s else Fraction(-1)
 
 
 # Mids and tails recur across the suffixes of an index and across indices.
@@ -221,20 +220,19 @@ def _triple_terms(w: int, grades: dict) -> None:
     """Add the double-index correction sum to ``grades``.
 
     The term of a cut i <= j, a slot j and a split a + s + b of k_j, s even,
-    is ``sign * C_s * pi^s * star(c[:i]) * shift_a(rev c[i:j]) * shift_b(c[j+1:])``
-    with sign = (-1)^(s/2+i+a+k_1+...+k_j).  Summed over i it is
-    ``(-1)^(s/2+a+k_1+...+k_j) * A_a(c[:j]) * shift_b(c[j+1:])``
+    is ``sign * star(c[:i]) * shift_a(rev c[i:j]) * shift_b(c[j+1:])`` in
+    grade s, with sign = (-1)^(i+a+k_1+...+k_j).  Summed over i it is
+    ``(-1)^(a+k_1+...+k_j) * A_a(c[:j]) * shift_b(c[j+1:])``
     (:func:`_head_sum`), which is added as stuffle words to the integer
-    accumulator ``grades[s]`` ({word: int}); the caller applies C_s.  The
-    terms are read from :func:`_slots`, with its sign; the a = 0 terms of a
-    nonempty head are left out, as A_0(h) = 0.  Every grade is added when
-    :func:`_slots` first reaches it, which is the order of the pi-grades of
-    the expression.
+    accumulator ``grades[s]`` ({word: int}); the caller applies a multiple
+    of the middle factor :func:`_two_zeta`.  The terms are read from
+    :func:`_slots`, with its sign; the a = 0 terms of a nonempty head are
+    left out, as A_0(h) = 0.  Every grade is added when :func:`_slots`
+    first reaches it, which is the order of the pi-grades of the expression.
     """
     for mid, a, s, b, tail, sign in _slots(_decode(w), even=True):
         terms = grades.setdefault(s, {})
         if a or not mid:
-            sign *= -1 if s % 4 else 1  # (-1)^(s/2)
             _add_stuffle(terms, _head_sum(_encode(mid[::-1]), a), _shift(b, _encode(tail)), sign)
 
 
@@ -299,7 +297,7 @@ def reduce_main3(c) -> ReductionResult:
     Returns the exact right-hand side of the regularized reduction: the
     halved difference of the plain and star values (whose depth-d words
     cancel), the correction sum over all-ones tails, and the double-index
-    correction sum with (2 pi)^(2m) Bernoulli coefficients.
+    correction sum with the middle factors 2 zeta(s).
     """
     c = _opposite_parity(c)
     scale = Fraction(-1, 2)
@@ -308,13 +306,13 @@ def reduce_main3(c) -> ReductionResult:
         _add_all_ones(parts, c, scale)
 
     # (plain - star)/2: the depth-d words cancel, leaving the proper
-    # contractions, which join grade 0 of the correction sum (C_0 = 1)
+    # contractions, which join grade 0 of the correction sum (2 zeta(0) = -1)
     # under the common scale -1/2.
     w = _encode(c)
     grades = {0: _star_ints(w)}
     del grades[0][w]
     _triple_terms(w, grades)
-    parts += ((s, scale * _bernoulli_weight(s), words) for s, words in grades.items())
+    parts += ((s, -scale * _two_zeta(s), words) for s, words in grades.items())
     return ReductionResult(c, _sum_regularized(parts))
 
 
@@ -347,15 +345,15 @@ def build_main2_identity(c) -> PiGradedExpr:
     sign_w = -1 if w % 2 else 1
     parts: list = []
 
-    # The RHS contains (-1)^w times the double-index sum, so every grade of
-    # LHS - RHS carries the scale -(-1)^w.  The LHS
-    # (-1)^d star(c) - (-1)^w plain(c) joins grade 0 divided by that scale.
+    # The RHS holds (-1)^w times the double-index sum, whose grade s carries
+    # -2 zeta(s), so grade s of LHS - RHS carries (-1)^w 2 zeta(s).  The LHS
+    # (-1)^d star(c) - (-1)^w plain(c) joins grade 0 divided by its weight.
     key = _encode(c)
     lhs = {word: -sign_w * sign_d for word in _star_ints(key)}
     lhs[key] += 1
     grades = {0: lhs}
     _triple_terms(key, grades)
-    parts += ((s, -sign_w * _bernoulli_weight(s), words) for s, words in grades.items())
+    parts += ((s, sign_w * _two_zeta(s), words) for s, words in grades.items())
 
     # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail),
     # and (-1)^i = (-1)^d on every nonzero term
@@ -368,10 +366,9 @@ def _fund_eq2_sides(c: Composition) -> tuple:
     """``(lhs, rhs)`` of the reflection identity for the z^0 coefficient.
 
     lhs sums sign * reg(rev_head * tail) over the d+1 cuts of :func:`splits`.
-    rhs is delta(c) plus the slot sum of c with the middle 2 zeta(s), where
-    2 zeta(s) = -(-1)^(s/2) C_s pi^s for even s and 2 zeta(0) = -1 = -C_0:
-    delta(c) - sum_s (-1)^(s/2) C_s pi^s S_s, with S_s the regularized
-    grade s of :func:`_slot_sum`.
+    rhs is delta(c) + sum_s 2 zeta(s) S_s: the slot sum of c with the
+    middle 2 zeta(s) (:func:`_two_zeta`, with 2 zeta(0) = -1), S_s being
+    the regularized grade s of :func:`_slot_sum`.
     """
     cuts: dict = {}
     for rev_head, _, tail, sign in islice(splits(c), len(c) + 1):
@@ -379,7 +376,7 @@ def _fund_eq2_sides(c: Composition) -> tuple:
     dl = delta(c)
     parts = [] if dl.is_zero else [(dl.pi_exp, dl.coeff, {0: 1})]
     for s, words in _slot_sum(_encode(c)).items():
-        parts.append((s, (1 if s % 4 else -1) * _bernoulli_weight(s), words))
+        parts.append((s, _two_zeta(s), words))
     return _sum_regularized([(0, Fraction(1), cuts)]), _sum_regularized(parts)
 
 

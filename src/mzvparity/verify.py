@@ -21,8 +21,9 @@ is not skipped carries ``stages``, the seconds of the exact build
 ``fundeq2`` is the z^0 case of ``bouillot``.  Both right-hand sides are
 built exactly from the slot sum of the whole index: that of ``bouillot``
 is delta(c) + sum_s Psi_s(z) R_s(T), with one regularized grade R_s per
-monotangent order s, and that of ``fundeq2`` is its z^0 coefficient, as
-exact as its left-hand side.
+monotangent order s, and that of ``fundeq2`` is its z^0 coefficient.
+Each exact side, the word c on the left of ``main`` too, is evaluated by
+one walk over its grades (``mzv._eval_at``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from mpmath import mp
 from .errors import DomainError
 from .harmonic import (
     Composition,
+    WordCombo,
     _is_int,
     as_composition,
     compositions_up_to,
@@ -48,7 +50,7 @@ from .multitangent import (
     eval_multitangent_direct,
     eval_multitangent_regularized,
 )
-from .mzv import _eval_at, _piterm_to_mp, eval_admissible_mzv
+from .mzv import _eval_at, _piterm_to_mp
 from .precision import PrecisionContext, _finite
 from .reduction import (
     PiGradedExpr,
@@ -212,18 +214,13 @@ def _exact_check(identity: str, c: Composition, ctx: PrecisionContext, T_values,
 
     ``build()`` is the timed ``build`` stage.  It returns (lhs, rhs,
     reason): each side a ``WordCombo``, ``TPoly`` or ``PiGradedExpr``,
-    evaluated by :func:`mzv._eval_at` at every T value, or a callable whose
-    value holds at every T; ``reason`` names a failed structural guarantee,
-    or is None.
+    evaluated by :func:`mzv._eval_at` at every T value; ``reason`` names a
+    failed structural guarantee, or is None.
     """
     t0 = time.perf_counter()
     lhs, rhs, reason = build()
     t_built = time.perf_counter()
-    lhs_at, rhs_at = (
-        [side()] * len(T_values) if callable(side)
-        else [v.value for v in _eval_at(side, T_values, ctx)]
-        for side in (lhs, rhs)
-    )
+    lhs_at, rhs_at = ([v.value for v in _eval_at(side, T_values, ctx)] for side in (lhs, rhs))
     residual, lhs, rhs = _worst(zip(lhs_at, rhs_at))
     return _finish(identity, c, ctx, residual, lhs, rhs, t0, t_built, T=T_values, reason=reason)
 
@@ -279,7 +276,7 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
             reason = f"reduction has T-degree {rhs.t_degree}"
         elif not expand_depth_certificate(rhs, depth(c)):
             reason = "depth certificate failed"
-        return lambda: eval_admissible_mzv(c, ctx).value, rhs, reason
+        return WordCombo.word(c), rhs, reason
 
     return _exact_check("main", c, ctx, T_values, build)
 

@@ -307,7 +307,7 @@ def triple_terms_by_suffix(w: int, grades: dict) -> None:
 
     For every suffix c[i:] of the index w, 0 <= i < d, adds its even slot
     sum (``reduction._slot_sum``) times the star head star(c[:i]) and the
-    sign (-1)^(i + k_1 + ... + k_i + s/2) to ``grades[s]``.  The suffix is
+    sign (-1)^(i + k_1 + ... + k_i) to ``grades[s]``.  The suffix is
     w below its (i+1)-th highest 1 bit, that bit included, and the head is
     w above it.  Every product is computed, also the a = 0 terms of the
     slots after the first, whose sum over i cancels.
@@ -318,5 +318,5 @@ def triple_terms_by_suffix(w: int, grades: dict) -> None:
         h = -1 if (i + w.bit_length() - n) % 2 else 1
         head = _star_ints(w >> n)
         for s, words in _slot_sum(suffix).items():
-            _add_stuffle(grades.setdefault(s, {}), head, words, -h if s % 4 else h)
+            _add_stuffle(grades.setdefault(s, {}), head, words, h)
         suffix ^= 1 << (n - 1)

@@ -21,7 +21,7 @@ from mzvparity import (
     is_admissible,
 )
 from mzvparity import verify
-from mzvparity.cli import main
+from mzvparity.cli import _parse_composition, main
 
 
 def test_reduce_exit_zero_and_value(capsys):
@@ -318,6 +318,21 @@ def test_eval_reads_decimal_z_at_working_precision(capsys):
             # the bound plus one unit in the 30th digit of a value near 10
             tol = mp.mpf(bound.strip(" )\n")) + mp.mpf(10) ** -28
             assert abs(printed - exact) <= tol, text
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "1,,2"],
+    ["reduce", ",2"],
+    ["verify", "main", "--k", "2,,3"],
+    ["verify", "main", "--k", "2,3,"],
+])
+def test_empty_composition_part_is_refused(capsys, argv):
+    assert main(argv) == 2
+    assert "invalid composition" in capsys.readouterr().err
+
+
+def test_blank_composition_is_the_empty_index():
+    assert _parse_composition("") == _parse_composition(" , ") == ()
 
 
 def test_z_with_more_than_two_parts_is_refused(capsys):

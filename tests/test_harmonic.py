@@ -68,8 +68,21 @@ def test_weight_depth_admissibility():
     assert not is_admissible((2, 1))
 
 
+def _lex_compositions(w: int):
+    """The compositions of w in lexicographic order, by recursion on the
+    first part."""
+    if w == 0:
+        yield ()
+    for first in range(1, w + 1):
+        for rest in _lex_compositions(w - first):
+            yield (first,) + rest
+
+
 def test_composition_enumeration_order():
     assert list(compositions_of(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    for w in range(15):
+        assert list(compositions_of(w)) == list(_lex_compositions(w)), w
+    assert list(compositions_of(-1)) == []
     ws = [weight(c) for c in compositions_up_to(4)]
     assert ws == sorted(ws)
     assert len(list(compositions_up_to(6))) == 63

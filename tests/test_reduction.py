@@ -250,7 +250,7 @@ def test_antipode_sum_is_zero_before_regularization():
 
 def test_clear_caches_rebuilds_the_pinned_output():
     clear_caches()
-    for cached in (reduction._head_sum, reduction._shift, reduction._bernoulli_weight):
+    for cached in (reduction._head_sum, reduction._shift, reduction._two_zeta):
         info = cached.cache_info()
         assert info.currsize == 0 and info.maxsize is not None
     # reversed, so that the head sums are cached in another order
