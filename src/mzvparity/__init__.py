@@ -9,7 +9,7 @@ turns every identity into a residual computation.  Every cache is bounded;
 :func:`cache_info` lists them and :func:`clear_caches` empties them.
 """
 
-from . import harmonic, hurwitz, multitangent, mzv, reduction, regularization
+from . import harmonic, hurwitz, multitangent, mzv, reduction, regularization, special
 from .errors import DomainError, MzvError, NonAdmissibleError, ParityError
 from .harmonic import (
     Composition,
@@ -75,7 +75,7 @@ def _caches() -> dict:
     """Every module-level object with a ``cache_clear``, once, under its
     first module-global name (a module may import another's cache)."""
     found = {}
-    for module in (harmonic, regularization, reduction, mzv, hurwitz, multitangent):
+    for module in (harmonic, special, regularization, reduction, mzv, hurwitz, multitangent):
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_clear") and not isinstance(obj, type):
                 found.setdefault(id(obj), (f"{module.__name__.partition('.')[2]}.{name}", obj))

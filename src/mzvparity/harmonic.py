@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, combinations, islice
 from math import comb, gcd, lcm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Union
@@ -397,26 +397,19 @@ def star_expand(c) -> WordCombo:
     return WordCombo._raw(1, _star_ints(_encode(as_composition(c))))
 
 
-def _weak_compositions(total: int, slots: int) -> Iterator[tuple]:
-    """All tuples of ``slots`` nonnegative integers summing to ``total``."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def _shift_ints(a: int, w: int) -> dict:
-    """{word: int} form of :func:`shift_expand` (distinct shifts, distinct words)."""
+    """{word: int} form of :func:`shift_expand` (distinct shifts, distinct words).
+
+    The shifts a_1 + ... + a_d = a are read, in lexicographic order, from
+    the d - 1 bars among a + d - 1 places.
+    """
     c = _decode(w)
-    sign = -1 if a % 2 else 1
+    if not c:
+        return {} if a else {w: 1}
+    sign, places = -1 if a % 2 else 1, a + len(c) - 1
     acc: dict = {}
-    for extra in _weak_compositions(a, len(c)):
+    for bars in combinations(range(places), len(c) - 1):
+        extra = [j - i - 1 for i, j in zip((-1, *bars), (*bars, places))]
         coeff = sign
         for k, e in zip(c, extra):
             coeff *= comb(k - 1 + e, e)

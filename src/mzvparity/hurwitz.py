@@ -223,13 +223,14 @@ class _Segment(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def _segment(s: tuple, J: int, order: int) -> _Segment:
+def _segment(s: tuple) -> _Segment:
     """Tail data of the segment s, from that of s[:-1].
 
     g = u^(-k) F(u - 1) is the summand of the segment's last level, with F
-    the expansion of the level below re-expanded around u up to ``order``;
-    the level's expansion beyond N is EM(g), its Euler-Maclaurin sum with J
-    Bernoulli terms: the antiderivative of g, plus g / 2, plus
+    the expansion of the level below re-expanded around u up to
+    order = _EXPANSION_ORDER; the level's expansion beyond N is EM(g), its
+    Euler-Maclaurin sum with J = _EM_TERMS Bernoulli terms: the
+    antiderivative of g, plus g / 2, plus
     B_2j / (2j)! g^(2j-1) for j <= J, read from one chain of odd
     derivatives g', g''', ..., g^(2J+1).  ``omitted`` holds the sizes of
     what that leaves out, as monomials whose sum is the estimate at u_A:
@@ -237,7 +238,8 @@ def _segment(s: tuple, J: int, order: int) -> _Segment:
     term of F(u - 1) beyond ``order`` of every monomial of F, summed over
     n > N (its antiderivative, u^(1-p) / (p-1)).
     """
-    prev = _segment(s[:-1], J, order).level if len(s) > 1 else (1, {(0, 0): 1})
+    J, order = _EM_TERMS, _EXPANSION_ORDER
+    prev = _segment(s[:-1]).level if len(s) > 1 else (1, {(0, 0): 1})
     k = s[-1]
     gden, shifted = _combine(_apply(prev, lambda p, q: _shift_monomial_map(p, q, order)))
     g = {(p + k, q): c for (p, q), c in shifted.items()}
@@ -366,7 +368,7 @@ def _segment_at(s: tuple, zkey: tuple, N: int, P: Optional[int]) -> tuple:
     with P fraction bits, as (re, im), a dot product with the table whose
     caps are the segment's rounded up to multiples of 64 and 8.
     """
-    seg = _segment(s, _EM_TERMS, _EXPANSION_ORDER)
+    seg = _segment(s)
     if P is None:
         a, b, e = zkey
         uA = complex(a / (1 << e) + N + 1, b / (1 << e))

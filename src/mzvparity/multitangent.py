@@ -14,7 +14,6 @@ cache per (order, point, working precision), which
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import log
@@ -35,27 +34,18 @@ __all__ = [
 ]
 
 
-_MONO_POLYS: list = [None, (Fraction(0), Fraction(1))]  # Q_1(x) = x
-_MONO_POLYS_LOCK = threading.Lock()
-
-
 def _mono_poly(s: int) -> tuple:
     """Coefficients of Q_s with Psi_s(z) = pi^s Q_s(cot(pi z)).
 
-    Recursion via Psi_{s+1} = -(1/s) dPsi_s/dz and (cot)' = -pi (1+cot^2):
-    Q_{s+1}(x) = Q_s'(x) (1+x^2) / s.
+    Recursion via Psi_{n+1} = -(1/n) dPsi_n/dz and (cot)' = -pi (1+cot^2):
+    Q_{n+1}(x) = Q_n'(x) (1+x^2) / n, from Q_1(x) = x.
     """
-    with _MONO_POLYS_LOCK:
-        while len(_MONO_POLYS) <= s:
-            prev = _MONO_POLYS[-1]
-            n = len(_MONO_POLYS) - 1  # prev is Q_n
-            dq = tuple(prev[i + 1] * (i + 1) for i in range(len(prev) - 1))
-            nxt = [Fraction(0)] * (len(dq) + 2)
-            for i, ci in enumerate(dq):
-                nxt[i] += ci
-                nxt[i + 2] += ci
-            _MONO_POLYS.append(tuple(x / n for x in nxt))
-    return _MONO_POLYS[s]
+    zero = [Fraction(0)] * 2
+    q = (Fraction(0), Fraction(1))
+    for n in range(1, s):
+        dq = [c * i for i, c in enumerate(q)][1:]
+        q = tuple((a + b) / n for a, b in zip(dq + zero, zero + dq))
+    return q
 
 
 def eval_monotangent(s: int, z, ctx: PrecisionContext) -> Approx:

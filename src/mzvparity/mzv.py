@@ -342,7 +342,7 @@ def _eval_at(expr, T_values, ctx: PrecisionContext, dps: Optional[int] = None) -
         est = _estimate(dps)
         Ts = [_finite(T, "T") for T in T_values]
         # the pi level, where there is one, sits above the T level
-        levels = [[+mp.pi] * len(Ts), Ts][2 - expr._depth:]
+        levels = [[+mp.pi] * len(Ts), Ts] if expr._depth == 2 else [Ts][: expr._depth]
 
         def leaf(nums):
             value, weight = _combo_sum(nums, expr._den, dps)

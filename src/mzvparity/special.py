@@ -6,10 +6,12 @@ even power carried by :class:`PiTerm`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import factorial
+
+from mpmath import bernfrac
 
 from .harmonic import _is_int, _ratio, as_composition
 
@@ -66,25 +68,17 @@ class PiTerm:
         return f"({self.coeff})*pi^{self.pi_exp}"
 
 
-_BERNOULLI: list = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
-
-
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (convention B_1 = -1/2), memoized.
-
-    Uses the defining recurrence sum_{k=0..n} C(n+1, k) B_k = 0.
-    """
+    """Bernoulli number B_n (convention B_1 = -1/2), exact, from mpmath."""
     if not _is_int(n, 0):
         raise ValueError(f"Bernoulli index must be an int >= 0, got {n!r}")
-    if n < len(_BERNOULLI):
-        return _BERNOULLI[n]
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= n:
-            m = len(_BERNOULLI)
-            s = sum(comb(m + 1, k) * _BERNOULLI[k] for k in range(m))
-            _BERNOULLI.append(Fraction(-s, m + 1))
-    return _BERNOULLI[n]
+    return _bernoulli(n)
+
+
+@lru_cache(maxsize=256)
+def _bernoulli(n: int) -> Fraction:
+    p, q = bernfrac(n)
+    return Fraction(int(p), int(q))
 
 
 def even_zeta(m: int) -> PiTerm:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from mpmath import mp
 
@@ -186,10 +186,13 @@ def _T_values(T_values, default: tuple) -> tuple:
     """The T values to check: ``default`` for None, never an empty tuple,
     and each finite (else DomainError).
 
-    A check over no T values would pass vacuously with residual 0.
+    A check over no T values would pass vacuously with residual 0, and a
+    string or a bare number is not a collection of T values.
     """
     if T_values is None:
         return default
+    if isinstance(T_values, (str, bytes)) or not isinstance(T_values, Iterable):
+        raise ValueError(f"T_values must be a collection of T values, got {T_values!r}")
     T_values = tuple(T_values)
     if not T_values:
         raise ValueError("T_values is empty: the identity needs at least one T value")

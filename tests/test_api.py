@@ -4,10 +4,14 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -60,7 +64,7 @@ def test_every_module_name_resolves():
 
 
 # the modules that hold caches and how many, in the order of ``cache_info``
-CACHED = {"harmonic": 1, "regularization": 1, "reduction": 3, "mzv": 6, "hurwitz": 11, "multitangent": 1}
+CACHED = {"harmonic": 1, "special": 1, "regularization": 1, "reduction": 3, "mzv": 6, "hurwitz": 11, "multitangent": 1}
 
 
 def test_every_cache_is_listed_bounded_and_cleared(ctx30):
@@ -74,12 +78,41 @@ def test_every_cache_is_listed_bounded_and_cleared(ctx30):
     mzvparity.verify_bouillot((1, 2), ctx=ctx30, z=mp.mpf("0.3"))
     info = mzvparity.cache_info()
     listed = {id(getattr(modules[mod], name)) for mod, name in (n.split(".") for n in info)}
-    assert listed == set(found) and len(info) == len(found) == 23
+    assert listed == set(found) and len(info) == len(found) == 24
     assert list(Counter(n.split(".")[0] for n in info).items()) == list(CACHED.items())
     assert all(isinstance(cap, int) and 0 < size <= cap for size, cap in info.values())
     mzvparity.clear_caches()
     assert all(cached.cache_info().currsize == 0 for cached in found.values())
     assert all(size == 0 for size, _ in mzvparity.cache_info().values())
+
+
+# run in a fresh interpreter, so that no earlier test has filled a table:
+# the module-level lists, dicts and sets of the package that grow
+_GROWN = """
+import importlib, json, pkgutil
+from mpmath import mp
+import mzvparity
+modules = [importlib.import_module(f"mzvparity.{m.name}") for m in pkgutil.iter_modules(mzvparity.__path__)]
+tables = {
+    f"{m.__name__}.{name}": obj for m in modules for name, obj in vars(m).items()
+    if not name.startswith("__") and isinstance(obj, (list, dict, set))
+}
+before = {name: len(obj) for name, obj in tables.items()}
+ctx = mzvparity.PrecisionContext(digits=30)
+mzvparity.verify_bouillot((1, 2), mp.mpf("0.3"), ctx)
+mzvparity.verify_main2((2, 1, 1), ctx)
+registered = {id(cached) for cached in mzvparity._caches().values()}
+grown = [name for name, obj in tables.items() if len(obj) != before[name] and id(obj) not in registered]
+print(json.dumps(sorted(grown)))
+"""
+
+
+def test_only_registered_caches_grow():
+    env = {**os.environ, "PYTHONPATH": str(Path(mzvparity.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _GROWN], capture_output=True, env=env, check=True, timeout=300
+    )
+    assert json.loads(out.stdout) == []
 
 
 def test_readme_counts_the_caches():

@@ -1,9 +1,6 @@
 """Monotangents and multitangents: closed forms, direct sums, regularization."""
 
-import sys
-import threading
 import tracemalloc
-from fractions import Fraction
 from math import log
 
 import numpy as np
@@ -263,27 +260,3 @@ def test_monotangent_cache_is_bounded_and_clearable(ctx30):
     for a, b in zip(after, before):
         assert type(a.value) is type(b.value)
         assert a.value == b.value and a.bound == b.bound
-
-
-def test_mono_poly_table_grows_once_under_threads(monkeypatch):
-    """Threads that extend a fresh Q_s table at once leave the table that
-    one caller builds: no order is appended twice."""
-    fresh = [None, (Fraction(0), Fraction(1))]
-    monkeypatch.setattr(multitangent, "_MONO_POLYS", list(fresh))
-    multitangent._mono_poly(40)
-    expected = list(multitangent._MONO_POLYS)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            table = list(fresh)
-            monkeypatch.setattr(multitangent, "_MONO_POLYS", table)
-            threads = [threading.Thread(target=multitangent._mono_poly, args=(40,)) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert table == expected
-    finally:
-        sys.setswitchinterval(interval)

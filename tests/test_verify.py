@@ -306,6 +306,17 @@ def test_empty_T_values_is_refused(ctx30):
         sweep(2, "main3", ctx30, T_values=())
 
 
+@pytest.mark.parametrize("T_values", ["10", b"10", 5, mp.mpf(1)], ids=["str", "bytes", "int", "mpf"])
+def test_T_values_that_are_not_a_collection_are_refused(ctx30, T_values):
+    # "10" read one character at a time would check T = 1 and T = 0
+    z = mp.mpf("0.3")
+    for fn in IDENTITIES.values():
+        with pytest.raises(ValueError, match="T_values must be a collection"):
+            fn((2, 1), ctx=ctx30, z=z, T_values=T_values)
+    with pytest.raises(ValueError, match="T_values must be a collection"):
+        sweep(2, "main2", ctx30, T_values=T_values)
+
+
 @pytest.mark.parametrize("T", [mp.nan, mp.inf, float("-inf")], ids=["nan", "inf", "-inf"])
 def test_non_finite_T_values_is_refused(ctx30, T):
     z = mp.mpf("0.3")
