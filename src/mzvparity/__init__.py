@@ -59,7 +59,6 @@ from .special import PiTerm, bernoulli, delta, even_zeta
 from .verify import (
     IDENTITIES,
     ResidualReport,
-    VerificationFailure,
     sweep,
     verify_bouillot,
     verify_fund_eq2,
@@ -109,7 +108,6 @@ __all__ = [
     "ReductionResult",
     "ResidualReport",
     "TPoly",
-    "VerificationFailure",
     "WordCombo",
     "antipode_combo",
     "as_composition",

@@ -94,19 +94,8 @@ def _parse_T(text: Optional[str], ctx: PrecisionContext):
         raise UsageError(f"invalid T {text!r}: expected a finite decimal") from None
 
 
-def _default_digits() -> int:
-    env = os.environ.get("MZV_DIGITS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"MZV_DIGITS={env!r} is not an integer") from None
-    return 30
-
-
 def _context(args) -> PrecisionContext:
-    digits = args.digits if args.digits is not None else _default_digits()
-    return PrecisionContext(digits=digits)
+    return PrecisionContext(digits=args.digits)
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -284,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_choices=("text", "json", "latex")):
-        p.add_argument("--digits", type=int, default=None, help="target digits (default: MZV_DIGITS or 30)")
+        p.add_argument("--digits", type=int, default=30, help="target digits (default: 30)")
         p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
         p.add_argument("--output", "-o", default=None, help="write output to this path")
 

@@ -98,7 +98,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from .errors import DomainError, NonAdmissibleError
-from .harmonic import WordCombo, _decode, as_composition, is_admissible, shift_expand
+from .harmonic import _decode, as_composition, is_admissible, shift_expand
 from .mzv import _walk, eval_tpoly
 from .precision import Approx, PrecisionContext, _finite, _requested_dps
 from .regularization import TPoly, regularize
@@ -595,36 +595,35 @@ def _psi_gamma(zv, wp: int):
         return mp.digamma(1 + zv) + mp.euler
 
 
-def eval_hurwitz_star(x, z, T_value, ctx: PrecisionContext) -> Approx:
-    """Regularized generating value of a word or combination, |z| <= 1/2.
+def eval_hurwitz_star(c, z, T_value, ctx: PrecisionContext) -> Approx:
+    """Regularized generating value of a word, |z| <= 1/2.
 
     Computed through the regularization homomorphism: write the index as a
     T-polynomial in admissible words, evaluate those by the direct route
     and substitute the depth-1 generating value for T.  Agrees with the
-    term-by-term Taylor route inside the radius.  z and T are read once;
-    a word's value is cached per (word, point, T, working precision).
+    term-by-term Taylor route inside the radius.  ``c`` is a composition,
+    admissible or not.  z and T are read once; a word's value is cached
+    per (word, point, T, working precision).
     """
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
     with mp.workdps(wp):
         T = _finite(T_value, "T")
-    if isinstance(x, (TPoly, WordCombo)):
-        return _star(x, zv, T, ctx.working_dps)
-    return _star_word(as_composition(x), zv, T, ctx.working_dps)
+    return _star_word(as_composition(c), zv, T, ctx.working_dps)
 
 
-def _star(x, zv, T, dps: int) -> Approx:
-    """The value of a word, ``WordCombo`` or ``TPoly`` at a normalized z, a
-    finite T read at wp and working precision dps (see
-    :func:`eval_hurwitz_star`), from :func:`_psi_gamma` and :func:`_direct`
-    alone.  Values depend on a context only through its working precision.
-    The radius |z| <= 1/2 is checked here, on a cache miss only."""
+@lru_cache(maxsize=1024)
+def _star_word(c: tuple, zv, T, dps: int) -> Approx:
+    """The value of a word at a normalized z, a finite T read at wp and
+    working precision dps (see :func:`eval_hurwitz_star`), from
+    :func:`_psi_gamma` and :func:`_direct` alone.  Values depend on a
+    context only through its working precision.  The radius |z| <= 1/2 is
+    checked here, on a cache miss only."""
     wp = dps + 10
     with mp.workdps(wp):
         if abs(zv) > mp.mpf("0.5") * (1 + mp.mpf(10) ** -12):
             raise DomainError("regularized Hurwitz values are evaluated for |z| <= 1/2")
-        if not isinstance(x, TPoly):
-            x = regularize(x)
+        x = regularize(c)
         tau = T - _psi_gamma(zv, wp)
 
         def leaf(nums):
@@ -639,10 +638,6 @@ def _star(x, zv, T, dps: int) -> Approx:
 
         (total,), (bound,) = _walk(x._nums, [[tau]], leaf, 1)
         return Approx(total, bound + mp.mpf(10) ** (-(wp - 6)))
-
-
-# the value of a word, computed once per (word, point, T, working precision)
-_star_word = lru_cache(maxsize=1024)(_star)
 
 
 def shifted_tpoly(c, a: int) -> TPoly:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import log
+from math import inf, log
 
 import numpy as np
 from mpmath import mp
@@ -59,13 +59,19 @@ def eval_monotangent(s: int, z, ctx: PrecisionContext) -> Approx:
     return _monotangent(s, _normalize_z(z, wp), wp)
 
 
+def _check_no_integer_pole(zv, wp: int) -> None:
+    """DomainError at a real z within 10^-(wp-5) of an integer, a pole of
+    every multitangent; zv is normalized (an mpc has a nonzero imaginary part)."""
+    with mp.workdps(wp):
+        if not isinstance(zv, mp.mpc) and abs(zv - mp.nint(zv)) < mp.mpf(10) ** (-(wp - 5)):
+            raise DomainError("multitangent functions have poles at integer z")
+
+
 @lru_cache(maxsize=256)
 def _monotangent(s: int, zv, wp: int) -> Approx:
     """Psi_s(z) at wp digits, computed once per (s, point, wp)."""
+    _check_no_integer_pole(zv, wp)
     with mp.workdps(wp):
-        # zv is normalized: an mpc has a nonzero imaginary part
-        if not isinstance(zv, mp.mpc) and abs(zv - mp.nint(zv)) < mp.mpf(10) ** (-(wp - 5)):
-            raise DomainError("multitangent functions have poles at integer z")
         x = mp.cot(mp.pi * zv)
         poly = _mono_poly(s)
         acc = mp.mpf(0)
@@ -94,16 +100,18 @@ def _inverse(z: complex, m: np.ndarray) -> np.ndarray:
     return inv
 
 
-def eval_multitangent_direct(
-    c, z, ctx: PrecisionContext, cutoff: int = _DIRECT_CUTOFF
-) -> Approx:
-    """Truncated doubly infinite nested sum over -M < m_1 < ... < m_d <= M.
+@np.errstate(all="ignore")  # a sum that leaves the double range is returned as it is
+def eval_multitangent_direct(c, z, ctx: PrecisionContext) -> Approx:
+    """Truncated doubly infinite nested sum over -M < m_1 < ... < m_d <= M,
+    with M = :data:`_DIRECT_CUTOFF`.
 
-    Requires first and last part >= 2 (absolute convergence).  float64
-    precision with a stated O(M^(1-min(k_1,k_d))) tail estimate; intended
-    for low-precision cross-checks only.  The range of m is walked in
-    blocks of :data:`_DIRECT_BLOCK` entries, with float64 arithmetic at a
-    real z and complex128 otherwise.  Level j's partial sums are
+    Requires first and last part >= 2 (absolute convergence), and z off
+    the integers by the monotangents' rule.  float64 precision with a
+    stated O(M^(1-min(k_1,k_d))) tail estimate, infinite or NaN where it
+    leaves the double range; for low-precision cross-checks only.  The
+    range of m is walked in blocks of :data:`_DIRECT_BLOCK` entries, with
+    float64 arithmetic at a real z and complex128 otherwise.  Level j's
+    partial sums are
     S_j(m) = S_j(m - 1) + S_{j-1}(m - 1) (z+m)^(-k_j), with S_0 = 1: each
     level carries its running sum from block to block, added into the
     block's first term before the cumulative sum, so the sums are
@@ -114,10 +122,11 @@ def eval_multitangent_direct(
         raise DomainError(
             "direct multitangent sums need first and last part >= 2"
         )
-    zc = complex(_normalize_z(z, ctx.working_dps + 10))
-    if abs(zc.imag) == 0 and abs(zc.real - round(zc.real)) < 1e-12:
-        raise DomainError("multitangent functions have poles at integer z")
-    M = cutoff
+    wp = ctx.working_dps + 10
+    zv = _normalize_z(z, wp)
+    _check_no_integer_pole(zv, wp)
+    zc = complex(zv)
+    M = _DIRECT_CUTOFF
     running = [0.0] * len(c)  # S_j at the last m of the previous block
     for start in range(-M + 1, M + 1, _DIRECT_BLOCK):
         inv = _inverse(zc, np.arange(start, min(start + _DIRECT_BLOCK, M + 1), dtype=np.float64))
@@ -156,9 +165,12 @@ def eval_multitangent_direct(
             prod *= zabs ** (-k) + logf
         return (M - zabs) ** (1 - k_escape) / (k_escape - 1) * prod
 
-    est = _side_estimate(c[0], c[1:]) + _side_estimate(c[-1], c[:-1])
-    fp = 1e-11 * (1 + abs(value))
-    return Approx(mp.mpmathify(value), mp.mpf(est + fp))
+    try:
+        est = _side_estimate(c[0], c[1:]) + _side_estimate(c[-1], c[:-1])
+        bound = est + 1e-11 * (1 + abs(value))
+    except OverflowError:  # |z|^(-k) or |value| beyond the double range
+        bound = inf
+    return Approx(mp.mpmathify(value), mp.mpf(bound))
 
 
 def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Approx:

@@ -20,12 +20,16 @@ class Approx(NamedTuple):
     bound: object
 
 
+_GUARD_DIGITS = 15  # extra working digits that absorb roundoff and cancellation
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Precision policy shared by every numeric evaluator.
 
-    digits            target significant decimal digits for returned values
-    guard_digits      extra working digits absorbing roundoff/cancellation
+    ``digits`` is the target of significant decimal digits for returned
+    values, an int >= 10.  Every evaluator works at ``working_dps``, which
+    is ``digits`` plus the :data:`_GUARD_DIGITS` guard digits.
 
     Truncation parameters are fixed constants of the evaluator that uses
     them (the Hurwitz cutoff and tail expansion in ``hurwitz``, the direct
@@ -33,19 +37,16 @@ class PrecisionContext:
     """
 
     digits: int = 30
-    guard_digits: int = 15
 
     def __post_init__(self):
-        for name in ("digits", "guard_digits"):
-            n = getattr(self, name)
-            if not _is_int(n, 10):
-                raise ValueError(f"{name} must be an int >= 10, got {n!r}")
+        if not _is_int(self.digits, 10):
+            raise ValueError(f"digits must be an int >= 10, got {self.digits!r}")
         with mp.workdps(self.working_dps):
             object.__setattr__(self, "_residual_bound", mp.mpf(10) ** (-(self.digits - 5)))
 
     @property
     def working_dps(self) -> int:
-        return self.digits + self.guard_digits
+        return self.digits + _GUARD_DIGITS
 
     def residual_bound(self):
         """Default residual tolerance 10^-(digits - 5) for identity checks,

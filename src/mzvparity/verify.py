@@ -67,7 +67,6 @@ from .special import delta
 __all__ = [
     "IDENTITIES",
     "ResidualReport",
-    "VerificationFailure",
     "sweep",
     "verify_bouillot",
     "verify_fund_eq2",
@@ -124,17 +123,6 @@ class ResidualReport:
         return f"{tag} {head}{extra}: residual {res} (bound {bnd}, {self.wall_time:.2f}s)"
 
 
-class VerificationFailure(AssertionError):
-    """Raised by fail-fast sweeps; carries the offending report."""
-
-    def __init__(self, report: ResidualReport):
-        self.report = report
-        detail = (
-            f"{report.describe()}\n  lhs = {report.lhs}\n  rhs = {report.rhs}"
-        )
-        super().__init__(detail)
-
-
 def _finish(
     identity: str,
     c: Composition,
@@ -182,7 +170,7 @@ def _skip(identity: str, c: Composition, ctx: PrecisionContext, reason: str) -> 
     )
 
 
-def _T_values(T_values, default: tuple) -> tuple:
+def _T_values(T_values, default: Optional[tuple]) -> Optional[tuple]:
     """The T values to check: ``default`` for None, never an empty tuple,
     and each finite (else DomainError).
 
@@ -311,7 +299,8 @@ def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualRe
         if c[0] >= 2 and c[-1] >= 2:
             direct = eval_multitangent_direct(c, z, ctx)
             gap = abs(lhs - direct.value)
-            if gap > direct.bound + ctx.residual_bound():
+            # stated as the pass condition, which a NaN gap does not meet
+            if not (mp.isfinite(direct.bound) and gap <= direct.bound + ctx.residual_bound()):
                 reason = (
                     f"direct-series cross-check off by {mp.nstr(gap, 3)} "
                     f"(tail estimate {mp.nstr(direct.bound, 3)})"
@@ -349,32 +338,17 @@ def _check_weight(max_weight: int) -> None:
         raise ValueError(f"max_weight {max_weight} exceeds the sweep cap {WEIGHT_CAP}")
 
 
-def sweep(
-    max_weight: int,
-    identity: str,
-    ctx: PrecisionContext,
-    z=None,
-    T_values=None,
-    fail_fast: bool = False,
-    include_skipped: bool = True,
-) -> list:
+def sweep(max_weight: int, identity: str, ctx: PrecisionContext, z=None, T_values=None) -> list:
     """Run one identity over all compositions of weight 1..max_weight.
 
-    Enumeration is deterministic (weight-major, then lexicographic).
-    ``z`` and ``T_values`` are passed to every verifier call.  Skipped
-    (precondition-violating) cases are reported as first-class entries
-    unless ``include_skipped`` is false.  With ``fail_fast`` a failing
-    report raises :class:`VerificationFailure` immediately.  Weights above
-    :data:`WEIGHT_CAP` are refused, as a guard against runaway sweeps.
+    Enumeration is deterministic (weight-major, then lexicographic), and
+    every case has a report: skipped (precondition-violating) cases are
+    first-class entries.  ``z`` and ``T_values`` are passed to every
+    verifier call; ``T_values`` is read once, so a one-shot iterator serves
+    every case.  Weights above :data:`WEIGHT_CAP` are refused, as a guard
+    against runaway sweeps.
     """
     _check_weight(max_weight)
     verifier = _dispatch(identity)
-    reports = []
-    for c in compositions_up_to(max_weight):
-        rep = verifier(c, ctx=ctx, z=z, T_values=T_values)
-        if rep.skipped and not include_skipped:
-            continue
-        reports.append(rep)
-        if fail_fast and rep.status == "fail":
-            raise VerificationFailure(rep)
-    return reports
+    T_values = _T_values(T_values, None)
+    return [verifier(c, ctx=ctx, z=z, T_values=T_values) for c in compositions_up_to(max_weight)]

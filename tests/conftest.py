@@ -10,9 +10,9 @@ def ctx30():
 
 @pytest.fixture(scope="session")
 def ctx20():
-    return PrecisionContext(digits=20, guard_digits=12)
+    return PrecisionContext(digits=20)
 
 
 @pytest.fixture(scope="session")
 def ctx10():
-    return PrecisionContext(digits=10, guard_digits=10)
+    return PrecisionContext(digits=10)

@@ -173,7 +173,7 @@ def test_criterion_6_bouillot_weight_6():
         for c in compositions_up_to(6):
             if len(c) < 2 or c[0] < 3 or c[-1] < 3:
                 continue
-            direct = eval_multitangent_direct(c, z, CTX30, cutoff=100_000)
+            direct = eval_multitangent_direct(c, z, CTX30)
             reg = eval_multitangent_regularized(c, z, 0, CTX30)
             gap = abs(direct.value - reg.value)
             assert gap < direct.bound, (c, z, gap, direct.bound)
@@ -195,7 +195,7 @@ def test_criterion_6_bouillot_weight_6():
 
 def test_criterion_7_analytic_cross_routes():
     t0 = time.time()
-    ctx10 = PrecisionContext(digits=10, guard_digits=10)
+    ctx10 = PrecisionContext(digits=10)
     grid = [
         mp.mpf("0.1"),
         mp.mpf("-0.2"),

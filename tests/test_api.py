@@ -1,5 +1,6 @@
 """The package API: what ``import mzvparity`` exposes and loads."""
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -48,7 +49,7 @@ def test_the_oracles_are_outside_the_package():
 
 def test_top_level_names():
     names = mzvparity.__all__
-    assert len(names) == len(set(names)) == 55
+    assert len(names) == len(set(names)) == 54
     for name in names:
         getattr(mzvparity, name)
     assert not ORACLES & set(names)
@@ -122,12 +123,19 @@ def test_readme_counts_the_caches():
     assert counts and all(int(n) == len(mzvparity.cache_info()) for n in counts)
 
 
-def test_removed_parameters():
+def test_removed_parameters(ctx30):
     assert "dps" not in inspect.signature(eval_shifted).parameters
     assert "expanded" not in inspect.signature(latex_reduction).parameters
+    assert [f.name for f in dataclasses.fields(mzvparity.PrecisionContext)] == ["digits"]
+    assert not {"fail_fast", "include_skipped"} & set(inspect.signature(mzvparity.sweep).parameters)
+    assert "cutoff" not in inspect.signature(mzvparity.eval_multitangent_direct).parameters
+    assert not hasattr(mzvparity, "VerificationFailure")
+    # a word only: the T-polynomial input ran an uncached copy of the word evaluator
+    with pytest.raises(TypeError):
+        mzvparity.eval_hurwitz_star(mzvparity.regularize((2, 1)), 0.3, 0, ctx30)
 
 
-@pytest.mark.parametrize("field", ["digits", "guard_digits"])
+@pytest.mark.parametrize("field", ["digits"])
 @pytest.mark.parametrize("value", [30.5, 30.0, "30", True, None])
 def test_precision_context_refuses_a_non_int_precision(field, value):
     # a float would run every evaluator at a fractional dps

@@ -363,16 +363,6 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_env_default_digits(capsys, monkeypatch):
-    monkeypatch.setenv("MZV_DIGITS", "15")
-    assert main(["eval", "mzv", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.strip().startswith("1.6449340668482")
-    monkeypatch.setenv("MZV_DIGITS", "not-a-number")
-    assert main(["eval", "mzv", "2"]) == 2
-    capsys.readouterr()
-
-
 def test_table_empty(capsys):
     assert main(["table", "--max-weight", "0"]) == 0
     assert json.loads(capsys.readouterr().out) == []

@@ -72,12 +72,12 @@ def test_depth_one_multitangent_is_monotangent(ctx30):
 
 def test_multitangent_direct_cross_checks(ctx30):
     z = mp.mpf("0.3")
-    d = eval_multitangent_direct((2, 2), z, ctx30, cutoff=100_000)
+    d = eval_multitangent_direct((2, 2), z, ctx30)
     r = eval_multitangent_regularized((2, 2), z, 0, ctx30)
     assert abs(d.value - r.value) < d.bound
     assert abs(d.value - r.value) < 1e-3
     zc = mp.mpc("0.25", "0.2")
-    d33 = eval_multitangent_direct((3, 3), zc, ctx30, cutoff=100_000)
+    d33 = eval_multitangent_direct((3, 3), zc, ctx30)
     r33 = eval_multitangent_regularized((3, 3), zc, 0, ctx30)
     assert abs(d33.value - r33.value) < 1e-6
     assert abs(d33.value - r33.value) < d33.bound
@@ -113,7 +113,7 @@ _BLOCK = multitangent._DIRECT_BLOCK
 
 
 @pytest.mark.parametrize("z", [0.3, 0.25 + 0.2j, -0.45, 0.1 + 0.45j])
-def test_direct_blocks_match_the_whole_array_sum(ctx30, z):
+def test_direct_blocks_match_the_whole_array_sum(ctx30, z, monkeypatch):
     """Every index of weight <= 7 with first and last part >= 2, at cutoffs
     inside one block, on both sides of the block edges and at the default:
     the blocked sum agrees with the whole-array sum to float64 accuracy
@@ -122,8 +122,9 @@ def test_direct_blocks_match_the_whole_array_sum(ctx30, z):
     value is an mpc also at a real z."""
     indices = [c for c in compositions_up_to(7) if c[0] >= 2 and c[-1] >= 2]
     for M in (1, 7, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100_000):
+        monkeypatch.setattr(multitangent, "_DIRECT_CUTOFF", M)
         for c in indices:
-            got = eval_multitangent_direct(c, z, ctx30, cutoff=M)
+            got = eval_multitangent_direct(c, z, ctx30)
             value, est = _direct_whole_array(c, z, M)
             assert isinstance(got.value, mp.mpc), (c, M)
             assert abs(complex(got.value) - value) <= 1e-13 * (1 + abs(value)), (c, M)
@@ -198,7 +199,7 @@ def test_non_finite_T_is_refused(T, ctx30):
 
 
 def test_regularized_matches_literal_series():
-    ctx = PrecisionContext(digits=12, guard_digits=10)
+    ctx = PrecisionContext(digits=12)
     z = mp.mpf("0.3")
     for c in [(2,), (1, 2), (2, 1)]:
         prod = eval_multitangent_regularized(c, z, 0, ctx)

@@ -185,13 +185,13 @@ def test_eval_pigraded_pi_substitution(ctx30):
 def test_value_depends_on_the_word_and_precision_alone():
     from mzvparity import PrecisionContext
 
-    lo = PrecisionContext(digits=10, guard_digits=10)
-    hi = PrecisionContext(digits=35, guard_digits=15)
+    lo = PrecisionContext(digits=10)
+    hi = PrecisionContext(digits=35)
     v_hi = eval_admissible_mzv((3, 2), hi)
     v_lo = eval_admissible_mzv((3, 2), lo)
     assert abs(v_lo.value - v_hi.value) < mp.mpf(10) ** -15
     assert v_hi.bound < mp.mpf(10) ** -40
-    # the 20-digit value is not read from the 50-digit one computed before it
+    # the 25-digit value is not read from the 50-digit one computed before it
     clear_caches()
     assert v_lo.value._mpf_ == eval_admissible_mzv((3, 2), lo).value._mpf_
 
