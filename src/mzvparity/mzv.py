@@ -9,22 +9,26 @@ both halves become nested power series at 1/2 whose terms shrink like
 The series are summed by one kernel in Python-int fixed point with P
 fraction bits, at every precision: each level of nested prefix sums adds
 ``prev[m-1] // m^e``, and the 2^(-n) weight of the last level is a shift
-``>> n``.  Every floor rounds down by under one unit 2^-P.  A level
-inherits the error of the level below divided by m^e >= m, which cancels
-that error's growth in the index m, so the errors of the levels add up
-instead of multiplying: the guard bits of P above dps + 8 digits grow only
-with log2 M (M terms) and log2 of the length of the word, as
-:func:`_fraction_bits` derives.  Up to weight 12, P does not depend on the
-word.
+``>> n``, made before the last block's division by n^c, so that one shift
+serves every c: nested floors compose, so ``(x >> n) // n^c`` is
+``(x // n^c) >> n`` bit for bit.  Every floor rounds down by under one
+unit 2^-P.  A level inherits the error of the level below divided by
+m^e >= m, which cancels that error's growth in the index m, so the errors
+of the levels add up instead of multiplying: the guard bits of P above
+dps + 8 digits grow only with log2 M (M terms) and log2 of the length of
+the word, as :func:`_fraction_bits` derives.  Up to weight 12, P does not
+depend on the word.
 
 The kernel walks each word once from the left and its dual once from the
 right: every cut of the path needs the series of one prefix on each side.
 Prefix values are cached by ``(blocks, M, P)``, so words share them.  A
 prefix missing from that cache is summed over the chain level (the nested
-sums) of its completed blocks.  The chain levels of every depth are held
-in one cache by ``(blocks, M, P)``, each built from the level one block
-below it, so a level is built once while it stays among the 64 last used.
-A value is returned as an mpf that carries the guard bits.
+sums) of its completed blocks, which the walk shifts once per block, so
+that every missing prefix of the block is one division pass.  The chain
+levels of every depth are held in one cache by ``(blocks, M, P)``, each
+built from the level one block below it, so a level is built once while it
+stays among the 64 last used.  A value is returned as an mpf that carries
+the guard bits.
 
 The expression evaluators sum in integers, and read an expression's
 storage, integer numerators n over one denominator D, as it is.  An mpf is
@@ -186,26 +190,35 @@ def _prefix_values(bits: tuple, dps: int) -> list:
     cache is the last block's sum over the chain level of the completed
     blocks before it, read from :func:`_level`, the one cache of chain
     levels at every depth, which every word of the same M and P shares (64
-    levels, about 1.9 MiB at 100 digits and 5.4 MiB at 200).  A value is
-    cached under the P of the word that walks it, so that it is a function
-    of its blocks, M and P alone; every word of up to 12 letters has the
-    same P at a given dps, and shares it.
+    levels, about 1.9 MiB at 100 digits and 5.4 MiB at 200).  The walk
+    shifts that level by n at its block's first missing prefix, and keeps
+    the shifted level until the next letter 1 starts a block, so that each
+    missing prefix of the block is one division pass: the sum over n of
+    ``(level[n-1] >> n) // n^c``, which is ``(level[n-1] // n^c) >> n`` bit
+    for bit, as nested floors compose.  A value is cached under the P of
+    the word that walks it, so that it is a function of its blocks, M and
+    P alone; every word of up to 12 letters has the same P at a given dps,
+    and shares it.
     """
     M = _terms(dps)
     P = _fraction_bits(dps, len(bits))
     values = [1 << P]
     blocks: tuple = ()
     for b in bits:
-        blocks = blocks + (1,) if b else blocks[:-1] + (blocks[-1] + 1,)
+        if b:
+            blocks, shifted = blocks + (1,), None
+        else:
+            blocks = blocks[:-1] + (blocks[-1] + 1,)
         key = (blocks, M, P)
         x = _PREFIX_CACHE.get(key)
         if x is None:
-            # levels 256 blocks apart first, so that _level recurses at most
-            # that deep after its cache has dropped the levels below
-            for j in range(256, len(blocks) - 1, 256):
-                _level(blocks[:j], M, P)
-            terms = map(floordiv, _level(blocks[:-1], M, P), _powers(blocks[-1], M))
-            x = _PREFIX_CACHE[key] = sum(map(rshift, terms, range(1, M + 1)))
+            if shifted is None:
+                # levels 256 blocks apart first, so that _level recurses at
+                # most that deep after its cache has dropped the levels below
+                for j in range(256, len(blocks) - 1, 256):
+                    _level(blocks[:j], M, P)
+                shifted = list(map(rshift, _level(blocks[:-1], M, P), range(1, M + 1)))
+            x = _PREFIX_CACHE[key] = sum(map(floordiv, shifted, _powers(blocks[-1], M)))
         values.append(x)
     return values
 

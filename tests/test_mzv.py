@@ -333,6 +333,8 @@ def test_clear_caches_recomputes_bit_identical_values(ctx30):
 _PINNED_KERNEL_BITS = {
     (100, 10): "96a0d0f35a9b834766ea8811317fdfa7e1c6d5201547b6b4106ff229774fc54e",
     (30, 12): "b63a5ad581c9a0c9ee5fd884a161c8c062d6e6af1a251fa09b9c2aa687501cbf",
+    (200, 8): "3e35f85991211ae09441e6c6d506a83e376fb29d7e5bb7b1b6964286c9731543",
+    (14, 10): "5ad6836551b765547e76cd3d9a84b84977aa8039bd89a7a402a18c37c90a8cfd",
 }
 
 
@@ -346,6 +348,34 @@ def test_kernel_bits_pinned(ctx30, dps, max_weight, order):
     values = {c: eval_admissible_mzv(c, ctx30, dps=dps).value._mpf_ for c in words[::order]}
     rows = [(c, values[c]) for c in words]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PINNED_KERNEL_BITS[dps, max_weight]
+
+
+@pytest.mark.parametrize("dps", [14, 30, 100, 200])
+def test_prefix_values_divide_then_shift(ctx30, dps):
+    # The walk shifts a block's level once and divides the shifted terms;
+    # every cached prefix must be the sum of the terms divided first and
+    # shifted after, as nested floors compose.
+    words = [c for c in compositions_up_to(8) if is_admissible(c)]
+    clear_caches()
+    for c in reversed(words):
+        eval_admissible_mzv(c, ctx30, dps=dps)
+    assert mzv._PREFIX_CACHE
+    for (blocks, M, P), x in mzv._PREFIX_CACHE.items():
+        L, c = mzv._level(blocks[:-1], M, P), blocks[-1]
+        assert x == sum((L[n - 1] // n**c) >> n for n in range(1, M + 1)), blocks
+
+
+def test_missing_prefixes_mid_block(ctx30):
+    # After (2,), the prefixes (1,) and (2,) of (4,) are cached and (3,)
+    # and (4,) are not: the walk meets the block's first missing prefix
+    # after two cached ones, and must give the bits of a fresh walk.
+    clear_caches()
+    expected = eval_admissible_mzv((4,), ctx30, dps=100).value._mpf_
+    clear_caches()
+    eval_admissible_mzv((2,), ctx30, dps=100)
+    cached = {blocks for blocks, _, _ in mzv._PREFIX_CACHE}
+    assert {(1,), (2,)} <= cached and not {(3,), (4,)} & cached
+    assert eval_admissible_mzv((4,), ctx30, dps=100).value._mpf_ == expected
 
 
 def test_cached_blocks_build_no_level(ctx30, monkeypatch):
