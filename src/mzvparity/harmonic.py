@@ -226,10 +226,6 @@ class _SparseMap:
         view, den = self._view, self._den
         return {g: view._raw(den, nums) for g, nums in _grades(self._nums).items()}.items()
 
-    def words(self):
-        """The word of every term, once per grade that holds it."""
-        return (_decode(k[-1]) for k in self._nums)
-
     def __len__(self) -> int:
         return len({k[0] for k in self._nums})
 

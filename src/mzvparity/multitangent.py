@@ -180,16 +180,16 @@ def eval_multitangent_regularized(c, z, T_value, ctx: PrecisionContext) -> Appro
     reversed-index generating value at -z, positive indices one at z, and
     a chain passing through a single gap contributes z^(-k_j).  All factors
     are regularized Hurwitz generating values, so no admissibility is
-    required; defined for 0 < |z| <= 1/2, which the first of them checks.
+    required; defined for |z| <= 1/2, which the first of them checks, off
+    the integers by the monotangents' rule.
     """
     c = as_composition(c)
     if not c:
         raise ValueError("multitangent needs a nonempty index")
     wp = ctx.working_dps + 10
     zv = _normalize_z(z, wp)
+    _check_no_integer_pole(zv, wp)
     with mp.workdps(wp):
-        if zv == 0:
-            raise DomainError("z = 0 is a pole of the multitangent")
         total = mp.mpc(0)
         bound = mp.mpf(0)
 

@@ -21,11 +21,13 @@ depend on the word.
 
 The kernel walks each word once from the left and its dual once from the
 right: every cut of the path needs the series of one prefix on each side.
-Prefix values are cached by ``(blocks, M, P)``, so words share them.  A
-prefix missing from that cache is summed over the chain level (the nested
-sums) of its completed blocks, which the walk shifts once per block, so
-that every missing prefix of the block is one division pass.  The chain
-levels of every depth are held in one cache by ``(blocks, M, P)``, each
+The walk reads the word's int key as it is: the first L - k of its L
+letters are ``w >> k``, and a letter 1 starts a block.  Prefix values are
+cached by ``(prefix key, M, P)``, so words share them.  A prefix missing
+from that cache is summed over the chain level (the nested sums) of its
+completed blocks, which the walk shifts once per block, so that every
+missing prefix of the block is one division pass.  The chain levels of
+every depth are held in one cache by ``(completed-blocks key, M, P)``, each
 built from the level one block below it, so a level is built once while it
 stays among the 64 last used.  A value is returned as an mpf that carries
 the guard bits.
@@ -116,19 +118,12 @@ class _BoundedCache(dict):
 # word and the requested precision alone.  The caps of this cache and the
 # next are above the largest fills seen, about 97,000 and 430,000.
 _MZV_CACHE = _BoundedCache(1 << 17)
-# (blocks, M, P) -> floor(2^P * nested series of blocks at 1/2, cut at M),
-# with P the fraction bits of the word that walks the prefix
+# (prefix key, M, P) -> floor(2^P * nested series of the prefix at 1/2, cut
+# at M), with P the fraction bits of the word that walks the prefix
 _PREFIX_CACHE = _BoundedCache(1 << 19)
 # Requests below this many digits are computed at it: the series cost little
 # more, and requests that fall below it share one cache key.
 _MIN_DPS = 14
-
-
-def _word_bits(w: int) -> tuple:
-    """Two-letter word of a nonempty index, bottom (innermost summation)
-    first: the binary digits of its int key, most significant first (part
-    k reads 1 followed by k-1 zeros)."""
-    return tuple(map(int, bin(w)[2:]))
 
 
 def _terms(dps: int) -> int:
@@ -167,58 +162,65 @@ def _powers(e: int, M: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _level(blocks: tuple, M: int, P: int) -> list:
-    """The chain level of a tuple of completed blocks (c_1, ..., c_j):
-    [floor(2^P sum over m_1 < ... < m_j <= n of prod m_i^(-c_i)) for
-    n = 0..M].  Entry n adds below[m-1] // m^(c_j) over m <= n, with
-    ``below`` the level of ``blocks[:-1]``; the empty tuple gives the
-    constant level 2^P.  Callers must not change the list."""
-    if not blocks:
+def _level(u: int, M: int, P: int) -> list:
+    """The chain level of the completed blocks (c_1, ..., c_j) with int key
+    u: [floor(2^P sum over m_1 < ... < m_j <= n of prod m_i^(-c_i)) for
+    n = 0..M].  The last block, u's lowest 1 bit and the zeros below it, has
+    c_j = ``(u & -u).bit_length()`` letters; entry n adds below[m-1] // m^c_j
+    over m <= n, with ``below`` the level of ``u >> c_j``, and u = 0 gives
+    the constant level 2^P.  Callers must not change the list."""
+    if not u:
         return [1 << P] * (M + 1)
-    below = _level(blocks[:-1], M, P)
-    return list(accumulate(map(floordiv, below, _powers(blocks[-1], M)), initial=0))
+    c = (u & -u).bit_length()
+    below = _level(u >> c, M, P)
+    return list(accumulate(map(floordiv, below, _powers(c, M)), initial=0))
 
 
-def _prefix_values(bits: tuple, dps: int) -> list:
-    """Fixed-point values of the series of every prefix of a word, scaled
-    by 2^P with P the fraction bits of the whole word.
+def _prefix_values(w: int, dps: int) -> list:
+    """Fixed-point values of the series of every prefix of the word with
+    int key w, scaled by 2^P with P the fraction bits of the whole word.
 
-    A word starting with letter 1 is read as blocks (c_1, ..., c_r), and
-    its series at 1/2 is the sum over m_1 < ... < m_r <= M of
-    2^(-m_r) prod m_i^(-c_i).  Entry k of the result belongs to the first
-    k letters (entry 0, the empty word, is 1).  A value missing from the
-    cache is the last block's sum over the chain level of the completed
-    blocks before it, read from :func:`_level`, the one cache of chain
-    levels at every depth, which every word of the same M and P shares (64
-    levels, about 1.9 MiB at 100 digits and 5.4 MiB at 200).  The walk
-    shifts that level by n at its block's first missing prefix, and keeps
-    the shifted level until the next letter 1 starts a block, so that each
-    missing prefix of the block is one division pass: the sum over n of
-    ``(level[n-1] >> n) // n^c``, which is ``(level[n-1] // n^c) >> n`` bit
-    for bit, as nested floors compose.  A value is cached under the P of
-    the word that walks it, so that it is a function of its blocks, M and
-    P alone; every word of up to 12 letters has the same P at a given dps,
-    and shares it.
+    Read from its most significant bit, w starts with letter 1 and is the
+    blocks (c_1, ..., c_r), each a 1 and c_i - 1 zeros; its series at 1/2
+    is the sum over m_1 < ... < m_r <= M of 2^(-m_r) prod m_i^(-c_i).
+    Entry i of the result belongs to the first i letters, whose key is
+    ``w >> (L - i)`` for a word of L letters (entry 0, the empty word, is
+    1).  A value missing from the cache is the last block's sum over the
+    chain level of the completed blocks before it, read from
+    :func:`_level`.  The walk shifts that level by n at its block's first
+    missing prefix, and keeps it until the next letter 1 starts a block, so
+    that each missing prefix of the block is one division pass: the sum
+    over n of ``(level[n-1] >> n) // n^c``, which is
+    ``(level[n-1] // n^c) >> n`` bit for bit, as nested floors compose.  A
+    value is cached by its key and the P of the word that walks it, so that
+    it is a function of its blocks, M and P alone; every word of up to 12
+    letters has the same P at a given dps, and shares it.
     """
+    L = w.bit_length()
     M = _terms(dps)
-    P = _fraction_bits(dps, len(bits))
+    P = _fraction_bits(dps, L)
     values = [1 << P]
-    blocks: tuple = ()
-    for b in bits:
-        if b:
-            blocks, shifted = blocks + (1,), None
-        else:
-            blocks = blocks[:-1] + (blocks[-1] + 1,)
-        key = (blocks, M, P)
+    for k in range(L - 1, -1, -1):
+        u = w >> k
+        if u & 1:
+            start, shifted = k, None
+        key = (u, M, P)
         x = _PREFIX_CACHE.get(key)
         if x is None:
             if shifted is None:
-                # levels 256 blocks apart first, so that _level recurses at
-                # most that deep after its cache has dropped the levels below
-                for j in range(256, len(blocks) - 1, 256):
-                    _level(blocks[:j], M, P)
-                shifted = list(map(rshift, _level(blocks[:-1], M, P), range(1, M + 1)))
-            x = _PREFIX_CACHE[key] = sum(map(floordiv, shifted, _powers(blocks[-1], M)))
+                done = w >> (start + 1)  # the completed blocks
+                if done.bit_count() > 256:
+                    # levels 256 blocks apart first, so that _level recurses at
+                    # most that deep after its cache has dropped the levels below
+                    v, apart = done, []
+                    for j in range(done.bit_count() - 1, 0, -1):  # drop a block, j are left
+                        v >>= (v & -v).bit_length()
+                        if j % 256 == 0:
+                            apart.append(v)
+                    for v in reversed(apart):
+                        _level(v, M, P)
+                shifted = list(map(rshift, _level(done, M, P), range(1, M + 1)))
+            x = _PREFIX_CACHE[key] = sum(map(floordiv, shifted, _powers(start - k + 1, M)))
         values.append(x)
     return values
 
@@ -226,11 +228,11 @@ def _prefix_values(bits: tuple, dps: int) -> list:
 def _holder(w: int, dps: int):
     """Path-splitting evaluation: sum over the cuts k of the word of the
     series of its first k letters times the series of the dual of the rest,
-    read from the right."""
-    bits = _word_bits(w)
-    P = _fraction_bits(dps, len(bits))
-    left = _prefix_values(bits, dps)
-    right = _prefix_values(tuple(1 - b for b in reversed(bits)), dps)
+    read from the right, whose key is w's L letters reversed and complemented."""
+    L = w.bit_length()
+    P = _fraction_bits(dps, L)
+    left = _prefix_values(w, dps)
+    right = _prefix_values(int(bin(w)[:1:-1], 2) ^ ((1 << L) - 1), dps)
     total = sum(map(mul, left, reversed(right)))
     with mp.workprec(P):
         return mp.mpf((total, -2 * P))

@@ -137,6 +137,15 @@ def test_eval_mzv(capsys):
     assert "1.2020569031595942854" in capsys.readouterr().out
 
 
+def test_eval_json_format(capsys):
+    assert main(["eval", "mzv", "1,2", "--digits", "20", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {"symbol", "index", "value", "error_bound", "digits"}
+    assert (data["symbol"], data["index"], data["digits"]) == ("mzv", "1,2", 20)
+    assert data["value"] == "1.2020569031595942854"  # zeta(3), by Euler
+    assert float(data["error_bound"]) < 1e-20
+
+
 def test_eval_divergent_requires_T(capsys):
     assert main(["eval", "mzv", "5,3,1"]) == 2
     assert "--T" in capsys.readouterr().err

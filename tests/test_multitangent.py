@@ -158,6 +158,11 @@ def test_multitangent_regularized_domain(ctx30):
         eval_multitangent_regularized((2,), 0, 0, ctx30)
     with pytest.raises(DomainError):
         eval_multitangent_regularized((2,), mp.mpf("0.75"), 0, ctx30)
+    # within 10^-(wp-5) of an integer, refused as the monotangents refuse it
+    with mp.workdps(60):
+        near_pole = mp.mpf("1e-60")
+    with pytest.raises(DomainError, match="poles at integer z"):
+        eval_multitangent_regularized((2,), near_pole, 0, ctx30)
     with pytest.raises(ValueError):
         eval_multitangent_regularized((), mp.mpf("0.3"), 0, ctx30)
 

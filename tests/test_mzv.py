@@ -360,21 +360,24 @@ def test_prefix_values_divide_then_shift(ctx30, dps):
     for c in reversed(words):
         eval_admissible_mzv(c, ctx30, dps=dps)
     assert mzv._PREFIX_CACHE
-    for (blocks, M, P), x in mzv._PREFIX_CACHE.items():
-        L, c = mzv._level(blocks[:-1], M, P), blocks[-1]
-        assert x == sum((L[n - 1] // n**c) >> n for n in range(1, M + 1)), blocks
+    for (u, M, P), x in mzv._PREFIX_CACHE.items():
+        # the last block is u's lowest 1 bit and the zeros below it
+        c = (u & -u).bit_length()
+        L = mzv._level(u >> c, M, P)
+        assert x == sum((L[n - 1] // n**c) >> n for n in range(1, M + 1)), bin(u)
 
 
 def test_missing_prefixes_mid_block(ctx30):
-    # After (2,), the prefixes (1,) and (2,) of (4,) are cached and (3,)
-    # and (4,) are not: the walk meets the block's first missing prefix
-    # after two cached ones, and must give the bits of a fresh walk.
+    # After (2,), the prefixes (1,) and (2,) of (4,), keys 0b1 and 0b10,
+    # are cached and (3,) and (4,) are not: the walk meets the block's
+    # first missing prefix after two cached ones, and must give the bits of
+    # a fresh walk.
     clear_caches()
     expected = eval_admissible_mzv((4,), ctx30, dps=100).value._mpf_
     clear_caches()
     eval_admissible_mzv((2,), ctx30, dps=100)
-    cached = {blocks for blocks, _, _ in mzv._PREFIX_CACHE}
-    assert {(1,), (2,)} <= cached and not {(3,), (4,)} & cached
+    cached = {u for u, _, _ in mzv._PREFIX_CACHE}
+    assert {0b1, 0b10} <= cached and not {0b100, 0b1000} & cached
     assert eval_admissible_mzv((4,), ctx30, dps=100).value._mpf_ == expected
 
 
@@ -384,8 +387,8 @@ def test_cached_blocks_build_no_level(ctx30, monkeypatch):
     # level, even with no prefix value cached; its value, equal by
     # duality, is the same sum and so the same bits.
     c = (3, 1, 2, 2)
-    bits = mzv._word_bits(_encode(c))
-    dual = _decode(int("".join(str(1 - b) for b in reversed(bits)), 2))
+    letters = bin(_encode(c))[2:]
+    dual = _decode(int("".join("10"[int(b)] for b in reversed(letters)), 2))
     assert dual != c
     builds = []  # one entry per level built, by whatever route
     monkeypatch.setattr(mzv, "accumulate", lambda *a, **kw: builds.append(a) or accumulate(*a, **kw))

@@ -132,6 +132,22 @@ def test_len_counts_terms_of_a_combination_and_grades_of_the_rest():
     assert len(PiGradedExpr({4: tp})) == 1
 
 
+def test_repr_of_each_expression_class():
+    """Grades in sorted order, words as zeta(...) with their Fractions, and
+    "0" for a zero expression."""
+    combo = WordCombo({(2,): Fraction(1, 2), (1, 2): -1})
+    assert repr(combo) == "(-1)*zeta(1,2) + (1/2)*zeta(2)"
+    tp = TPoly({0: {(3,): 1}, 1: {(2,): Fraction(-1, 3)}})
+    assert repr(tp) == "[(1)*zeta(3)] + T*[(-1/3)*zeta(2)]"
+    e = PiGradedExpr({0: {0: {(3,): 2}}, 2: {1: {(): Fraction(1, 6)}}})
+    assert repr(e) == "([(2)*zeta(3)]) + pi^2*(T*[(1/6)*zeta()])"
+    assert [repr(PiTerm(q, p)) for q, p in ((Fraction(1, 6), 2), (Fraction(3, 4), 0))] == [
+        "(1/6)*pi^2",
+        "3/4",
+    ]
+    assert {repr(x) for x in (WordCombo(), TPoly(), PiGradedExpr(), PiTerm.zero())} == {"0"}
+
+
 def test_sums_keep_the_grade_order_of_their_terms():
     """A grade whose terms all cancel but which gains new ones keeps its
     place: grades are summed in floating point in this order."""

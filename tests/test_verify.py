@@ -32,7 +32,7 @@ from mzvparity import (
     verify_main3,
     weight,
 )
-from mzvparity import clear_caches, mzv, reduction
+from mzvparity import clear_caches, mzv, reduction, verify
 from mzvparity.harmonic import slot_splits, splits
 
 
@@ -389,3 +389,27 @@ def test_describe_formats(ctx30):
     assert "PASS" in text and "(1,2)" in text
     skip = verify_main((2, 2), ctx30)
     assert skip.describe().startswith("SKIP")
+
+
+def test_describe_carries_the_point_of_a_bouillot_report(ctx30):
+    rep = verify_bouillot((2, 2), mp.mpf("0.3"), ctx30)
+    assert rep.describe().startswith("PASS bouillot  (2,2) z=0.3 T=0.0: residual ")
+
+
+@pytest.mark.parametrize(
+    "expansion, reason",
+    [
+        # a T term: the reduction of an admissible index must be T-free
+        ({0: {0: {(3,): 1}, 1: {(2,): 1}}}, "reduction has T-degree 1"),
+        # a word of depth 2 in the reduction of a depth-2 index
+        ({0: {0: {(1, 2): 1}}}, "depth certificate failed"),
+    ],
+)
+def test_main_fails_a_reduction_that_breaks_its_guarantees(ctx30, monkeypatch, expansion, reason):
+    """The residual of (1, 2) against either expansion is 0 at T = 0, so
+    the report fails on the structural guarantee alone."""
+    fake = reduction.ReductionResult((1, 2), reduction.PiGradedExpr(expansion))
+    monkeypatch.setattr(verify, "reduce_main", lambda c: fake)
+    rep = verify_main((1, 2), ctx30)
+    assert rep.status == "fail" and rep.reason == reason
+    assert rep.residual <= rep.bound
