@@ -112,7 +112,9 @@ def slot_splits(c: Composition) -> Iterator[tuple]:
 
 def compositions_of(w: int) -> Iterator[Composition]:
     """All compositions of ``w``, in lexicographic order: the int keys of
-    weight w, in descending order."""
+    weight w, in descending order; there are none for w < 0."""
+    if not _is_int(w, w):  # an int of any sign, not a bool
+        raise ValueError(f"a weight must be an int, got {w!r}")
     if w < 0:
         return iter(())
     return map(_decode, range((1 << w) - 1, (1 << w >> 1) - 1, -1))
@@ -120,8 +122,9 @@ def compositions_of(w: int) -> Iterator[Composition]:
 
 def compositions_up_to(max_weight: int) -> Iterator[Composition]:
     """All nonempty compositions of weight 1..max_weight, weight-major then lex."""
-    for w in range(1, max_weight + 1):
-        yield from compositions_of(w)
+    if not _is_int(max_weight, max_weight):
+        raise ValueError(f"a weight must be an int, got {max_weight!r}")
+    return chain.from_iterable(map(compositions_of, range(1, max_weight + 1)))
 
 
 def _encode(c: Composition) -> int:

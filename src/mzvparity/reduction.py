@@ -27,14 +27,13 @@ map over the common denominator of their rational weights, which is the
 expression's storage.  The unexpanded display form of a reduction is
 not built with it: :attr:`ReductionResult.display` derives it on read.
 
-:func:`reduce_main` produces, for an admissible
-index whose weight and depth have opposite parity, an exact expression in
-words of depth at most d-1 with coefficients in Q[pi^2] that evaluates to
-the same real number; :func:`reduce_main3` is the variant for regularized
-(not necessarily admissible) indices, which needs an extra correction sum
-supported on all-ones tails; :func:`build_main2_identity` builds the
-underlying star/plain alternating identity as a residual expression that
-must evaluate to zero for every index.
+:func:`reduce_main` produces, for an admissible index whose weight and
+depth have opposite parity, an exact expression in words of depth at most
+d-1 with coefficients in Q[pi^2] that evaluates to the same real number.
+:func:`reduce_main3` is the variant for regularized indices, with an extra
+correction sum on all-ones tails, and :func:`build_main2_identity` the
+star/plain alternating identity, a residual expression that must evaluate
+to zero; both are built by :func:`_alternating`.
 """
 
 from __future__ import annotations
@@ -250,8 +249,8 @@ def antipode_combo(j: int, c) -> TPoly:
     return regularize(WordCombo._raw(1, _head_sum(_encode(c[:j]), 0)))
 
 
-def _add_all_ones(parts: list, c: Composition, coeff) -> None:
-    """parts += coeff * sum_i star(c[:i]) delta(c[i:]).
+def _all_ones(c: Composition, coeff):
+    """Yield the parts of coeff * sum_i star(c[:i]) delta(c[i:]).
 
     delta(c[i:]) is zero unless c[i:] is an even number d - i of ones, and
     its pi-exponent d - i gives each term a grade of its own.
@@ -259,7 +258,16 @@ def _add_all_ones(parts: list, c: Composition, coeff) -> None:
     for i in range(len(c)):
         dl = delta(c[i:])
         if not dl.is_zero:
-            parts.append((dl.pi_exp, coeff * dl.coeff, _star_ints(_encode(c[:i]))))
+            yield dl.pi_exp, coeff * dl.coeff, _star_ints(_encode(c[:i]))
+
+
+def _alternating(w: int, seed: dict, scale) -> list:
+    """The parts of the alternating identity of the index w: the grade-0
+    ``seed`` ({word: int}) joined to the grades of :func:`_triple_terms`,
+    grade s scaled by ``scale * 2 zeta(s)`` (2 zeta(0) = -1)."""
+    grades = {0: seed}
+    _triple_terms(w, grades)
+    return [(s, scale * _two_zeta(s), words) for s, words in grades.items()]
 
 
 def _sum_regularized(parts: list) -> PiGradedExpr:
@@ -279,11 +287,17 @@ def _sum_regularized(parts: list) -> PiGradedExpr:
     return PiGradedExpr._raw(D, flat)
 
 
-def _opposite_parity(c) -> Composition:
-    """c, refused unless nonempty with weight and depth of opposite parity."""
+def _nonempty(c) -> Composition:
+    """c, refused if empty: no identity has a case at the empty index."""
     c = as_composition(c)
     if not c:
-        raise ValueError("the empty composition cannot be reduced")
+        raise ValueError("the identities and reductions need a nonempty composition")
+    return c
+
+
+def _opposite_parity(c) -> Composition:
+    """c, refused unless nonempty with weight and depth of opposite parity."""
+    c = _nonempty(c)
     if weight(c) % 2 == depth(c) % 2:
         raise ParityError(
             f"weight {weight(c)} and depth {depth(c)} of {c!r} have the same parity"
@@ -295,25 +309,17 @@ def reduce_main3(c) -> ReductionResult:
     """Reduce a regularized opposite-parity index to depth <= d-1 words.
 
     Returns the exact right-hand side of the regularized reduction: the
-    halved difference of the plain and star values (whose depth-d words
-    cancel), the correction sum over all-ones tails, and the double-index
-    correction sum with the middle factors 2 zeta(s).
+    correction sum over all-ones tails, then the alternating identity at
+    scale 1/2 with the seed star(c) - c, whose depth-d word cancels.  That
+    is regularize(c) + (-1)^w / 2 times :func:`build_main2_identity`.
     """
     c = _opposite_parity(c)
-    scale = Fraction(-1, 2)
-    parts: list = []
-    if not is_admissible(c):  # else no tail is all ones
-        _add_all_ones(parts, c, scale)
-
-    # (plain - star)/2: the depth-d words cancel, leaving the proper
-    # contractions, which join grade 0 of the correction sum (2 zeta(0) = -1)
-    # under the common scale -1/2.
+    # an admissible c has no all-ones tail, so delta is not called on its cuts
+    parts = () if is_admissible(c) else _all_ones(c, Fraction(-1, 2))
     w = _encode(c)
-    grades = {0: _star_ints(w)}
-    del grades[0][w]
-    _triple_terms(w, grades)
-    parts += ((s, -scale * _two_zeta(s), words) for s, words in grades.items())
-    return ReductionResult(c, _sum_regularized(parts))
+    seed = _star_ints(w)
+    del seed[w]
+    return ReductionResult(c, _sum_regularized([*parts, *_alternating(w, seed, Fraction(1, 2))]))
 
 
 def reduce_main(c) -> ReductionResult:
@@ -334,32 +340,19 @@ def build_main2_identity(c) -> PiGradedExpr:
 
     The returned expression must evaluate to zero numerically for every
     nonempty index (at any value of T); it is not the symbolic zero because
-    that would require stuffle relations between distinct words.
+    that would require stuffle relations between distinct words.  It is the
+    star convolution of :func:`_fund_eq2_sides` over the suffixes of c.
     """
-    c = as_composition(c)
-    if not c:
-        raise ValueError("the identity needs a nonempty composition")
-    d = len(c)
-    w = weight(c)
-    sign_d = -1 if d % 2 else 1
-    sign_w = -1 if w % 2 else 1
-    parts: list = []
-
-    # The RHS holds (-1)^w times the double-index sum, whose grade s carries
-    # -2 zeta(s), so grade s of LHS - RHS carries (-1)^w 2 zeta(s).  The LHS
-    # (-1)^d star(c) - (-1)^w plain(c) joins grade 0 divided by its weight.
-    key = _encode(c)
-    lhs = {word: -sign_w * sign_d for word in _star_ints(key)}
-    lhs[key] += 1
-    grades = {0: lhs}
-    _triple_terms(key, grades)
-    parts += ((s, sign_w * _two_zeta(s), words) for s, words in grades.items())
-
-    # minus RHS all-ones part: RHS contains -sum_i (-1)^i star(head) delta(tail),
-    # and (-1)^i = (-1)^d on every nonzero term
-    _add_all_ones(parts, c, sign_d)
-
-    return _sum_regularized(parts)
+    c = _nonempty(c)
+    sign_d = -1 if len(c) % 2 else 1
+    sign_w = -1 if weight(c) % 2 else 1
+    # LHS - RHS: the alternating identity at scale (-1)^w, whose grade 0
+    # (2 zeta(0) = -1) is the LHS (-1)^d star(c) - (-1)^w c, and minus the RHS
+    # all-ones part -sum_i (-1)^i star(head) delta(tail), (-1)^i = (-1)^d.
+    w = _encode(c)
+    seed = {word: -sign_w * sign_d for word in _star_ints(w)}
+    seed[w] += 1
+    return _sum_regularized([*_alternating(w, seed, sign_w), *_all_ones(c, sign_d)])
 
 
 def _fund_eq2_sides(c: Composition) -> tuple:

@@ -18,12 +18,17 @@ value with the largest residual (the first on a tie).  Every report that
 is not skipped carries ``stages``, the seconds of the exact build
 (reduction and regularization) and of the numeric evaluation.
 
-``fundeq2`` is the z^0 case of ``bouillot``.  Both right-hand sides are
-built exactly from the slot sum of the whole index: that of ``bouillot``
-is delta(c) + sum_s Psi_s(z) R_s(T), with one regularized grade R_s per
+The identities form one chain, pinned exactly by the tests.  ``fundeq2``
+is the z^0 case of ``bouillot``; both right-hand sides are built exactly
+from the slot sum of the whole index: that of ``bouillot`` is
+delta(c) + sum_s Psi_s(z) R_s(T), with one regularized grade R_s per
 monotangent order s, and that of ``fundeq2`` is its z^0 coefficient.
-Each exact side, the word c on the left of ``main`` too, is evaluated by
-one walk over its grades (``mzv._eval_at``).
+``main2`` is the star convolution of ``fundeq2`` over the suffixes of c.
+The right-hand side of ``main3``, and of ``main`` at an admissible c, is
+reg(c) + (-1)^w / 2 times ``main2``, so its two sides differ by exactly
+-(-1)^w / 2 times ``main2``: the ``main3`` and ``main`` sweeps add no
+independent numeric evidence.  Each exact side, the word c on the left of
+``main`` too, is evaluated by one walk over its grades (``mzv._eval_at``).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .harmonic import (
     Composition,
     WordCombo,
     _is_int,
-    as_composition,
     compositions_up_to,
     depth,
     is_admissible,
@@ -56,6 +60,7 @@ from .reduction import (
     PiGradedExpr,
     _bouillot_grades,
     _fund_eq2_sides,
+    _nonempty,
     build_main2_identity,
     expand_depth_certificate,
     reduce_main,
@@ -220,16 +225,14 @@ def verify_fund_eq2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Resid
     """Residual of the reflection identity for the z^0 coefficient, the
     z^0 case of ``bouillot``, with both sides built exactly by
     :func:`reduction._fund_eq2_sides`."""
-    c = as_composition(c)
-    if not c:
-        raise ValueError("the identity needs a nonempty composition")
+    c = _nonempty(c)
     T_values = _T_values(T_values, (0,))
     return _exact_check("fundeq2", c, ctx, T_values, lambda: (*_fund_eq2_sides(c), None))
 
 
 def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the star/plain alternating identity at each T value."""
-    c = as_composition(c)
+    c = _nonempty(c)
     T_values = _T_values(T_values, (0, 1))
     return _exact_check(
         "main2", c, ctx, T_values, lambda: (build_main2_identity(c), PiGradedExpr.zero(), None)
@@ -238,7 +241,7 @@ def verify_main2(c, ctx: PrecisionContext, *, z=None, T_values=None) -> Residual
 
 def verify_main3(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualReport:
     """Residual of the regularized reduction against the direct value."""
-    c = as_composition(c)
+    c = _nonempty(c)
     T_values = _T_values(T_values, (0, 1))
     if weight(c) % 2 == depth(c) % 2:
         return _skip("main3", c, ctx, "weight and depth have the same parity")
@@ -253,7 +256,7 @@ def verify_main(c, ctx: PrecisionContext, *, z=None, T_values=None) -> ResidualR
     Also asserts the structural guarantees: the reduction is T-free and
     every expanded word has depth at most d-1.
     """
-    c = as_composition(c)
+    c = _nonempty(c)
     T_values = _T_values(T_values, (0,))
     if not is_admissible(c):
         return _skip("main", c, ctx, "not admissible (last part must be >= 2)")
@@ -283,7 +286,7 @@ def verify_bouillot(c, z, ctx: PrecisionContext, *, T_values=None) -> ResidualRe
     """
     if z is None:
         raise DomainError("the multitangent identity needs an evaluation point z")
-    c = as_composition(c)
+    c = _nonempty(c)
     T_values = _T_values(T_values, (0,))
     t0 = time.perf_counter()
     grades = _bouillot_grades(c)

@@ -81,7 +81,14 @@ def test_composition_enumeration_order():
     assert list(compositions_of(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     for w in range(15):
         assert list(compositions_of(w)) == list(_lex_compositions(w)), w
-    assert list(compositions_of(-1)) == []
+    assert list(compositions_of(-1)) == [] == list(compositions_up_to(-1))
+    # a weight that is not an int is refused, not read as another weight
+    for bad in (1.5, True, "3", None):
+        with pytest.raises(ValueError, match="weight must be an int"):
+            list(compositions_of(bad))
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(ValueError, match="weight must be an int"):
+            list(compositions_up_to(bad))
     ws = [weight(c) for c in compositions_up_to(4)]
     assert ws == sorted(ws)
     assert len(list(compositions_up_to(6))) == 63

@@ -361,6 +361,41 @@ def test_main2_rejects_empty():
         build_main2_identity(())
 
 
+def test_main3_is_regularized_index_plus_half_main2():
+    """The regularized reduction is reg(c) + (-1)^wt(c) / 2 times the
+    alternating identity, exactly, on every opposite-parity index of
+    weight <= 8."""
+    indices = [c for c in compositions_up_to(8) if weight(c) % 2 != depth(c) % 2]
+    assert len(indices) == 127
+    for c in indices:
+        half_main2 = build_main2_identity(c) * Fraction((-1) ** weight(c), 2)
+        assert reduce_main3(c).expanded == PiGradedExpr({0: regularize(c)}) + half_main2, c
+
+
+def _star_convolution_of_fund_eq2(c: Composition) -> PiGradedExpr:
+    """sum_{i<d} (-1)^(i + wt(c[:i])) reg(star(c[:i])) * F(c[i:]), with F the
+    lhs - rhs of the z^0 reflection identity, multiplied pi-grade by pi-grade."""
+    total = PiGradedExpr.zero()
+    for i in range(len(c)):
+        head = regularize(star_expand(c[:i])) * (-1) ** (i + weight(c[:i]))
+        lhs, rhs = reduction._fund_eq2_sides(c[i:])
+        for p, tp in (lhs - rhs).items():
+            total = total + PiGradedExpr({p: head * tp})
+    return total
+
+
+def test_main2_is_the_star_convolution_of_fund_eq2():
+    """The alternating identity is eps times the star convolution of the
+    z^0 reflection identity over the suffixes, exactly, on every index of
+    weight <= 8: eps = -1 at even weight and +1 at odd weight, except for
+    the depth-1 index (k) with k odd, where eps = -2."""
+    indices = list(compositions_up_to(8))
+    assert len(indices) == 255
+    for c in indices:
+        eps = -2 if len(c) == 1 and c[0] % 2 else (-1) ** (weight(c) + 1)
+        assert build_main2_identity(c) == _star_convolution_of_fund_eq2(c) * eps, c
+
+
 def test_reduce_main3_value_matches_regularized(ctx30):
     from mzvparity import eval_tpoly, regularize
 

@@ -310,6 +310,15 @@ def test_empty_T_values_is_refused(ctx30):
         sweep(2, "main3", ctx30, T_values=())
 
 
+def test_empty_index_is_refused(ctx30):
+    # no identity has a case at the empty index: a skip would hide the error
+    z = mp.mpf("0.3")
+    for name, fn in IDENTITIES.items():
+        with pytest.raises(ValueError, match="empty composition"):
+            fn((), ctx=ctx30, z=z)
+            pytest.fail(f"{name} accepted the empty index")
+
+
 @pytest.mark.parametrize("T_values", ["10", b"10", 5, mp.mpf(1)], ids=["str", "bytes", "int", "mpf"])
 def test_T_values_that_are_not_a_collection_are_refused(ctx30, T_values):
     # "10" read one character at a time would check T = 1 and T = 0
